@@ -51,7 +51,7 @@ def classify_sentence(
     with_trace: bool = False,
 ) -> PolarityResult:
     """Score one sentence and label it by sign (ties default to positive)."""
-    trace = compute_so(tree, lex, defs, lists)
+    trace = compute_so(tree, lex, defs, lists, record=with_trace)
     return PolarityResult(
         so=trace.sentence_so,
         label=_label(trace.sentence_so, tie),
@@ -79,7 +79,7 @@ def classify_document(
         raise UsageError(f"document {doc.source_id!r} has no sentences")
     if agg not in ("sum", "mean"):
         raise UsageError(f"unknown aggregation {agg!r}")
-    traces = [compute_so(tree, lex, defs, lists) for tree in doc.sentences]
+    traces = [compute_so(tree, lex, defs, lists, record=with_trace) for tree in doc.sentences]
     so = fsum(trace.sentence_so for trace in traces)
     if agg == "mean":
         so /= len(traces)

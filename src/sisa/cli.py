@@ -19,7 +19,7 @@ from .errors import PARSE_ERRORS, ScaleMismatchError, UsageError
 from .evaluate import (
     RunConfig,
     compare_configs,
-    evaluate,
+    evaluate_configs,
     load_manifest,
     render_impact,
     render_report,
@@ -165,10 +165,8 @@ def _cmd_evaluate(args) -> int:
         if rules:
             configs.append(RunConfig("ML+O", merged, rules))
 
-    reports = []
-    for cfg in configs:
-        report = evaluate(manifest, cfg, lists, agg=args.agg, tie=args.tie)
-        reports.append(report)
+    reports = evaluate_configs(manifest, configs, lists, agg=args.agg, tie=args.tie)
+    for report in reports:
         sys.stdout.write(render_report(report, verbose=args.verbose))
     impact = compare_configs(reports) if len(reports) == 4 else None
     if impact is not None:

@@ -106,10 +106,6 @@ class DepTree:
         """Dependents of a node, ordered by surface position."""
         return self._children[token_id]
 
-    @property
-    def children_index(self) -> dict[int, tuple[int, ...]]:
-        return dict(self._children)
-
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -138,8 +134,9 @@ def _is_empty_node_id(text: str) -> bool:
 def parse_document(text: str, source_id: str = "-") -> Document:
     """Parse CoNLL-U text into a :class:`Document`.
 
-    Blank lines separate sentences, ``#`` lines are comments, multiword-token
-    ranges and empty nodes are skipped. Raises :class:`ConlluParseError` for
+    One leading UTF-8 byte order mark is ignored. Blank lines separate
+    sentences, ``#`` lines are comments, multiword-token ranges and empty
+    nodes are skipped. Raises :class:`ConlluParseError` for
     malformed lines (with the 1-based line number) and
     :class:`TreeStructureError` for sentences that are not valid trees (with
     the 1-based sentence index).
@@ -147,6 +144,7 @@ def parse_document(text: str, source_id: str = "-") -> Document:
     trees: list[DepTree] = []
     pending: list[Token] = []
     sentence_index = 1
+    text = text.removeprefix("\ufeff")
 
     def flush() -> None:
         nonlocal sentence_index

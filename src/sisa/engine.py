@@ -5,16 +5,26 @@ operations that climb one head link per level; where an instance's countdown
 reaches zero it is dequeued and applied, transforming either the level head's
 lexical score, one child branch's accumulated score, or the whole accumulated
 level. Instances still pending at the root are force-applied there rather
-than dropped. A full trace of every trigger, application and discard is
-returned alongside the sentence score.
+than dropped.
+
+A sentence costs time linear in its tokens plus its operations, for every
+tree shape, up to the binary search that places a subjr origin among a
+level's branches: each node's features (lowercased form and lemma, bare
+deprel) are computed once, and scope resolution walks per-level cursors
+that only move right instead of rescanning the branches of a wide level for
+every operation. The full trace of every trigger, application and discard is
+recorded only when asked for; without it the returned :class:`SoTrace`
+carries the sentence score and the warnings alone.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Sequence
 
-from .conllu import DepTree, Token
+from .conllu import DepTree
 from .lexicon import SentimentLexicon, WordList
 from .operations import (
     ALL,
@@ -31,8 +41,10 @@ from .operations import (
 )
 from .util import format_so
 
+_CHILD_ID = attrgetter("child_id")
 
-@dataclass
+
+@dataclass(slots=True)
 class BranchState:
     """One child branch at a level: who heads it, its bare deprel, and the
     accumulated (possibly already transformed) score of its subtree."""
@@ -42,17 +54,74 @@ class BranchState:
     so: float
 
 
-@dataclass
+@dataclass(slots=True)
 class LevelState:
-    """Mutable scoring state of one node while operations apply at it."""
+    """Mutable scoring state of one node while operations apply at it.
+
+    ``branches`` are in surface order. A branch's score changes only when a
+    branch scope selects it, and branch scopes select only nonzero branches,
+    so a branch can drop to 0 but never come back. Scope lookups rely on
+    that: their cursors skip a branch for good once they have seen it at 0.
+    Change a branch's score through :meth:`set_branch_so`, which keeps the
+    cached branch sum of :meth:`total` current.
+    """
 
     head_id: int
     head_so: float
     branches: list[BranchState]
     adjustment: float = 0.0
+    _branch_sum: float | None = field(default=None, init=False, repr=False, compare=False)
+    # Skip table over branch indexes: every index in [i, _next[i]) is a
+    # zero branch; _next[i] == i means branch i was live when last seen.
+    _next: list[int] | None = field(default=None, init=False, repr=False, compare=False)
+    # Branches per deprel, rightmost first, so the leftmost is popped last.
+    _by_deprel: dict[str, list[BranchState]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def total(self) -> float:
-        return self.head_so + sum(b.so for b in self.branches) + self.adjustment
+        if self._branch_sum is None:
+            self._branch_sum = sum(b.so for b in self.branches)
+        return self.head_so + self._branch_sum + self.adjustment
+
+    def set_branch_so(self, branch: BranchState, so: float) -> None:
+        branch.so = so
+        self._branch_sum = None
+
+    def _live_from(self, start: int) -> BranchState | None:
+        """Leftmost nonzero branch at index ``start`` or later."""
+        nxt = self._next
+        if nxt is None:
+            nxt = self._next = list(range(len(self.branches) + 1))
+        branches = self.branches
+        end = len(branches)
+        index = start
+        path = []
+        while index < end:
+            step = nxt[index]
+            if step == index:
+                if branches[index].so != 0:
+                    break
+                step = index + 1
+            path.append(index)
+            index = step
+        for seen in path:
+            nxt[seen] = index
+        return branches[index] if index < end else None
+
+    def _live_with(self, deprel: str) -> BranchState | None:
+        """Leftmost nonzero branch with the given bare deprel."""
+        by_deprel = self._by_deprel
+        if by_deprel is None:
+            by_deprel = self._by_deprel = {}
+            for branch in reversed(self.branches):
+                by_deprel.setdefault(branch.deprel, []).append(branch)
+        candidates = by_deprel.get(deprel)
+        while candidates:
+            if candidates[-1].so != 0:
+                return candidates[-1]
+            candidates.pop()
+        return None
 
 
 @dataclass(frozen=True)
@@ -73,25 +142,26 @@ def resolve_scope(
     the level (the trigger itself when it triggered here). target requires a
     nonzero head score; b(x) the leftmost branch with that deprel and nonzero
     score; subjl/subjr the leftmost nonzero branch strictly left/right of the
-    origin; all always matches.
+    origin; all always matches. A NaN score counts as nonzero.
     """
     for spec in scopes:
-        if spec.kind == TARGET:
+        kind = spec.kind
+        if kind == TARGET:
             if level.head_so != 0:
                 return ScopeSelection(spec)
-        elif spec.kind == BRANCH:
-            for branch in level.branches:
-                if branch.deprel == spec.deprel and branch.so != 0:
-                    return ScopeSelection(spec, branch)
-        elif spec.kind == SUBJL:
-            for branch in level.branches:
-                if branch.child_id < origin_id and branch.so != 0:
-                    return ScopeSelection(spec, branch)
-        elif spec.kind == SUBJR:
-            for branch in level.branches:
-                if branch.child_id > origin_id and branch.so != 0:
-                    return ScopeSelection(spec, branch)
-        elif spec.kind == ALL:
+        elif kind == BRANCH:
+            branch = level._live_with(spec.deprel)
+            if branch is not None:
+                return ScopeSelection(spec, branch)
+        elif kind == SUBJL:
+            branch = level._live_from(0)
+            if branch is not None and branch.child_id < origin_id:
+                return ScopeSelection(spec, branch)
+        elif kind == SUBJR:
+            branch = level._live_from(bisect_right(level.branches, origin_id, key=_CHILD_ID))
+            if branch is not None:
+                return ScopeSelection(spec, branch)
+        elif kind == ALL:
             return ScopeSelection(spec)
     return None
 
@@ -135,7 +205,8 @@ class NodeTrace:
 
 @dataclass
 class SoTrace:
-    """Complete, deterministic account of one sentence evaluation."""
+    """Account of one sentence evaluation: the score, the warnings and, when
+    recorded, one deterministic record per node (empty otherwise)."""
 
     nodes: list[NodeTrace]
     sentence_so: float
@@ -181,9 +252,10 @@ class SoTrace:
 
 
 def _booster_value(
-    source: str, token: Token, lists: Mapping[str, WordList]
+    source: str, form: str, lemma: str, lists: Mapping[str, WordList]
 ) -> tuple[float, bool]:
-    """Snapshot the booster value for a trigger: form first, then lemma.
+    """Snapshot the booster value for a trigger from its lowercased form,
+    then its lowercased lemma.
 
     Returns (value, missing); absent words fall back to 0 (a no-op weighting)
     so a misconfigured list degrades loudly in the trace, not with a crash.
@@ -191,9 +263,9 @@ def _booster_value(
     wordlist = lists.get(source)
     if wordlist is None:
         return 0.0, True
-    value = wordlist.value(token.form.lower())
+    value = wordlist.value(form)
     if value is None:
-        value = wordlist.value(token.lemma.lower())
+        value = wordlist.value(lemma)
     if value is None:
         return 0.0, True
     return value, False
@@ -212,48 +284,52 @@ def _transform(pending: PendingOperation, so: float) -> float:
 def _apply_batch(
     batch: list[tuple[PendingOperation, int]],
     level: LevelState,
-    node_trace: NodeTrace,
+    node_trace: NodeTrace | None,
     forced: bool,
 ) -> None:
     """Dequeue a batch at one level: higher priority first, then leftmost
-    trigger. Transformed constituents stay visible to later operations."""
+    trigger. Transformed constituents stay visible to later operations.
+    Applications are recorded into ``node_trace`` when one is given."""
     batch.sort(key=lambda item: (-item[0].definition.priority, item[0].trigger_id))
     for pending, origin_id in batch:
         name = pending.definition.name
         selection = resolve_scope(pending.definition.scopes, level, origin_id)
         if selection is None:
-            node_trace.applications.append(
-                ApplyRecord(name, pending.trigger_id, "none", None, None, forced, discarded=True)
-            )
+            if node_trace is not None:
+                node_trace.applications.append(
+                    ApplyRecord(name, pending.trigger_id, "none", None, None, forced, discarded=True)
+                )
             continue
         kind = selection.spec.kind
         if kind == TARGET:
             before = level.head_so
             after = _transform(pending, before)
             level.head_so = after
-            scope_text = TARGET
         elif kind == ALL:
             before = level.total()
             after = _transform(pending, before)
             level.adjustment += after - before
-            scope_text = ALL
         else:
             branch = selection.branch
             before = branch.so
             after = _transform(pending, before)
-            branch.so = after
-            scope_text = f"{selection.spec}:{branch.child_id}"
-        node_trace.applications.append(
-            ApplyRecord(
-                name,
-                pending.trigger_id,
-                scope_text,
-                before,
-                after,
-                forced,
-                backoff=kind == ALL,
+            level.set_branch_so(branch, after)
+        if node_trace is not None:
+            if kind == TARGET or kind == ALL:
+                scope_text = kind
+            else:
+                scope_text = f"{selection.spec}:{selection.branch.child_id}"
+            node_trace.applications.append(
+                ApplyRecord(
+                    name,
+                    pending.trigger_id,
+                    scope_text,
+                    before,
+                    after,
+                    forced,
+                    backoff=kind == ALL,
+                )
             )
-        )
 
 
 def compute_so(
@@ -261,78 +337,107 @@ def compute_so(
     lex: SentimentLexicon,
     defs: Sequence[OperationDefinition],
     lists: Mapping[str, WordList] | None = None,
+    *,
+    record: bool = True,
 ) -> SoTrace:
-    """Score one sentence and return the full trace.
+    """Score one sentence; with ``record`` (the default), trace every node.
 
     Post-order over the tree: children are evaluated first; pending
     operations arriving from a child have their countdown decremented; rules
-    matching the node itself are instantiated with a fresh countdown; every
-    instance at zero is dequeued and applied here (higher priority first,
-    leftmost trigger on ties); the level total is the possibly-transformed
-    head score plus all branch scores; instances still counting down climb
-    on, and any left over at the root are force-applied there.
+    matching the node itself are instantiated with a fresh countdown, in
+    definition order; every instance at zero is dequeued and applied here
+    (higher priority first, leftmost trigger on ties); the level total is
+    the possibly-transformed head score plus all branch scores; instances
+    still counting down climb on, and any left over at the root are
+    force-applied there. With ``record=False`` the returned trace has no
+    nodes; its score and warnings are the same.
     """
     lists = lists or {}
-    traces: dict[int, NodeTrace] = {}
-    results: dict[int, tuple[float, list[PendingOperation]]] = {}
+    # Each rule's trigger constraints, with a word list's dict standing in
+    # for the list so that membership tests skip a method call.
+    triggers = []
+    for definition in defs:
+        trigger = definition.trigger
+        forms = trigger.forms.words if isinstance(trigger.forms, WordList) else trigger.forms
+        triggers.append((definition, forms, trigger.pos, trigger.deprel))
+    tokens = tree.tokens
+    children = tree.children
+    size = len(tokens) + 1
+    bare: list[str] = [""] * size
+    subtree: list[float] = [0.0] * size
+    climbing_from: list[Sequence[PendingOperation]] = [()] * size
+    traces: list[NodeTrace | None] = [None] * size
     warnings: list[str] = []
 
-    stack: list[tuple[int, bool]] = [(tree.root_id, False)]
+    # Reversing a right-to-left preorder gives the left-to-right postorder.
+    order = []
+    stack = [tree.root_id]
     while stack:
-        node_id, expanded = stack.pop()
-        if not expanded:
-            stack.append((node_id, True))
-            for child_id in reversed(tree.children(node_id)):
-                stack.append((child_id, False))
-            continue
+        node_id = stack.pop()
+        order.append(node_id)
+        stack.extend(children(node_id))
 
-        token = tree.token(node_id)
+    for node_id in reversed(order):
+        token = tokens[node_id - 1]
         lexical = lex.lookup(token.form, token.lemma, token.upos)
-        node_trace = NodeTrace(node_id, token.form, lexical)
-        traces[node_id] = node_trace
+        deprel = bare[node_id] = token.bare_deprel
+        node_trace = None
+        if record:
+            node_trace = traces[node_id] = NodeTrace(node_id, token.form, lexical)
 
-        branches: list[BranchState] = []
+        kids = children(node_id)
         carried: list[tuple[PendingOperation, int]] = []
-        for child_id in tree.children(node_id):
-            child_so, child_pending = results.pop(child_id)
-            branches.append(BranchState(child_id, tree.token(child_id).bare_deprel, child_so))
-            for pending in child_pending:
+        for child_id in kids:
+            for pending in climbing_from[child_id]:
                 pending.remaining -= 1
                 carried.append((pending, child_id))
 
-        for definition in defs:
-            if definition.matches(token):
-                beta: float | None = None
-                if definition.transform.booster_source is not None:
-                    beta, missing = _booster_value(
-                        definition.transform.booster_source, token, lists
+        form = token.form.lower()
+        lemma = token.lemma.lower()
+        for definition, forms, pos, deprels in triggers:
+            if forms is not None and form not in forms and lemma not in forms:
+                continue
+            if pos is not None and token.upos not in pos:
+                continue
+            if deprels is not None and deprel not in deprels:
+                continue
+            beta: float | None = None
+            source = definition.transform.booster_source
+            if source is not None:
+                beta, missing = _booster_value(source, form, lemma, lists)
+                if missing:
+                    warnings.append(
+                        f"rule {definition.name}: no booster value for trigger "
+                        f"{token.form!r} (token {node_id}); using 0"
                     )
-                    if missing:
-                        warnings.append(
-                            f"rule {definition.name}: no booster value for trigger "
-                            f"{token.form!r} (token {node_id}); using 0"
-                        )
+                if record:
                     node_trace.triggers.append(
                         TriggerRecord(definition.name, definition.delta, beta, missing)
                     )
-                else:
-                    node_trace.triggers.append(TriggerRecord(definition.name, definition.delta))
-                carried.append(
-                    (PendingOperation(definition, node_id, definition.delta, beta), node_id)
-                )
+            elif record:
+                node_trace.triggers.append(TriggerRecord(definition.name, definition.delta))
+            carried.append((PendingOperation(definition, node_id, definition.delta, beta), node_id))
 
-        level = LevelState(node_id, lexical, branches)
-        ready = [(p, origin) for p, origin in carried if p.remaining == 0]
-        climbing = [(p, origin) for p, origin in carried if p.remaining > 0]
-        _apply_batch(ready, level, node_trace, forced=False)
-        if node_id == tree.root_id and climbing:
-            _apply_batch(climbing, level, node_trace, forced=True)
-            climbing = []
+        if carried:
+            level = LevelState(
+                node_id, lexical, [BranchState(c, bare[c], subtree[c]) for c in kids]
+            )
+            ready = [(p, origin) for p, origin in carried if p.remaining == 0]
+            climbing = [(p, origin) for p, origin in carried if p.remaining > 0]
+            if ready:
+                _apply_batch(ready, level, node_trace, forced=False)
+            if climbing and node_id == tree.root_id:
+                _apply_batch(climbing, level, node_trace, forced=True)
+            elif climbing:
+                climbing_from[node_id] = [p for p, _ in climbing]
+            subtree_so = level.total()
+        else:
+            # Nothing applies here: total() of an untouched level, with the
+            # branch scores summed the same way and a zero adjustment.
+            subtree_so = lexical + sum([subtree[c] for c in kids]) + 0.0
+        subtree[node_id] = subtree_so
+        if record:
+            node_trace.subtree_so = subtree_so
 
-        subtree_so = level.total()
-        node_trace.subtree_so = subtree_so
-        results[node_id] = (subtree_so, [p for p, _ in climbing])
-
-    sentence_so = results[tree.root_id][0]
-    ordered = [traces[token.id] for token in tree.tokens]
-    return SoTrace(ordered, sentence_so, warnings)
+    sentence_so = subtree[tree.root_id]
+    return SoTrace(traces[1:] if record else [], sentence_so, warnings)

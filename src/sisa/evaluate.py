@@ -107,32 +107,55 @@ def evaluate(
     agg: str = "sum",
     tie: str = "pos",
 ) -> EvaluationReport:
-    """Classify every manifest item and count label agreement.
+    """Classify every manifest item under one configuration and count label
+    agreement; see :func:`evaluate_configs`."""
+    return evaluate_configs(manifest, (cfg,), lists, agg=agg, tie=tie)[0]
 
-    Items that cannot be read or parsed are recorded as errored and excluded
-    from the accuracy denominator; a manifest with no readable items at all
-    is a usage error.
+
+def evaluate_configs(
+    manifest: CorpusManifest,
+    configs: Sequence[RunConfig],
+    lists: Mapping[str, WordList] | None = None,
+    *,
+    agg: str = "sum",
+    tie: str = "pos",
+) -> list[EvaluationReport]:
+    """Classify every manifest item under each configuration and count label
+    agreement, one report per configuration in the given order.
+
+    Each item is read and parsed once and scored under every configuration
+    before the next item is read, so one document is held at a time. Items
+    that cannot be read or parsed are logged once and recorded as errored
+    under every configuration, excluded from the accuracy denominator; a
+    manifest with no readable items at all is a usage error.
     """
-    items: list[ItemResult] = []
-    correct = 0
-    total = 0
-    errored = 0
+    results: list[list[ItemResult]] = [[] for _ in configs]
     for item_path, gold in manifest.items:
         try:
             text = Path(item_path).read_text(encoding="utf-8")
             doc = parse_document(text, source_id=Path(item_path).stem)
-            result = classify_document(doc, cfg.lexicon, cfg.rules, lists, agg=agg, tie=tie)
         except (OSError, SisaError) as exc:
-            errored += 1
             logger.warning("skipping %s: %s", item_path, exc)
-            items.append(ItemResult(str(item_path), gold, None, None, error=str(exc)))
+            for items in results:
+                items.append(ItemResult(str(item_path), gold, None, None, error=str(exc)))
             continue
-        total += 1
-        if result.label == gold:
-            correct += 1
-        items.append(ItemResult(str(item_path), gold, result.label, result.so))
+        for items, cfg in zip(results, configs):
+            try:
+                result = classify_document(doc, cfg.lexicon, cfg.rules, lists, agg=agg, tie=tie)
+            except SisaError as exc:
+                logger.warning("skipping %s under %s: %s", item_path, cfg.config_id, exc)
+                items.append(ItemResult(str(item_path), gold, None, None, error=str(exc)))
+                continue
+            items.append(ItemResult(str(item_path), gold, result.label, result.so))
+    return [_report(manifest, cfg, items) for cfg, items in zip(configs, results)]
+
+
+def _report(manifest: CorpusManifest, cfg: RunConfig, items: list[ItemResult]) -> EvaluationReport:
+    errored = sum(1 for item in items if item.error is not None)
+    total = len(items) - errored
     if total == 0:
         raise UsageError(f"manifest {manifest.name!r} has no readable items")
+    correct = sum(1 for item in items if item.predicted == item.gold)
     return EvaluationReport(
         config_id=cfg.config_id,
         manifest_name=manifest.name,

@@ -124,11 +124,8 @@ class OperationDefinition:
         if not self.scopes:
             raise RuleConfigError(f"rule {self.name!r}: scope list must not be empty")
 
-    def matches(self, token: Token) -> bool:
-        return self.trigger.matches(token)
 
-
-@dataclass
+@dataclass(slots=True)
 class PendingOperation:
     """A triggered operation instance climbing the tree.
 

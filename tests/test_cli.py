@@ -266,6 +266,44 @@ class TestEvaluate:
         assert code == 4
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte order mark at the start of a CoNLL-U input is ignored."""
+
+    ENGINE = ("--lexicon", LEXICON, "--rules", DEFAULT_RULES, "--lists", LISTS_DIR)
+
+    def test_classify_file(self, capsys, tmp_path):
+        plain = FIXTURES / "no_es_bonito.conllu"
+        marked = tmp_path / plain.name
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want = run(capsys, "classify", *self.ENGINE, "--input", plain)
+        assert want[0] == 0
+        assert run(capsys, "classify", *self.ENGINE, "--input", marked) == want
+
+    def test_classify_stdin(self, capsys, monkeypatch):
+        import io
+
+        text = (FIXTURES / "no_es_bonito.conllu").read_text(encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        want = run(capsys, "classify", *self.ENGINE, "--input", "-")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + text))
+        assert run(capsys, "classify", *self.ENGINE, "--input", "-") == want
+
+    def test_evaluate_corpus(self, capsys, tmp_path):
+        corpus = FIXTURES / "corpus"
+        marked = tmp_path / "corpus"
+        marked.mkdir()
+        for path in corpus.iterdir():
+            data = path.read_bytes()
+            if path.suffix == ".conllu":
+                data = b"\xef\xbb\xbf" + data
+            (marked / path.name).write_bytes(data)
+        argv = ("--lexicon", corpus / "lexicon_ml.tsv", "--rules", DEFAULT_RULES, "--lists", LISTS_DIR)
+        want = run(capsys, "evaluate", "--corpus", corpus / "manifest.tsv", "--lexicon", LEXICON, *argv)
+        assert want[0] == 0
+        got = run(capsys, "evaluate", "--corpus", marked / "manifest.tsv", "--lexicon", LEXICON, *argv)
+        assert got == want
+
+
 class TestArgparseBehavior:
     def test_unknown_flag_exits_4(self, capsys):
         with pytest.raises(SystemExit) as err:

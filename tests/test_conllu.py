@@ -31,6 +31,12 @@ def test_parse_three_token_sentence():
     assert tree.token(2).lemma == "ser"
 
 
+def test_leading_byte_order_mark_ignored():
+    assert parse_document("\ufeff" + NO_ES_BONITO) == parse_document(NO_ES_BONITO)
+    with pytest.raises(ConlluParseError):
+        parse_document("\ufeff\ufeff" + NO_ES_BONITO)
+
+
 def test_range_lines_are_dropped():
     text = (
         "1-2\tdel\t_\t_\t_\t_\t_\t_\t_\t_\n"

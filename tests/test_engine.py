@@ -1,7 +1,10 @@
 import math
+from random import Random
 
 import pytest
 
+from conftest import DEFAULT_RULES
+from reference import reference_so
 from sisa import (
     BranchState,
     DepTree,
@@ -9,12 +12,15 @@ from sisa import (
     ScopeSpec,
     Token,
     WordList,
+    apply_weighting,
     compute_so,
+    load_rules,
     parse_rules,
     read_document,
     resolve_scope,
 )
 from sisa.operations import ALL, BRANCH, SUBJL, SUBJR, TARGET
+from treegen import VOCAB, build_tree, random_tree, vocab_lexicon, vocab_lists
 
 
 def tree_from(fixtures, name):
@@ -258,3 +264,153 @@ scope = target
         first = compute_so(tree, fixture_lexicon, default_rules, wordlists).render()
         second = compute_so(tree, fixture_lexicon, default_rules, wordlists).render()
         assert first == second
+
+
+class TestScopeCursors:
+    """Scope lookups after an earlier operation at the same level zeroed the
+    branch they would have picked."""
+
+    def level(self, branches):
+        return LevelState(head_id=3, head_so=0.0, branches=list(branches))
+
+    def test_branch_moves_to_next_live_with_deprel(self):
+        scopes = (ScopeSpec(BRANCH, "cop"),)
+        level = self.level(
+            [BranchState(1, "cop", 2.0), BranchState(2, "obj", 1.0), BranchState(4, "cop", 1.5)]
+        )
+        first = resolve_scope(scopes, level, origin_id=3).branch
+        assert first.child_id == 1
+        level.set_branch_so(first, apply_weighting(-1.0, first.so))
+        second = resolve_scope(scopes, level, origin_id=3).branch
+        assert second.child_id == 4
+        level.set_branch_so(second, 0.0)
+        assert resolve_scope(scopes, level, origin_id=3) is None
+
+    def test_subjl_moves_to_next_live_left_of_origin(self):
+        scopes = (ScopeSpec(SUBJL),)
+        level = self.level(
+            [BranchState(1, "nsubj", 2.0), BranchState(2, "obj", 3.0), BranchState(5, "obl", 1.0)]
+        )
+        first = resolve_scope(scopes, level, origin_id=4).branch
+        assert first.child_id == 1
+        level.set_branch_so(first, 0.0)
+        assert resolve_scope(scopes, level, origin_id=4).branch.child_id == 2
+        level.set_branch_so(level.branches[1], 0.0)
+        # The next live branch (5) lies right of the origin.
+        assert resolve_scope(scopes, level, origin_id=4) is None
+        assert resolve_scope(scopes, level, origin_id=6).branch.child_id == 5
+
+    def test_subjr_moves_to_next_live_right_of_origin(self):
+        scopes = (ScopeSpec(SUBJR),)
+        level = self.level(
+            [
+                BranchState(1, "nsubj", 2.0),
+                BranchState(2, "advmod", 1.0),
+                BranchState(4, "obj", 0.0),
+                BranchState(5, "obl", 3.0),
+                BranchState(6, "obl", -1.0),
+            ]
+        )
+        first = resolve_scope(scopes, level, origin_id=1).branch
+        assert first.child_id == 2
+        level.set_branch_so(first, 0.0)
+        # Skips the branch that was 0 from the start and the one just zeroed.
+        assert resolve_scope(scopes, level, origin_id=1).branch.child_id == 5
+        assert resolve_scope(scopes, level, origin_id=0).branch.child_id == 1
+        level.set_branch_so(level.branches[3], 0.0)
+        assert resolve_scope(scopes, level, origin_id=1).branch.child_id == 6
+        assert resolve_scope(scopes, level, origin_id=5).branch.child_id == 6
+        assert resolve_scope(scopes, level, origin_id=6) is None
+
+    def test_nan_branch_counts_as_live(self):
+        nan = float("nan")
+        level = self.level([BranchState(1, "nsubj", nan), BranchState(2, "nsubj", 1.0)])
+        assert resolve_scope((ScopeSpec(BRANCH, "nsubj"),), level, origin_id=3).branch.child_id == 1
+        assert resolve_scope((ScopeSpec(SUBJL),), level, origin_id=3).branch.child_id == 1
+        assert resolve_scope((ScopeSpec(SUBJR),), level, origin_id=0).branch.child_id == 1
+
+    def test_total_follows_branch_changes(self):
+        level = LevelState(head_id=3, head_so=1.0, branches=[BranchState(1, "obj", 2.0)])
+        assert level.total() == 3.0
+        level.set_branch_so(level.branches[0], 0.5)
+        level.adjustment = 0.25
+        assert level.total() == 1.75
+
+    def test_branch_change_after_all_backoff(self):
+        # malo <- pero, no -> muy(root): negation backs off to all (-3 -> 1),
+        # then the adversative damps the malo branch (-3 -> -2.25), so the
+        # level total is 0 + -2.25 + 4.
+        lists = vocab_lists()
+        defs = load_rules(DEFAULT_RULES, lists)
+        word = {form: i for i, (form, _, _) in enumerate(VOCAB)}
+        tree = build_tree([4, 4, 4, 0], [word["malo"], word["pero"], word["no"], word["muy"]])
+        trace = compute_so(tree, vocab_lexicon(), defs, lists)
+        assert [app.scope for app in trace.nodes[3].applications] == ["all", "subjl:1"]
+        assert trace.sentence_so == 1.75 == reference_so(tree, vocab_lexicon(), defs, lists)
+
+
+def star_heads(rng, n):
+    root = rng.randint(1, n)
+    return [0 if i == root else root for i in range(1, n + 1)]
+
+
+def chain_heads(n):
+    return [i + 1 if i < n else 0 for i in range(1, n + 1)]
+
+
+class TestWideAndDeep:
+    """Oracle equivalence on trees far wider and deeper than the exhaustive
+    sweeps reach, over the trigger-dense fixture vocabulary."""
+
+    @pytest.fixture(scope="class")
+    def vocab(self):
+        lists = vocab_lists()
+        return vocab_lexicon(), lists, load_rules(DEFAULT_RULES, lists)
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    @pytest.mark.parametrize("shape", ["star", "chain"])
+    def test_matches_reference(self, vocab, shape, seed):
+        lex, lists, defs = vocab
+        rng = Random(seed)
+        for n in (200, 400, 600):
+            heads = star_heads(rng, n) if shape == "star" else chain_heads(n)
+            tree = build_tree(heads, [rng.randrange(len(VOCAB)) for _ in range(n)])
+            engine = compute_so(tree, lex, defs, lists).sentence_so
+            reference = reference_so(tree, lex, defs, lists)
+            assert math.isfinite(engine)
+            assert engine == pytest.approx(reference, rel=1e-9, abs=1e-9), (shape, seed, n)
+
+
+class TestRecordingSwitch:
+    """Recording off changes nothing but the missing node records."""
+
+    def same_outcome(self, tree, lex, defs, lists):
+        on = compute_so(tree, lex, defs, lists)
+        off = compute_so(tree, lex, defs, lists, record=False)
+        assert repr(off.sentence_so) == repr(on.sentence_so)
+        assert off.warnings == on.warnings
+        assert off.nodes == []
+        assert len(on.nodes) == len(tree)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["muy_grande", "no_es_bonito", "bueno_pero_caro", "no_es_eso", "no_muy_bueno", "roundtrip"],
+    )
+    def test_fixtures(self, name, fixtures, fixture_lexicon, default_rules, wordlists):
+        for tree in read_document(fixtures / f"{name}.conllu").sentences:
+            self.same_outcome(tree, fixture_lexicon, default_rules, wordlists)
+
+    def test_random_trees_with_and_without_booster_values(self):
+        lex = vocab_lexicon()
+        lists = vocab_lists()
+        defs = load_rules(DEFAULT_RULES, lists)
+        # 'muy' still triggers intensification, but has no weighting amount.
+        valueless = dict(lists, boosters=WordList("boosters", {"muy": None}))
+        rng = Random(4242)
+        for _ in range(300):
+            tree = random_tree(rng, max_nodes=12)
+            self.same_outcome(tree, lex, defs, lists)
+            self.same_outcome(tree, lex, defs, valueless)
+        wide = build_tree(star_heads(rng, 300), [0] * 300)
+        self.same_outcome(wide, lex, defs, valueless)
+        assert compute_so(wide, lex, defs, valueless, record=False).warnings

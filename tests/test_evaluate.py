@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from sisa import (
@@ -11,7 +13,7 @@ from sisa import (
     load_lexicon,
     load_manifest,
 )
-from sisa.evaluate import render_impact, render_report
+from sisa.evaluate import evaluate_configs, render_impact, render_report
 
 
 @pytest.fixture()
@@ -144,6 +146,47 @@ class TestEvaluate:
         assert impact.o_effect_sl == pytest.approx(
             100 * (by_id["SL+O"].accuracy - by_id["SL-O"].accuracy)
         )
+
+    def test_matrix_parses_each_item_once(
+        self,
+        manifest,
+        fixture_lexicon,
+        ml_lexicon,
+        default_rules,
+        wordlists,
+        tmp_path,
+        monkeypatch,
+        caplog,
+    ):
+        rules = tuple(default_rules)
+        configs = [
+            RunConfig("SL-O", fixture_lexicon),
+            RunConfig("SL+O", fixture_lexicon, rules),
+            RunConfig("ML-O", ml_lexicon),
+            RunConfig("ML+O", ml_lexicon, rules),
+        ]
+        bad = tmp_path / "bad.conllu"
+        bad.write_text("not conllu at all\n", encoding="utf-8")
+        manifest = CorpusManifest(
+            manifest.name,
+            manifest.items + ((bad, "positive"), (tmp_path / "missing.conllu", "negative")),
+        )
+        one_by_one = [evaluate(manifest, cfg, wordlists) for cfg in configs]
+        module = importlib.import_module("sisa.evaluate")
+        parsed = []
+
+        def counting_parse(*args, **kwargs):
+            parsed.append(kwargs.get("source_id"))
+            return original(*args, **kwargs)
+
+        original = module.parse_document
+        monkeypatch.setattr(module, "parse_document", counting_parse)
+        caplog.clear()
+        assert evaluate_configs(manifest, configs, wordlists) == one_by_one
+        assert len(parsed) == len(manifest.items) - 1  # the missing file is never parsed
+        assert [report.errored for report in one_by_one] == [2, 2, 2, 2]
+        # One warning per unreadable item, not one per configuration.
+        assert len([r for r in caplog.records if r.getMessage().startswith("skipping")]) == 2
 
 
 class TestCompareConfigs:

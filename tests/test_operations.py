@@ -48,25 +48,25 @@ class TestMatches:
         return {d.name: d for d in default_rules}["intensification"]
 
     def test_negation_matches_advmod_no(self, negation):
-        assert negation.matches(self.make("no", upos="ADV", deprel="advmod"))
+        assert negation.trigger.matches(self.make("no", upos="ADV", deprel="advmod"))
 
     def test_negation_rejects_wrong_deprel(self, negation):
-        assert not negation.matches(self.make("no", deprel="nsubj"))
+        assert not negation.trigger.matches(self.make("no", deprel="nsubj"))
 
     def test_intensification_matches_muy(self, intensification):
-        assert intensification.matches(self.make("muy", upos="ADV", deprel="advmod"))
+        assert intensification.trigger.matches(self.make("muy", upos="ADV", deprel="advmod"))
 
     def test_intensification_rejects_wrong_pos(self, intensification):
-        assert not intensification.matches(self.make("muy", upos="NOUN", deprel="advmod"))
+        assert not intensification.trigger.matches(self.make("muy", upos="NOUN", deprel="advmod"))
 
     def test_form_is_case_insensitive(self, negation):
-        assert negation.matches(self.make("No"))
+        assert negation.trigger.matches(self.make("No"))
 
     def test_lemma_fallback(self, negation):
-        assert negation.matches(self.make("NO-", lemma="no"))
+        assert negation.trigger.matches(self.make("NO-", lemma="no"))
 
     def test_subtyped_deprel_matches_bare_prefix(self, negation):
-        assert negation.matches(self.make("no", deprel="advmod:neg"))
+        assert negation.trigger.matches(self.make("no", deprel="advmod:neg"))
 
     def test_literal_form_set(self):
         pred = TriggerPredicate(forms=frozenset({"jamas"}), deprel=frozenset({"advmod"}))
