@@ -12,21 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConlluParseError, TreeStructureError
 
 _N_COLUMNS = 10
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    """One word line of a sentence.
-
-    ``id`` is the 1-based surface position; ``head`` is the id of the
-    governing token, 0 for the root. ``deprel`` may carry a treebank subtype
-    suffix ("advmod:emph"); rule matching uses :attr:`bare_deprel`.
-    """
-
+class _TokenFields(NamedTuple):
     id: int
     form: str
     lemma: str
@@ -34,17 +27,35 @@ class Token:
     head: int
     deprel: str
 
-    def __post_init__(self) -> None:
-        if self.id < 1:
-            raise ValueError(f"token id must be >= 1, got {self.id}")
-        if self.head < 0:
-            raise ValueError(f"token head must be >= 0, got {self.head}")
-        if self.head == self.id:
-            raise ValueError(f"token {self.id} is its own head")
-        if not self.form:
-            raise ValueError(f"token {self.id} has an empty form")
-        if not self.upos:
-            raise ValueError(f"token {self.id} has an empty UPOS tag")
+
+class Token(_TokenFields):
+    """One word line of a sentence: an immutable named tuple.
+
+    ``id`` is the 1-based surface position; ``head`` is the id of the
+    governing token, 0 for the root. ``deprel`` may carry a treebank subtype
+    suffix ("advmod:emph"); rule matching uses :attr:`bare_deprel`. A token
+    equals the plain tuple of its six fields and unpacks like one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: int, form: str, lemma: str, upos: str, head: int, deprel: str) -> Token:
+        if id < 1:
+            raise ValueError(f"token id must be >= 1, got {id}")
+        if head < 0:
+            raise ValueError(f"token head must be >= 0, got {head}")
+        if head == id:
+            raise ValueError(f"token {id} is its own head")
+        if not form:
+            raise ValueError(f"token {id} has an empty form")
+        if not upos:
+            raise ValueError(f"token {id} has an empty UPOS tag")
+        return tuple.__new__(cls, (id, form, lemma, upos, head, deprel))
+
+    @classmethod
+    def _make(cls, iterable) -> Token:
+        # The inherited _make (and so _replace) would skip the checks.
+        return cls(*iterable)
 
     @property
     def bare_deprel(self) -> str:
@@ -58,32 +69,37 @@ class DepTree:
 
     tokens: tuple[Token, ...]
     root_id: int = field(init=False, compare=False, repr=False)
-    _children: dict[int, tuple[int, ...]] = field(init=False, compare=False, repr=False)
-    _by_id: dict[int, Token] = field(init=False, compare=False, repr=False)
+    # _children[i] lists the dependents of token i in surface order;
+    # _children[0] holds the root.
+    _children: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         tokens = tuple(self.tokens)
         object.__setattr__(self, "tokens", tokens)
         if not tokens:
             raise TreeStructureError("sentence has no tokens")
-        by_id: dict[int, Token] = {}
+        size = len(tokens)
+        children: list[list[int]] = [[] for _ in range(size + 1)]
+        # Tokens are visited in id order, so every child list is filled in
+        # surface order. A bad head is reported only after the root count,
+        # which takes precedence.
+        bad_head = None
         for expected, tok in enumerate(tokens, 1):
             if tok.id != expected:
                 raise TreeStructureError(
                     f"token ids are not sequential: expected {expected}, got {tok.id}"
                 )
-            by_id[tok.id] = tok
-        roots = [tok.id for tok in tokens if tok.head == 0]
+            if 0 <= tok.head <= size:
+                children[tok.head].append(expected)
+            elif bad_head is None:
+                bad_head = tok
+        roots = children[0]
         if len(roots) != 1:
             raise TreeStructureError(f"expected exactly one root, found {len(roots)}")
-        children: dict[int, list[int]] = {tok.id: [] for tok in tokens}
-        for tok in tokens:
-            if tok.head:
-                if tok.head not in by_id:
-                    raise TreeStructureError(
-                        f"token {tok.id} points at nonexistent head {tok.head}"
-                    )
-                children[tok.head].append(tok.id)
+        if bad_head is not None:
+            raise TreeStructureError(
+                f"token {bad_head.id} points at nonexistent head {bad_head.head}"
+            )
         # Reachability from the root doubles as the cycle check: every token
         # has exactly one head, so n reachable nodes means no cycles.
         seen = 0
@@ -91,20 +107,26 @@ class DepTree:
         while stack:
             seen += 1
             stack.extend(children[stack.pop()])
-        if seen != len(tokens):
+        if seen != size:
             raise TreeStructureError("head relation contains a cycle")
         object.__setattr__(self, "root_id", roots[0])
-        object.__setattr__(
-            self, "_children", {nid: tuple(sorted(kids)) for nid, kids in children.items()}
-        )
-        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_children", tuple(map(tuple, children)))
 
     def token(self, token_id: int) -> Token:
-        return self._by_id[token_id]
+        if 0 < token_id <= len(self.tokens):
+            return self.tokens[token_id - 1]
+        raise KeyError(token_id)
 
     def children(self, token_id: int) -> tuple[int, ...]:
         """Dependents of a node, ordered by surface position."""
-        return self._children[token_id]
+        # Past the last id, indexing fails on its own: the engine calls this
+        # twice per node, and a full range test would cost it ~1%.
+        if token_id > 0:
+            try:
+                return self._children[token_id]
+            except IndexError:
+                pass
+        raise KeyError(token_id)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -145,6 +167,7 @@ def parse_document(text: str, source_id: str = "-") -> Document:
     pending: list[Token] = []
     sentence_index = 1
     text = text.removeprefix("\ufeff")
+    new_token = tuple.__new__
 
     def flush() -> None:
         nonlocal sentence_index
@@ -170,11 +193,12 @@ def parse_document(text: str, source_id: str = "-") -> Document:
                 f"expected {_N_COLUMNS} tab-separated columns, got {len(columns)}", line_no
             )
         id_text = columns[0]
-        if _is_range_id(id_text) or _is_empty_node_id(id_text):
+        if id_text.isdecimal():
+            token_id = int(id_text)
+        elif _is_range_id(id_text) or _is_empty_node_id(id_text):
             continue
-        if not id_text.isdigit():
+        else:
             raise ConlluParseError(f"non-integer token id {id_text!r}", line_no)
-        token_id = int(id_text)
         if token_id != len(pending) + 1:
             raise ConlluParseError(
                 f"token id {token_id} out of sequence (expected {len(pending) + 1})", line_no
@@ -199,9 +223,9 @@ def parse_document(text: str, source_id: str = "-") -> Document:
         lemma = columns[2]
         if not lemma or lemma == "_":
             lemma = form.lower()
-        pending.append(
-            Token(id=token_id, form=form, lemma=lemma, upos=upos, head=head, deprel=columns[7])
-        )
+        # The checks above cover Token's own (the id is in sequence, so >= 1),
+        # so its validating constructor is skipped.
+        pending.append(new_token(Token, (token_id, form, lemma, upos, head, columns[7])))
     flush()
     return Document(tuple(trees), source_id)
 

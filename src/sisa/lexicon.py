@@ -101,7 +101,8 @@ class SentimentLexicon:
         for key in ((form, upos), (lemma, upos), (form, "*"), (lemma, "*")):
             hit = self.entries.get(key)
             if hit is not None:
-                return 0.0 if hit.neutralized else hit.so
+                so = hit.so
+                return so if so else 0.0
         return 0.0
 
     def sizes(self) -> dict[str, int]:

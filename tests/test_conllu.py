@@ -1,4 +1,5 @@
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -11,6 +12,7 @@ from sisa import (
     parse_document,
     serialize_document,
 )
+from treegen import random_document
 
 NO_ES_BONITO = (
     "1\tno\tno\tADV\t_\t_\t3\tadvmod\t_\t_\n"
@@ -204,3 +206,152 @@ def test_head_outside_sentence_is_structural_error():
 def test_no_trailing_newline_accepted():
     doc = parse_document(NO_ES_BONITO.rstrip("\n"))
     assert len(doc.sentences) == 1
+
+
+def _line(token_id, head, form="a", upos="X", deprel="dep"):
+    return f"{token_id}\t{form}\t{form}\t{upos}\t_\t_\t{head}\t{deprel}\t_\t_\n"
+
+
+_ROOT = _line(1, 0, deprel="root")
+
+# name: (text, exception type, str(exception), line_no or sentence_index)
+PARSE_ERRORS = {
+    "column count": (
+        _ROOT + "\n1\tsolo\tsolo\n",
+        ConlluParseError, "line 3: expected 10 tab-separated columns, got 3", 3,
+    ),
+    "id x": (_line("x", 0), ConlluParseError, "line 1: non-integer token id 'x'", 1),
+    "id 1-x": (_line("1-x", 0), ConlluParseError, "line 1: non-integer token id '1-x'", 1),
+    # A digit that int() rejects is reported like any other non-integer id.
+    "id superscript two": (
+        _line("²", 0), ConlluParseError, "line 1: non-integer token id '²'", 1,
+    ),
+    "out of sequence": (
+        _ROOT + _line(3, 1), ConlluParseError, "line 2: token id 3 out of sequence (expected 2)", 2,
+    ),
+    "head y": (_line(1, "y"), ConlluParseError, "line 1: non-integer head 'y'", 1),
+    "negative head": (_line(1, -1), ConlluParseError, "line 1: negative head -1", 1),
+    "own head": (
+        _ROOT + "\n" + _ROOT + _line(2, 2),
+        TreeStructureError, "sentence 2: token 2 is its own head", 2,
+    ),
+    "empty FORM": (_ROOT + _line(2, 1, form=""), ConlluParseError, "line 2: empty FORM column", 2),
+    "empty UPOS": (_ROOT + _line(2, 1, upos=""), ConlluParseError, "line 2: empty UPOS column", 2),
+    "zero roots": (
+        _line(1, 2) + _line(2, 1),
+        TreeStructureError, "sentence 1: expected exactly one root, found 0", 1,
+    ),
+    "two roots": (
+        _ROOT + "\n" + _ROOT + _line(2, 0),
+        TreeStructureError, "sentence 2: expected exactly one root, found 2", 2,
+    ),
+    "nonexistent head": (
+        _ROOT + _line(2, 7),
+        TreeStructureError, "sentence 1: token 2 points at nonexistent head 7", 1,
+    ),
+    "cycle": (
+        _line(1, 2) + _line(2, 1) + _line(3, 0),
+        TreeStructureError, "sentence 1: head relation contains a cycle", 1,
+    ),
+    # The root count is checked before the heads, whatever the token order.
+    "two roots and a bad head": (
+        _line(1, 9) + _line(2, 0) + _line(3, 0),
+        TreeStructureError, "sentence 1: expected exactly one root, found 2", 1,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, error, message, where", PARSE_ERRORS.values(), ids=PARSE_ERRORS.keys()
+)
+def test_parse_error_is_pinned(text, error, message, where):
+    with pytest.raises(error) as err:
+        parse_document(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    if error is ConlluParseError:
+        assert err.value.line_no == where
+    else:
+        assert err.value.sentence_index == where
+
+
+@pytest.mark.parametrize(
+    "tokens, message",
+    [
+        (
+            (Token(1, "a", "a", "X", 0, "root"), Token(3, "b", "b", "X", 1, "dep")),
+            "token ids are not sequential: expected 2, got 3",
+        ),
+        ((), "sentence has no tokens"),
+        (
+            (Token(1, "a", "a", "X", 0, "root"), Token(2, "b", "b", "X", 7, "dep")),
+            "token 2 points at nonexistent head 7",
+        ),
+    ],
+)
+def test_direct_tree_error_is_pinned(tokens, message):
+    with pytest.raises(TreeStructureError) as err:
+        DepTree(tokens)
+    assert str(err.value) == message
+    assert err.value.sentence_index is None
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((0, "a", "a", "X", 1, "dep"), "token id must be >= 1, got 0"),
+        ((1, "a", "a", "X", -1, "dep"), "token head must be >= 0, got -1"),
+        ((1, "a", "a", "X", 1, "dep"), "token 1 is its own head"),
+        ((1, "", "a", "X", 0, "root"), "token 1 has an empty form"),
+        ((1, "a", "a", "", 0, "root"), "token 1 has an empty UPOS tag"),
+    ],
+)
+def test_token_rejects_invalid_field(fields, message):
+    with pytest.raises(ValueError) as err:
+        Token(*fields)
+    assert str(err.value) == message
+    valid = Token(2, "b", "b", "X", 0, "root")
+    with pytest.raises(ValueError) as err:
+        valid._replace(**dict(zip(Token._fields, fields)))
+    assert str(err.value) == message
+
+
+def test_parsed_token_is_a_plain_value():
+    parsed = parse_document(NO_ES_BONITO).sentences[0].token(2)
+    built = Token(id=2, form="es", lemma="ser", upos="AUX", head=3, deprel="cop")
+    assert type(parsed) is Token
+    assert parsed == built and hash(parsed) == hash(built)
+    assert parsed == (2, "es", "ser", "AUX", 3, "cop")
+    token_id, form, lemma, upos, head, deprel = parsed
+    assert (token_id, form, head) == (2, "es", 3)
+    with pytest.raises(AttributeError):
+        parsed.form = "son"
+    with pytest.raises(AttributeError):
+        parsed.extra = 1
+
+
+def test_tree_lookups_reject_ids_outside_the_sentence():
+    tree = parse_document(NO_ES_BONITO).sentences[0]
+    for lookup in (tree.token, tree.children):
+        for token_id in (0, len(tree) + 1, -1):
+            with pytest.raises(KeyError):
+                lookup(token_id)
+    assert tree.token(len(tree)).form == "bonito"
+    assert tree.children(1) == ()
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+def test_random_documents_roundtrip(line_end):
+    rng = Random(17)
+    for _ in range(300):
+        doc = random_document(rng, max_sentences=4, max_nodes=9)
+        text = serialize_document(doc).replace("\n", line_end)
+        again = parse_document(text, source_id=doc.source_id)
+        assert again == doc
+        for tree in again.sentences:
+            assert all(type(tok) is Token for tok in tree.tokens)
+            for tok in tree.tokens:
+                kids = tuple(t.id for t in tree.tokens if t.head == tok.id)
+                assert tree.children(tok.id) == kids
+                if tok.head == 0:
+                    assert tree.root_id == tok.id

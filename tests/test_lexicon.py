@@ -199,6 +199,17 @@ class TestLookup:
         assert merged.lookup("raro", "raro", "ADJ") == 0.0
         assert merged.lookup("raro", "raro", "NOUN") == 1
 
+    def test_zero_scores_come_back_as_positive_zero(self):
+        lex = SentimentLexicon(name="z")
+        lex.add("nulo", "ADJ", -0.0)
+        lex.add("raro", "ADJ", 2.0)
+        lex.add("raro", "ADJ", -2.0)
+        lex.add("doble", "ADJ", 3.0, count=2)
+        for word in ("nulo", "raro"):
+            score = lex.lookup(word, word, "ADJ")
+            assert score == 0.0 and math.copysign(1.0, score) == 1.0
+        assert lex.lookup("doble", "doble", "ADJ") == 1.5
+
 
 class TestDumpAndSniff:
     def test_dump_reload_preserves_effective_scores(self, tmp_path, fixture_lexicon):
