@@ -4,29 +4,17 @@ Scores dependency-parsed sentences by propagating compositional operations
 (negation shifts, booster weightings, adversative and irrealis damping)
 through the tree, and ships the lexicon merging toolchain plus an evaluation
 harness for labeled corpora.
+
+The package exports what the README's "Library use" section documents: the
+loaders, the scorers, the parsed-input types and the error classes. Engine
+state and trace records live in :mod:`sisa.engine`, rule types in
+:mod:`sisa.operations`, the lexicon toolchain in :mod:`sisa.lexicon` and the
+evaluation harness in :mod:`sisa.evaluate`.
 """
 
-from .classify import (
-    DOCUMENT,
-    NEGATIVE,
-    POSITIVE,
-    SENTENCE,
-    PolarityResult,
-    classify_document,
-    classify_sentence,
-)
-from .conllu import DepTree, Document, Token, parse_document, read_document, serialize_document
-from .engine import (
-    ApplyRecord,
-    BranchState,
-    LevelState,
-    NodeTrace,
-    ScopeSelection,
-    SoTrace,
-    TriggerRecord,
-    compute_so,
-    resolve_scope,
-)
+from .classify import classify_document, classify_sentence
+from .conllu import DepTree, Document, Token, parse_document, read_document
+from .engine import compute_so
 from .errors import (
     ConlluParseError,
     LexiconParseError,
@@ -39,110 +27,31 @@ from .errors import (
     UsageError,
     WordListParseError,
 )
-from .evaluate import (
-    CONFIG_IDS,
-    CorpusManifest,
-    EvaluationReport,
-    ImpactTable,
-    ItemResult,
-    RunConfig,
-    compare_configs,
-    evaluate,
-    load_manifest,
-    render_impact,
-    render_report,
-)
-from .lexicon import (
-    SENTICON_RAW,
-    SFU,
-    LexiconEntry,
-    SentimentLexicon,
-    WordList,
-    dump_lexicon,
-    load_lexicon,
-    load_wordlist,
-    load_wordlists,
-    merge_lexica,
-    scale_senticon,
-    sniff_scale,
-)
-from .operations import (
-    OperationDefinition,
-    PendingOperation,
-    ScopeSpec,
-    Transformation,
-    TriggerPredicate,
-    apply_shift,
-    apply_weighting,
-    load_rules,
-    parse_rules,
-)
+from .lexicon import load_lexicon, load_wordlists
+from .operations import load_rules
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApplyRecord",
-    "BranchState",
-    "CONFIG_IDS",
     "ConlluParseError",
-    "CorpusManifest",
     "DepTree",
     "Document",
-    "DOCUMENT",
-    "EvaluationReport",
-    "ImpactTable",
-    "ItemResult",
-    "LevelState",
-    "LexiconEntry",
     "LexiconParseError",
     "LexiconRangeError",
     "ManifestError",
-    "NEGATIVE",
-    "NodeTrace",
-    "OperationDefinition",
-    "PendingOperation",
-    "PolarityResult",
-    "POSITIVE",
     "RuleConfigError",
-    "RunConfig",
     "ScaleMismatchError",
-    "ScopeSelection",
-    "ScopeSpec",
-    "SENTENCE",
-    "SENTICON_RAW",
-    "SentimentLexicon",
-    "SFU",
     "SisaError",
-    "SoTrace",
     "Token",
-    "Transformation",
     "TreeStructureError",
-    "TriggerPredicate",
-    "TriggerRecord",
     "UsageError",
-    "WordList",
     "WordListParseError",
-    "apply_shift",
-    "apply_weighting",
     "classify_document",
     "classify_sentence",
-    "compare_configs",
     "compute_so",
-    "dump_lexicon",
-    "evaluate",
     "load_lexicon",
-    "load_manifest",
     "load_rules",
-    "load_wordlist",
     "load_wordlists",
-    "merge_lexica",
     "parse_document",
-    "parse_rules",
     "read_document",
-    "render_impact",
-    "render_report",
-    "resolve_scope",
-    "scale_senticon",
-    "serialize_document",
-    "sniff_scale",
 ]

@@ -62,9 +62,11 @@ def _read_input(path_text: str) -> tuple[str, str]:
 
 def _load_environment(args) -> tuple:
     """Load the lexicon, word lists and rules named by common flags."""
+    if len(args.lexicon) > 1:
+        raise UsageError(f"{args.subcommand} takes one --lexicon input, got {len(args.lexicon)}")
     lists = load_wordlists(args.lists) if args.lists else {}
-    scale = sniff_scale(args.lexicon[0]) or SFU
-    lexicon = load_lexicon(args.lexicon[0], scale)
+    (path,) = args.lexicon
+    lexicon = load_lexicon(path, sniff_scale(path) or SFU)
     defs = load_rules(args.rules, lists) if args.rules else []
     return lexicon, defs, lists
 
@@ -147,11 +149,11 @@ def _cmd_scale_senticon(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if len(args.lexicon) > 2:
+        raise UsageError("evaluate takes at most two --lexicon inputs (single, multilingual)")
     manifest = load_manifest(args.corpus)
     lists = load_wordlists(args.lists) if args.lists else {}
     rules = tuple(load_rules(args.rules, lists)) if args.rules else ()
-    if len(args.lexicon) > 2:
-        raise UsageError("evaluate takes at most two --lexicon inputs (single, multilingual)")
     single = load_lexicon(args.lexicon[0], sniff_scale(args.lexicon[0]) or SFU)
     merged = None
     if len(args.lexicon) == 2:

@@ -143,14 +143,19 @@ class Document:
         object.__setattr__(self, "sentences", tuple(self.sentences))
 
 
+def _is_number(text: str) -> bool:
+    """ASCII digits only: str.isdecimal alone also accepts "٢" and "２"."""
+    return text.isdecimal() and text.isascii()
+
+
 def _is_range_id(text: str) -> bool:
     left, sep, right = text.partition("-")
-    return bool(sep) and left.isdigit() and right.isdigit()
+    return bool(sep) and _is_number(left) and _is_number(right)
 
 
 def _is_empty_node_id(text: str) -> bool:
     left, sep, right = text.partition(".")
-    return bool(sep) and left.isdigit() and right.isdigit()
+    return bool(sep) and _is_number(left) and _is_number(right)
 
 
 def parse_document(text: str, source_id: str = "-") -> Document:
@@ -193,7 +198,7 @@ def parse_document(text: str, source_id: str = "-") -> Document:
                 f"expected {_N_COLUMNS} tab-separated columns, got {len(columns)}", line_no
             )
         id_text = columns[0]
-        if id_text.isdecimal():
+        if id_text.isdecimal() and id_text.isascii():
             token_id = int(id_text)
         elif _is_range_id(id_text) or _is_empty_node_id(id_text):
             continue
@@ -204,12 +209,12 @@ def parse_document(text: str, source_id: str = "-") -> Document:
                 f"token id {token_id} out of sequence (expected {len(pending) + 1})", line_no
             )
         head_text = columns[6]
-        try:
+        if head_text.isdecimal() and head_text.isascii():
             head = int(head_text)
-        except ValueError:
-            raise ConlluParseError(f"non-integer head {head_text!r}", line_no) from None
-        if head < 0:
-            raise ConlluParseError(f"negative head {head}", line_no)
+        elif head_text[:1] == "-" and _is_number(head_text[1:]) and int(head_text):
+            raise ConlluParseError(f"negative head {int(head_text)}", line_no)
+        else:
+            raise ConlluParseError(f"non-integer head {head_text!r}", line_no)
         if head == token_id:
             raise TreeStructureError(
                 f"token {token_id} is its own head", sentence_index

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .conllu import Token
 from .errors import RuleConfigError
 from .lexicon import WordList
 
@@ -62,6 +61,9 @@ class TriggerPredicate:
 
     ``None`` means wildcard; at least one constraint must be concrete. Form
     sets may be shared :class:`WordList` objects or literal frozensets.
+    :func:`sisa.engine.compute_so` tests the predicate against each node: the
+    lowercased form or lemma must be in the form set, the UPOS in the PoS
+    set, and the deprel without its ``:subtype`` suffix in the deprel set.
     """
 
     forms: WordList | frozenset[str] | None = None
@@ -71,16 +73,6 @@ class TriggerPredicate:
     def __post_init__(self) -> None:
         if self.forms is None and self.pos is None and self.deprel is None:
             raise RuleConfigError("trigger predicate must constrain at least one field")
-
-    def matches(self, token: Token) -> bool:
-        if self.forms is not None:
-            if token.form.lower() not in self.forms and token.lemma.lower() not in self.forms:
-                return False
-        if self.pos is not None and token.upos not in self.pos:
-            return False
-        if self.deprel is not None and token.bare_deprel not in self.deprel:
-            return False
-        return True
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ budget. Run with ``pytest tests/test_acceptance.py -v`` to get one pass/fail
 line per criterion (the PASS prints below also show with ``-s``).
 """
 
-import math
 import time
 from itertools import product
 from random import Random
@@ -11,25 +10,21 @@ from random import Random
 import pytest
 
 from conftest import DEFAULT_RULES, FIXTURES, LISTS_DIR
-from reference import reference_so
-from sisa import (
-    Document,
-    EvaluationReport,
-    SentimentLexicon,
-    apply_shift,
-    apply_weighting,
-    classify_document,
-    compare_configs,
-    compute_so,
-    load_lexicon,
-    load_rules,
-    load_wordlists,
-    merge_lexica,
-    parse_document,
-    read_document,
-    scale_senticon,
-    serialize_document,
+from property_checks import (
+    check_conllu_round_trip,
+    check_document_permutation,
+    check_empty_rules_is_lexicon_sum,
+    check_merge_bounds,
+    check_merge_order_independent,
+    check_rendering_deterministic,
+    check_shift_odd,
+    check_weighting_linear,
 )
+from reference import reference_so
+from sisa import Document, compute_so, load_lexicon, load_rules, load_wordlists, read_document
+from sisa.evaluate import EvaluationReport, compare_configs
+from sisa.lexicon import SentimentLexicon, merge_lexica, scale_senticon
+from sisa.operations import apply_shift, apply_weighting
 from treegen import (
     VOCAB,
     build_tree,
@@ -188,24 +183,19 @@ def _suite_weighting_linearity(rng):
         beta = rng.uniform(-10, 10)
         scale = rng.uniform(-10, 10)
         so = rng.uniform(-10, 10)
-        assert apply_weighting(beta, scale * so) == pytest.approx(
-            scale * apply_weighting(beta, so), rel=1e-12, abs=1e-12
-        )
+        check_weighting_linear(beta, scale, so)
 
 
 def _suite_shift_oddness(rng):
     for _ in range(CASES):
         alpha = rng.uniform(0, 10)
         so = rng.uniform(1e-6, 50) * rng.choice((-1, 1))
-        assert apply_shift(alpha, -so) == -apply_shift(alpha, so)
+        check_shift_odd(alpha, so)
 
 
 def _suite_empty_rules_is_sum(rng, lex, lists):
     for _ in range(CASES):
-        tree = random_tree(rng, max_nodes=10)
-        total = compute_so(tree, lex, [], lists).sentence_so
-        expected = math.fsum(lex.lookup(t.form, t.lemma, t.upos) for t in tree.tokens)
-        assert total == pytest.approx(expected, abs=1e-9)
+        check_empty_rules_is_lexicon_sum(random_tree(rng, max_nodes=10), lex, lists)
 
 
 def _random_sources(rng):
@@ -226,32 +216,20 @@ def _random_sources(rng):
 def _suite_merge_order_independence(rng):
     for _ in range(CASES):
         sources, contributions = _random_sources(rng)
-        merged = merge_lexica(sources, name="m")
         shuffled = list(sources)
         rng.shuffle(shuffled)
-        permuted = merge_lexica(shuffled, name="m")
-        assert {k: e.so for k, e in merged.entries.items()} == {
-            k: e.so for k, e in permuted.entries.items()
-        }
-        for key, entry in merged.entries.items():
-            values = contributions[key]
-            assert min(values) - 1e-12 <= entry.so <= max(values) + 1e-12
+        check_merge_order_independent(sources, shuffled, contributions)
 
 
 def _suite_merge_size_bounds(rng):
     for _ in range(CASES):
         sources, _ = _random_sources(rng)
-        merged = merge_lexica(sources, name="m")
-        assert max(len(s) for s in sources) <= len(merged) <= sum(len(s) for s in sources)
+        check_merge_bounds(sources)
 
 
 def _suite_conllu_round_trip(rng):
     for _ in range(CASES):
-        doc = random_document(rng, max_sentences=3, max_nodes=7)
-        text = serialize_document(doc)
-        again = parse_document(text, source_id=doc.source_id)
-        assert again.sentences == doc.sentences
-        assert serialize_document(again) == text
+        check_conllu_round_trip(random_document(rng, max_sentences=3, max_nodes=7))
 
 
 def _suite_document_permutation(rng, lex, lists):
@@ -259,20 +237,12 @@ def _suite_document_permutation(rng, lex, lists):
         doc = random_document(rng, max_sentences=5, max_nodes=6)
         shuffled = list(doc.sentences)
         rng.shuffle(shuffled)
-        permuted = Document(tuple(shuffled), doc.source_id)
-        first = classify_document(doc, lex, [], lists)
-        second = classify_document(permuted, lex, [], lists)
-        assert first.so == second.so
-        assert first.label == second.label
+        check_document_permutation(doc, Document(tuple(shuffled), doc.source_id), lex, lists)
 
 
 def _suite_determinism(rng, lex, defs, lists):
     for _ in range(CASES):
-        tree = random_tree(rng, max_nodes=6)
-        assert (
-            compute_so(tree, lex, defs, lists).render()
-            == compute_so(tree, lex, defs, lists).render()
-        )
+        check_rendering_deterministic(random_tree(rng, max_nodes=6), lex, defs, lists)
 
 
 def test_criterion_6_property_suites():

@@ -72,6 +72,30 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--lexicon", LEXICON, "--input", bad)
         assert code == 3
 
+    def test_two_lexica_exit_4(self, capsys):
+        code, out, err = run(
+            capsys,
+            "classify",
+            "--lexicon", LEXICON,
+            "--lexicon", FIXTURES / "nope.tsv",
+            "--rules", DEFAULT_RULES,
+            "--lists", LISTS_DIR,
+            "--input", FIXTURES / "muy_grande.conllu",
+        )
+        assert (code, out) == (4, "")
+        assert err == "sisa: classify takes one --lexicon input, got 2\n"
+
+    def test_non_ascii_head_exits_3(self, capsys, tmp_path):
+        bad = tmp_path / "arabic_indic.conllu"
+        bad.write_text(
+            "1\tmuy\tmuy\tADV\t_\t_\t\u0662\tadvmod\t_\t_\n"
+            "2\tgrande\tgrande\tADJ\t_\t_\t0\troot\t_\t_\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "classify", "--lexicon", LEXICON, "--input", bad)
+        assert (code, out) == (3, "")
+        assert err == "sisa: ConlluParseError: line 1: non-integer head '\u0662'\n"
+
     def test_stdin_input(self, capsys, monkeypatch, fixtures):
         import io
 
@@ -142,6 +166,17 @@ class TestTrace:
         )
         assert code == 0
         assert "scope\tall\tbefore\t0\tafter\t-4\tbackoff" in out
+
+    def test_two_lexica_exit_4(self, capsys, fixtures):
+        code, out, err = run(
+            capsys,
+            "trace",
+            "--lexicon", LEXICON,
+            "--lexicon", LEXICON,
+            "--input", fixtures / "no_es_bonito.conllu",
+        )
+        assert (code, out) == (4, "")
+        assert err == "sisa: trace takes one --lexicon input, got 2\n"
 
 
 class TestMergeLexicon:
@@ -264,6 +299,18 @@ class TestEvaluate:
             "--lexicon", LEXICON,
         )
         assert code == 4
+        # The count is checked before any file is read.
+        code, _, err = run(
+            capsys,
+            "evaluate",
+            "--corpus", fixtures / "corpus" / "manifest.tsv",
+            "--lexicon", LEXICON,
+            "--lexicon", LEXICON,
+            "--lexicon", LEXICON,
+            "--rules", FIXTURES / "nope.rules",
+        )
+        assert code == 4
+        assert "at most two --lexicon" in err
 
 
 class TestByteOrderMark:

@@ -1,17 +1,9 @@
-from pathlib import Path
 from random import Random
 
 import pytest
 
-from sisa import (
-    ConlluParseError,
-    DepTree,
-    Document,
-    Token,
-    TreeStructureError,
-    parse_document,
-    serialize_document,
-)
+from sisa import ConlluParseError, DepTree, Document, Token, TreeStructureError, parse_document
+from sisa.conllu import serialize_document
 from treegen import random_document
 
 NO_ES_BONITO = (
@@ -226,11 +218,33 @@ PARSE_ERRORS = {
     "id superscript two": (
         _line("²", 0), ConlluParseError, "line 1: non-integer token id '²'", 1,
     ),
+    # IDs are ASCII digits; str.isdecimal alone accepts any Unicode digit.
+    "id arabic-indic one": (
+        _line("\u0661", 0), ConlluParseError, "line 1: non-integer token id '\u0661'", 1,
+    ),
+    "id fullwidth one": (
+        _line("\uff11", 0), ConlluParseError, "line 1: non-integer token id '\uff11'", 1,
+    ),
+    "id arabic-indic range": (
+        _line("\u0661-\u0662", 0),
+        ConlluParseError, "line 1: non-integer token id '\u0661-\u0662'", 1,
+    ),
     "out of sequence": (
         _ROOT + _line(3, 1), ConlluParseError, "line 2: token id 3 out of sequence (expected 2)", 2,
     ),
     "head y": (_line(1, "y"), ConlluParseError, "line 1: non-integer head 'y'", 1),
     "negative head": (_line(1, -1), ConlluParseError, "line 1: negative head -1", 1),
+    # HEAD is ASCII digits too; int() would take each of these as head 1.
+    "head +1": (_ROOT + _line(2, "+1"), ConlluParseError, "line 2: non-integer head '+1'", 2),
+    "head space 1": (_ROOT + _line(2, " 1"), ConlluParseError, "line 2: non-integer head ' 1'", 2),
+    "head 0_1": (_ROOT + _line(2, "0_1"), ConlluParseError, "line 2: non-integer head '0_1'", 2),
+    "head arabic-indic one": (
+        _ROOT + _line(2, "\u0661"), ConlluParseError, "line 2: non-integer head '\u0661'", 2,
+    ),
+    "head -0": (_line(1, "-0"), ConlluParseError, "line 1: non-integer head '-0'", 1),
+    "negative arabic-indic head": (
+        _line(1, "-\u0661"), ConlluParseError, "line 1: non-integer head '-\u0661'", 1,
+    ),
     "own head": (
         _ROOT + "\n" + _ROOT + _line(2, 2),
         TreeStructureError, "sentence 2: token 2 is its own head", 2,

@@ -5,21 +5,19 @@ import pytest
 
 from conftest import DEFAULT_RULES
 from reference import reference_so
-from sisa import (
-    BranchState,
-    DepTree,
-    LevelState,
+from sisa import DepTree, Token, compute_so, load_rules, read_document
+from sisa.engine import BranchState, LevelState, resolve_scope
+from sisa.lexicon import WordList
+from sisa.operations import (
+    ALL,
+    BRANCH,
+    SUBJL,
+    SUBJR,
+    TARGET,
     ScopeSpec,
-    Token,
-    WordList,
     apply_weighting,
-    compute_so,
-    load_rules,
     parse_rules,
-    read_document,
-    resolve_scope,
 )
-from sisa.operations import ALL, BRANCH, SUBJL, SUBJR, TARGET
 from treegen import VOCAB, build_tree, random_tree, vocab_lexicon, vocab_lists
 
 

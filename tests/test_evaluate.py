@@ -1,19 +1,19 @@
-import importlib
 
 import pytest
 
-from sisa import (
+import sisa.evaluate as evaluation
+from sisa import ManifestError, UsageError, load_lexicon
+from sisa.evaluate import (
     CorpusManifest,
     EvaluationReport,
-    ManifestError,
     RunConfig,
-    UsageError,
     compare_configs,
     evaluate,
-    load_lexicon,
+    evaluate_configs,
     load_manifest,
+    render_impact,
+    render_report,
 )
-from sisa.evaluate import evaluate_configs, render_impact, render_report
 
 
 @pytest.fixture()
@@ -172,15 +172,14 @@ class TestEvaluate:
             manifest.items + ((bad, "positive"), (tmp_path / "missing.conllu", "negative")),
         )
         one_by_one = [evaluate(manifest, cfg, wordlists) for cfg in configs]
-        module = importlib.import_module("sisa.evaluate")
         parsed = []
 
         def counting_parse(*args, **kwargs):
             parsed.append(kwargs.get("source_id"))
             return original(*args, **kwargs)
 
-        original = module.parse_document
-        monkeypatch.setattr(module, "parse_document", counting_parse)
+        original = evaluation.parse_document
+        monkeypatch.setattr(evaluation, "parse_document", counting_parse)
         caplog.clear()
         assert evaluate_configs(manifest, configs, wordlists) == one_by_one
         assert len(parsed) == len(manifest.items) - 1  # the missing file is never parsed

@@ -6,13 +6,15 @@ from sisa import (
     LexiconParseError,
     LexiconRangeError,
     ScaleMismatchError,
-    SentimentLexicon,
     UsageError,
     WordListParseError,
-    dump_lexicon,
     load_lexicon,
-    load_wordlist,
     load_wordlists,
+)
+from sisa.lexicon import (
+    SentimentLexicon,
+    dump_lexicon,
+    load_wordlist,
     merge_lexica,
     scale_senticon,
     sniff_scale,

@@ -1,17 +1,23 @@
 import pytest
 
-from sisa import (
-    RuleConfigError,
+from sisa import DepTree, RuleConfigError, Token, compute_so
+from sisa.lexicon import SentimentLexicon, WordList
+from sisa.operations import (
+    ALL,
+    BRANCH,
+    SHIFT,
+    SUBJL,
+    SUBJR,
+    TARGET,
+    WEIGHTING,
+    OperationDefinition,
     ScopeSpec,
-    Token,
     Transformation,
     TriggerPredicate,
-    WordList,
     apply_shift,
     apply_weighting,
     parse_rules,
 )
-from sisa.operations import ALL, BRANCH, SHIFT, SUBJL, SUBJR, TARGET, WEIGHTING
 
 
 class TestTransforms:
@@ -36,8 +42,20 @@ class TestTransforms:
 
 
 class TestMatches:
-    def make(self, form="no", lemma=None, upos="ADV", deprel="advmod"):
-        return Token(1, form, lemma if lemma is not None else form, upos, 2, deprel)
+    """Trigger matching as the engine does it: the token under test hangs off
+    a root, and the rules that fired on it are read from the trace."""
+
+    @pytest.fixture()
+    def fired(self, wordlists):
+        def fired(definition, form="no", lemma=None, upos="ADV", deprel="advmod"):
+            token = Token(1, form, lemma if lemma is not None else form, upos, 2, deprel)
+            root = Token(2, "bonito", "bonito", "ADJ", 0, "root")
+            trace = compute_so(
+                DepTree((token, root)), SentimentLexicon("empty"), [definition], wordlists
+            )
+            return [trigger.rule for trigger in trace.nodes[0].triggers] == [definition.name]
+
+        return fired
 
     @pytest.fixture()
     def negation(self, default_rules):
@@ -47,31 +65,35 @@ class TestMatches:
     def intensification(self, default_rules):
         return {d.name: d for d in default_rules}["intensification"]
 
-    def test_negation_matches_advmod_no(self, negation):
-        assert negation.trigger.matches(self.make("no", upos="ADV", deprel="advmod"))
+    def test_negation_matches_advmod_no(self, fired, negation):
+        assert fired(negation, "no", upos="ADV", deprel="advmod")
 
-    def test_negation_rejects_wrong_deprel(self, negation):
-        assert not negation.trigger.matches(self.make("no", deprel="nsubj"))
+    def test_negation_rejects_wrong_deprel(self, fired, negation):
+        assert not fired(negation, "no", deprel="nsubj")
 
-    def test_intensification_matches_muy(self, intensification):
-        assert intensification.trigger.matches(self.make("muy", upos="ADV", deprel="advmod"))
+    def test_intensification_matches_muy(self, fired, intensification):
+        assert fired(intensification, "muy", upos="ADV", deprel="advmod")
 
-    def test_intensification_rejects_wrong_pos(self, intensification):
-        assert not intensification.trigger.matches(self.make("muy", upos="NOUN", deprel="advmod"))
+    def test_intensification_rejects_wrong_pos(self, fired, intensification):
+        assert not fired(intensification, "muy", upos="NOUN", deprel="advmod")
 
-    def test_form_is_case_insensitive(self, negation):
-        assert negation.trigger.matches(self.make("No"))
+    def test_form_is_case_insensitive(self, fired, negation):
+        assert fired(negation, "No")
+        assert fired(negation, "No", lemma="decir")
 
-    def test_lemma_fallback(self, negation):
-        assert negation.trigger.matches(self.make("NO-", lemma="no"))
+    def test_lemma_fallback(self, fired, negation):
+        assert fired(negation, "NO-", lemma="no")
 
-    def test_subtyped_deprel_matches_bare_prefix(self, negation):
-        assert negation.trigger.matches(self.make("no", deprel="advmod:neg"))
+    def test_subtyped_deprel_matches_bare_prefix(self, fired, negation):
+        assert fired(negation, "no", deprel="advmod:neg")
 
-    def test_literal_form_set(self):
+    def test_literal_form_set(self, fired):
         pred = TriggerPredicate(forms=frozenset({"jamas"}), deprel=frozenset({"advmod"}))
-        assert pred.matches(self.make("Jamas"))
-        assert not pred.matches(self.make("nada"))
+        literal = OperationDefinition(
+            "literal", pred, Transformation(SHIFT, 4.0), 1, 0, (ScopeSpec(ALL),)
+        )
+        assert fired(literal, "Jamas")
+        assert not fired(literal, "nada")
 
     def test_all_wildcards_rejected(self):
         with pytest.raises(RuleConfigError):

@@ -1,24 +1,27 @@
 """Property tests (hypothesis); the 1000-case seeded suites live in the
-acceptance module, these favor shrinking and odd corners during development."""
+acceptance module, these favor shrinking and odd corners during development.
+Both drivers assert each shared property through ``property_checks``."""
 
-import math
 from random import Random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from sisa import (
-    Document,
-    SentimentLexicon,
-    apply_shift,
-    apply_weighting,
-    classify_document,
-    compute_so,
-    merge_lexica,
-    parse_document,
-    serialize_document,
+from conftest import DEFAULT_RULES
+from property_checks import (
+    check_conllu_round_trip,
+    check_document_permutation,
+    check_empty_rules_is_lexicon_sum,
+    check_merge_bounds,
+    check_merge_order_independent,
+    check_rendering_deterministic,
+    check_shift_odd,
+    check_weighting_linear,
+    source_scores,
 )
-from treegen import VOCAB, random_document, random_tree, vocab_lexicon, vocab_lists
+from sisa import Document, compute_so, load_rules
+from sisa.lexicon import SentimentLexicon
+from sisa.operations import apply_weighting
+from treegen import random_document, random_tree, vocab_lexicon, vocab_lists
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 nonzero = finite.filter(lambda x: x != 0)
@@ -29,14 +32,12 @@ LISTS = vocab_lists()
 
 @given(beta=finite, scale=finite, so=finite)
 def test_weighting_is_linear_in_so(beta, scale, so):
-    left = apply_weighting(beta, scale * so)
-    right = scale * apply_weighting(beta, so)
-    assert left == pytest.approx(right, rel=1e-12, abs=1e-12)
+    check_weighting_linear(beta, scale, so)
 
 
 @given(alpha=st.floats(min_value=0, max_value=50, allow_nan=False), so=nonzero)
 def test_shift_is_odd_away_from_zero(alpha, so):
-    assert apply_shift(alpha, -so) == -apply_shift(alpha, so)
+    check_shift_odd(alpha, so)
 
 
 @st.composite
@@ -54,9 +55,7 @@ def seeded_documents(draw):
 @settings(deadline=None)
 @given(tree=seeded_trees())
 def test_empty_rules_is_lexicon_sum(tree):
-    total = compute_so(tree, LEX, [], LISTS).sentence_so
-    expected = math.fsum(LEX.lookup(t.form, t.lemma, t.upos) for t in tree.tokens)
-    assert total == pytest.approx(expected, abs=1e-9)
+    check_empty_rules_is_lexicon_sum(tree, LEX, LISTS)
 
 
 @settings(deadline=None)
@@ -64,19 +63,13 @@ def test_empty_rules_is_lexicon_sum(tree):
 def test_document_so_is_sentence_permutation_invariant(doc, seed):
     shuffled = list(doc.sentences)
     Random(seed).shuffle(shuffled)
-    permuted = Document(tuple(shuffled), doc.source_id)
-    assert (
-        classify_document(doc, LEX, [], LISTS).so
-        == classify_document(permuted, LEX, [], LISTS).so
-    )
+    check_document_permutation(doc, Document(tuple(shuffled), doc.source_id), LEX, LISTS)
 
 
 @settings(deadline=None)
 @given(doc=seeded_documents())
 def test_conllu_round_trip(doc):
-    again = parse_document(serialize_document(doc), source_id=doc.source_id)
-    assert again.sentences == doc.sentences
-    assert serialize_document(again) == serialize_document(doc)
+    check_conllu_round_trip(doc)
 
 
 entries = st.lists(
@@ -101,37 +94,21 @@ def lexica(draw, name="src"):
 @settings(deadline=None)
 @given(sources=st.lists(lexica(), min_size=1, max_size=4), seed=st.integers(0, 2**16))
 def test_merge_is_source_order_independent(sources, seed):
-    merged = merge_lexica(sources, name="m")
     shuffled = list(sources)
     Random(seed).shuffle(shuffled)
-    permuted = merge_lexica(shuffled, name="m")
-    assert {k: e.so for k, e in merged.entries.items()} == {
-        k: e.so for k, e in permuted.entries.items()
-    }
+    check_merge_order_independent(sources, shuffled, source_scores(sources))
 
 
 @settings(deadline=None)
 @given(sources=st.lists(lexica(), min_size=1, max_size=4))
 def test_merged_scores_bounded_and_sizes_bounded(sources):
-    merged = merge_lexica(sources, name="m")
-    assert max(len(s) for s in sources) <= len(merged) <= sum(len(s) for s in sources)
-    for key, entry in merged.entries.items():
-        contributing = [s.entries[key].so for s in sources if key in s.entries]
-        assert min(contributing) - 1e-9 <= entry.so <= max(contributing) + 1e-9
+    check_merge_bounds(sources)
 
 
 @settings(deadline=None)
 @given(tree=seeded_trees(max_nodes=6))
 def test_engine_rendering_is_deterministic(tree):
-    from conftest import DEFAULT_RULES
-
-    from sisa import load_rules
-
-    defs = load_rules(DEFAULT_RULES, LISTS)
-    assert (
-        compute_so(tree, LEX, defs, LISTS).render()
-        == compute_so(tree, LEX, defs, LISTS).render()
-    )
+    check_rendering_deterministic(tree, LEX, load_rules(DEFAULT_RULES, LISTS), LISTS)
 
 
 @given(beta=finite)
@@ -143,10 +120,6 @@ def test_weighting_of_zero_is_zero(beta):
 @given(tree=seeded_trees(max_nodes=6))
 def test_zero_lexicon_keeps_zero_unless_shift_fires(tree):
     empty = SentimentLexicon(name="empty")
-    from conftest import DEFAULT_RULES
-
-    from sisa import load_rules
-
     defs = load_rules(DEFAULT_RULES, LISTS)
     trace = compute_so(tree, empty, defs, LISTS)
     applied = [

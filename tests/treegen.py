@@ -10,7 +10,8 @@ from __future__ import annotations
 from itertools import product
 from random import Random
 
-from sisa import DepTree, Document, SentimentLexicon, Token, WordList
+from sisa import DepTree, Document, Token
+from sisa.lexicon import SentimentLexicon, WordList
 
 #: (form, upos, deprel-when-child)
 VOCAB = (
