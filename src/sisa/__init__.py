@@ -13,7 +13,7 @@ evaluation harness in :mod:`sisa.evaluate`.
 """
 
 from .classify import classify_document, classify_sentence
-from .conllu import DepTree, Document, Token, parse_document, read_document
+from .conllu import DepTree, Document, Token, iter_sentences, parse_document, read_document
 from .engine import compute_so
 from .errors import (
     ConlluParseError,
@@ -49,6 +49,7 @@ __all__ = [
     "classify_document",
     "classify_sentence",
     "compute_so",
+    "iter_sentences",
     "load_lexicon",
     "load_rules",
     "load_wordlists",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .conllu import DepTree, Document
 from .engine import SoTrace, compute_so
@@ -29,7 +29,8 @@ class PolarityResult:
     traces: tuple[SoTrace, ...] | None = None
 
 
-def _label(so: float, tie: str) -> str:
+def polarity_label(so: float, tie: str) -> str:
+    """Label a score by its sign; ``tie`` ("pos" or "neg") labels an exact 0."""
     if so > 0:
         return POSITIVE
     if so < 0:
@@ -39,6 +40,31 @@ def _label(so: float, tie: str) -> str:
     if tie == "neg":
         return NEGATIVE
     raise UsageError(f"unknown tie rule {tie!r}")
+
+
+def document_so(scores: Iterable[float], source_id: str, agg: str = "sum") -> float:
+    """Aggregate sentence scores, read once in order, into a document score.
+
+    The default aggregation is an unweighted sum (via fsum, so sentence order
+    cannot change the result); ``agg="mean"`` divides by the sentence count.
+    A document without sentences is a usage error, checked before ``agg``.
+    """
+    count = 0
+
+    def counted() -> Iterator[float]:
+        nonlocal count
+        for so in scores:
+            count += 1
+            yield so
+
+    so = fsum(counted())
+    if not count:
+        raise UsageError(f"document {source_id!r} has no sentences")
+    if agg == "mean":
+        so /= count
+    elif agg != "sum":
+        raise UsageError(f"unknown aggregation {agg!r}")
+    return so
 
 
 def classify_sentence(
@@ -54,7 +80,7 @@ def classify_sentence(
     trace = compute_so(tree, lex, defs, lists, record=with_trace)
     return PolarityResult(
         so=trace.sentence_so,
-        label=_label(trace.sentence_so, tie),
+        label=polarity_label(trace.sentence_so, tie),
         granularity=SENTENCE,
         traces=(trace,) if with_trace else None,
     )
@@ -70,22 +96,13 @@ def classify_document(
     tie: str = "pos",
     with_trace: bool = False,
 ) -> PolarityResult:
-    """Aggregate sentence scores into a document score and label it.
-
-    The default aggregation is an unweighted sum (via fsum, so sentence order
-    cannot change the result); ``agg="mean"`` divides by the sentence count.
-    """
-    if not doc.sentences:
-        raise UsageError(f"document {doc.source_id!r} has no sentences")
-    if agg not in ("sum", "mean"):
-        raise UsageError(f"unknown aggregation {agg!r}")
+    """Aggregate sentence scores into a document score and label it; see
+    :func:`document_so`."""
     traces = [compute_so(tree, lex, defs, lists, record=with_trace) for tree in doc.sentences]
-    so = fsum(trace.sentence_so for trace in traces)
-    if agg == "mean":
-        so /= len(traces)
+    so = document_so((trace.sentence_so for trace in traces), doc.source_id, agg)
     return PolarityResult(
         so=so,
-        label=_label(so, tie),
+        label=polarity_label(so, tie),
         granularity=DOCUMENT,
         traces=tuple(traces) if with_trace else None,
     )

@@ -2,18 +2,23 @@
 
 Results go to stdout as tab-separated lines, diagnostics to stderr. Exit
 codes: 0 success, 2 missing file, 3 unparseable input, 4 usage error
-(including scale mismatches).
+(including scale mismatches). ``classify`` and ``trace`` read their input one
+sentence at a time, so per-sentence output before a malformed sentence has
+already been written when they exit 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, TextIO
 
-from .classify import classify_document, classify_sentence
-from .conllu import parse_document
+from .classify import classify_sentence, document_so, polarity_label
+from .conllu import iter_sentences
 from .engine import compute_so
 from .errors import PARSE_ERRORS, ScaleMismatchError, UsageError
 from .evaluate import (
@@ -52,12 +57,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _read_input(path_text: str) -> tuple[str, str]:
-    """Read --input (a path or '-' for stdin); returns (text, source_id)."""
-    if path_text == "-":
-        return sys.stdin.read(), "-"
-    path = Path(path_text)
-    return path.read_text(encoding="utf-8"), path.stem
+@contextmanager
+def _input_lines(path_text: str) -> Iterator[tuple[TextIO, str]]:
+    """Open --input (a path or '-' for stdin) as UTF-8 lines that end at
+    '\\n' only; yields (lines, source_id)."""
+    if path_text != "-":
+        path = Path(path_text)
+        with open(path, encoding="utf-8", newline="\n") as lines:
+            yield lines, path.stem
+        return
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:  # a text stream with no bytes beneath, such as io.StringIO
+        yield sys.stdin, "-"
+        return
+    lines = io.TextIOWrapper(buffer, encoding="utf-8", newline="\n")
+    try:
+        yield lines, "-"
+    finally:
+        lines.detach()  # leaves sys.stdin open
 
 
 def _load_environment(args) -> tuple:
@@ -73,27 +90,29 @@ def _load_environment(args) -> tuple:
 
 def _cmd_classify(args) -> int:
     lexicon, defs, lists = _load_environment(args)
-    text, source_id = _read_input(args.input)
-    doc = parse_document(text, source_id)
-    if args.granularity == "sentence":
-        for index, tree in enumerate(doc.sentences, 1):
-            result = classify_sentence(tree, lexicon, defs, lists, tie=args.tie)
-            print(f"{doc.source_id}:{index}\t{format_so(result.so)}\t{result.label}")
-    else:
-        result = classify_document(doc, lexicon, defs, lists, agg=args.agg, tie=args.tie)
-        print(f"{doc.source_id}\t{format_so(result.so)}\t{result.label}")
+    with _input_lines(args.input) as (lines, source_id):
+        trees = iter_sentences(lines)
+        if args.granularity == "sentence":
+            for index, tree in enumerate(trees, 1):
+                result = classify_sentence(tree, lexicon, defs, lists, tie=args.tie)
+                print(f"{source_id}:{index}\t{format_so(result.so)}\t{result.label}")
+        else:
+            scores = (
+                compute_so(tree, lexicon, defs, lists, record=False).sentence_so for tree in trees
+            )
+            so = document_so(scores, source_id, args.agg)
+            print(f"{source_id}\t{format_so(so)}\t{polarity_label(so, args.tie)}")
     return EXIT_OK
 
 
 def _cmd_trace(args) -> int:
     lexicon, defs, lists = _load_environment(args)
-    text, source_id = _read_input(args.input)
-    doc = parse_document(text, source_id)
-    for index, tree in enumerate(doc.sentences, 1):
-        if index > 1:
-            print()
-        print(f"# {doc.source_id} sentence {index}")
-        print(compute_so(tree, lexicon, defs, lists).render(), end="")
+    with _input_lines(args.input) as (lines, source_id):
+        for index, tree in enumerate(iter_sentences(lines), 1):
+            if index > 1:
+                print()
+            print(f"# {source_id} sentence {index}")
+            print(compute_so(tree, lexicon, defs, lists).render(), end="")
     return EXIT_OK
 
 

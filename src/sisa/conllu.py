@@ -11,10 +11,12 @@ trees only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConlluParseError, TreeStructureError
+from .util import read_utf8, utf8_error
 
 _N_COLUMNS = 10
 
@@ -158,81 +160,99 @@ def _is_empty_node_id(text: str) -> bool:
     return bool(sep) and _is_number(left) and _is_number(right)
 
 
-def parse_document(text: str, source_id: str = "-") -> Document:
-    """Parse CoNLL-U text into a :class:`Document`.
+def _sentence(tokens: list[Token], sentence_index: int) -> DepTree:
+    try:
+        return DepTree(tuple(tokens))
+    except TreeStructureError as exc:
+        raise TreeStructureError(str(exc), sentence_index) from None
 
-    One leading UTF-8 byte order mark is ignored. Blank lines separate
+
+def iter_sentences(lines: Iterable[str]) -> Iterator[DepTree]:
+    """Parse CoNLL-U lines, yielding one validated :class:`DepTree` per
+    sentence as soon as the sentence ends.
+
+    ``lines`` is any iterable of lines, such as ``text.split("\\n")`` or a
+    text file opened with ``encoding="utf-8", newline="\\n"``; only the
+    sentence being read is held. A line ends at ``\\n`` only, and its
+    trailing ``\\r`` characters are dropped, so a lone ``\\r`` stays in its
+    field. One leading UTF-8 byte order mark is ignored. Blank lines separate
     sentences, ``#`` lines are comments, multiword-token ranges and empty
-    nodes are skipped. Raises :class:`ConlluParseError` for
-    malformed lines (with the 1-based line number) and
-    :class:`TreeStructureError` for sentences that are not valid trees (with
-    the 1-based sentence index).
+    nodes are skipped. Raises :class:`ConlluParseError` for malformed lines
+    and for bytes a file cannot decode as UTF-8 (with the 1-based line
+    number), and :class:`TreeStructureError` for sentences that are not valid
+    trees (with the 1-based sentence index). The sentences before the
+    failing one have been yielded by then.
     """
-    trees: list[DepTree] = []
     pending: list[Token] = []
     sentence_index = 1
-    text = text.removeprefix("\ufeff")
+    line_no = 0
     new_token = tuple.__new__
+    lines = iter(lines)
+    try:
+        first = next(lines, "")
+        for line_no, raw in enumerate(chain((first.removeprefix("\ufeff"),), lines), 1):
+            line = raw.rstrip("\r\n")
+            if not line.strip():
+                if pending:
+                    yield _sentence(pending, sentence_index)
+                    pending.clear()
+                    sentence_index += 1
+                continue
+            if line.startswith("#"):
+                continue
+            columns = line.split("\t")
+            if len(columns) != _N_COLUMNS:
+                raise ConlluParseError(
+                    f"expected {_N_COLUMNS} tab-separated columns, got {len(columns)}", line_no
+                )
+            id_text = columns[0]
+            if id_text.isdecimal() and id_text.isascii():
+                token_id = int(id_text)
+            elif _is_range_id(id_text) or _is_empty_node_id(id_text):
+                continue
+            else:
+                raise ConlluParseError(f"non-integer token id {id_text!r}", line_no)
+            if token_id != len(pending) + 1:
+                raise ConlluParseError(
+                    f"token id {token_id} out of sequence (expected {len(pending) + 1})", line_no
+                )
+            head_text = columns[6]
+            if head_text.isdecimal() and head_text.isascii():
+                head = int(head_text)
+            elif head_text[:1] == "-" and _is_number(head_text[1:]) and int(head_text):
+                raise ConlluParseError(f"negative head {int(head_text)}", line_no)
+            else:
+                raise ConlluParseError(f"non-integer head {head_text!r}", line_no)
+            if head == token_id:
+                raise TreeStructureError(
+                    f"token {token_id} is its own head", sentence_index
+                )
+            form = columns[1]
+            if not form:
+                raise ConlluParseError("empty FORM column", line_no)
+            upos = columns[3]
+            if not upos:
+                raise ConlluParseError("empty UPOS column", line_no)
+            lemma = columns[2]
+            if not lemma or lemma == "_":
+                lemma = form.lower()
+            # The checks above cover Token's own (the id is in sequence, so
+            # >= 1), so its validating constructor is skipped.
+            pending.append(new_token(Token, (token_id, form, lemma, upos, head, columns[7])))
+    except UnicodeDecodeError as exc:
+        # A text file decodes ahead in chunks. The lines it has returned end
+        # before the chunk that failed, so the bad byte lies on the next line
+        # plus one line per newline in that chunk before it.
+        raise ConlluParseError(
+            utf8_error(exc), line_no + 1 + exc.object.count(b"\n", 0, exc.start)
+        ) from None
+    if pending:
+        yield _sentence(pending, sentence_index)
 
-    def flush() -> None:
-        nonlocal sentence_index
-        if not pending:
-            return
-        try:
-            trees.append(DepTree(tuple(pending)))
-        except TreeStructureError as exc:
-            raise TreeStructureError(str(exc), sentence_index) from None
-        pending.clear()
-        sentence_index += 1
 
-    for line_no, raw in enumerate(text.split("\n"), 1):
-        line = raw.rstrip("\r")
-        if not line.strip():
-            flush()
-            continue
-        if line.startswith("#"):
-            continue
-        columns = line.split("\t")
-        if len(columns) != _N_COLUMNS:
-            raise ConlluParseError(
-                f"expected {_N_COLUMNS} tab-separated columns, got {len(columns)}", line_no
-            )
-        id_text = columns[0]
-        if id_text.isdecimal() and id_text.isascii():
-            token_id = int(id_text)
-        elif _is_range_id(id_text) or _is_empty_node_id(id_text):
-            continue
-        else:
-            raise ConlluParseError(f"non-integer token id {id_text!r}", line_no)
-        if token_id != len(pending) + 1:
-            raise ConlluParseError(
-                f"token id {token_id} out of sequence (expected {len(pending) + 1})", line_no
-            )
-        head_text = columns[6]
-        if head_text.isdecimal() and head_text.isascii():
-            head = int(head_text)
-        elif head_text[:1] == "-" and _is_number(head_text[1:]) and int(head_text):
-            raise ConlluParseError(f"negative head {int(head_text)}", line_no)
-        else:
-            raise ConlluParseError(f"non-integer head {head_text!r}", line_no)
-        if head == token_id:
-            raise TreeStructureError(
-                f"token {token_id} is its own head", sentence_index
-            )
-        form = columns[1]
-        if not form:
-            raise ConlluParseError("empty FORM column", line_no)
-        upos = columns[3]
-        if not upos:
-            raise ConlluParseError("empty UPOS column", line_no)
-        lemma = columns[2]
-        if not lemma or lemma == "_":
-            lemma = form.lower()
-        # The checks above cover Token's own (the id is in sequence, so >= 1),
-        # so its validating constructor is skipped.
-        pending.append(new_token(Token, (token_id, form, lemma, upos, head, columns[7])))
-    flush()
-    return Document(tuple(trees), source_id)
+def parse_document(text: str, source_id: str = "-") -> Document:
+    """Parse CoNLL-U text into a :class:`Document`; see :func:`iter_sentences`."""
+    return Document(tuple(iter_sentences(text.split("\n"))), source_id)
 
 
 def serialize_document(doc: Document) -> str:
@@ -250,4 +270,4 @@ def serialize_document(doc: Document) -> str:
 def read_document(path: str | Path) -> Document:
     """Read and parse a CoNLL-U file; the file stem becomes the source id."""
     path = Path(path)
-    return parse_document(path.read_text(encoding="utf-8"), source_id=path.stem)
+    return parse_document(read_utf8(path, ConlluParseError), source_id=path.stem)

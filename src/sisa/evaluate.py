@@ -15,10 +15,10 @@ from typing import Iterable, Mapping, Sequence
 
 from .classify import classify_document
 from .conllu import parse_document
-from .errors import ManifestError, SisaError, UsageError
+from .errors import ConlluParseError, ManifestError, SisaError, UsageError
 from .lexicon import SentimentLexicon, WordList
 from .operations import OperationDefinition
-from .util import format_so
+from .util import format_so, read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -42,7 +42,10 @@ def load_manifest(path: str | Path, name: str | None = None) -> CorpusManifest:
     path = Path(path)
     base = path.parent
     items: list[tuple[Path, str]] = []
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    lines = read_utf8(
+        path, lambda message, line_no: ManifestError(message, str(path), line_no)
+    ).split("\n")
+    for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -132,8 +135,9 @@ def evaluate_configs(
     results: list[list[ItemResult]] = [[] for _ in configs]
     for item_path, gold in manifest.items:
         try:
-            text = Path(item_path).read_text(encoding="utf-8")
-            doc = parse_document(text, source_id=Path(item_path).stem)
+            doc = parse_document(
+                read_utf8(Path(item_path), ConlluParseError), source_id=Path(item_path).stem
+            )
         except (OSError, SisaError) as exc:
             logger.warning("skipping %s: %s", item_path, exc)
             for items in results:

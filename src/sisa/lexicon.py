@@ -22,7 +22,7 @@ from .errors import (
     UsageError,
     WordListParseError,
 )
-from .util import format_so
+from .util import format_so, read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -131,7 +131,10 @@ def load_lexicon(path: str | Path, scale: str = SFU) -> SentimentLexicon:
         raise UsageError(f"unknown lexicon scale {scale!r}")
     path = Path(path)
     lexicon = SentimentLexicon(name=path.stem, scale=SFU)
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    lines = read_utf8(
+        path, lambda message, line_no: LexiconParseError(message, str(path), line_no)
+    ).split("\n")
+    for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -170,7 +173,11 @@ def load_lexicon(path: str | Path, scale: str = SFU) -> SentimentLexicon:
 
 def sniff_scale(path: str | Path) -> str | None:
     """Return the scale declared in a leading ``# scale: ...`` comment, if any."""
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    path = Path(path)
+    lines = read_utf8(
+        path, lambda message, line_no: LexiconParseError(message, str(path), line_no)
+    ).split("\n")
+    for raw in lines:
         line = raw.strip()
         if not line:
             continue
@@ -242,7 +249,10 @@ def load_wordlist(path: str | Path, name: str | None = None) -> WordList:
     """Load a word list file: one ``entry`` or ``entry<TAB>value`` per line."""
     path = Path(path)
     wordlist = WordList(name=name or path.stem)
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    lines = read_utf8(
+        path, lambda message, line_no: WordListParseError(message, str(path), line_no)
+    ).split("\n")
+    for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -16,6 +16,7 @@ from typing import Mapping
 
 from .errors import RuleConfigError
 from .lexicon import WordList
+from .util import read_utf8
 
 WEIGHTING = "weighting"
 SHIFT = "shift"
@@ -240,7 +241,7 @@ def parse_rules(
     """Parse rule configuration text into definitions, in file order."""
     blocks: list[dict[str, str]] = []
     block: dict[str, str] | None = None
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -262,4 +263,5 @@ def parse_rules(
 def load_rules(path: str | Path, lists: Mapping[str, WordList]) -> list[OperationDefinition]:
     """Load a rule configuration file; ``@name`` references resolve in ``lists``."""
     path = Path(path)
-    return parse_rules(path.read_text(encoding="utf-8"), lists, source=str(path))
+    text = read_utf8(path, lambda message, line_no: RuleConfigError(f"{path}:{line_no}: {message}"))
+    return parse_rules(text, lists, source=str(path))

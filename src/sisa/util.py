@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+from typing import Callable
+
 
 def format_so(value: float) -> str:
     """Render a score for output with binary float noise suppressed.
@@ -15,3 +18,22 @@ def format_so(value: float) -> str:
     if value == 0:
         value = 0.0  # normalize -0.0
     return format(value, ".12g")
+
+
+def utf8_error(exc: UnicodeDecodeError) -> str:
+    """Describe the first byte a UTF-8 decoder rejected."""
+    return f"not valid UTF-8: {exc.reason} 0x{exc.object[exc.start]:02x}"
+
+
+def read_utf8(path: Path, error: Callable[[str, int], Exception]) -> str:
+    """Read a UTF-8 text file whole, its line ends untranslated.
+
+    Every input file ends a line only at ``\\n``; readers drop a line's
+    trailing ``\\r``. A byte that is not UTF-8 raises ``error(message,
+    line_no)``; the line is counted only then.
+    """
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(utf8_error(exc), data.count(b"\n", 0, exc.start) + 1) from None

@@ -1,11 +1,24 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from conftest import DEFAULT_RULES, FIXTURES, LISTS_DIR
+from sisa import (
+    classify_document,
+    load_lexicon,
+    load_rules,
+    load_wordlists,
+    parse_document,
+    read_document,
+)
 from sisa.cli import main
+from sisa.util import format_so
+from test_conllu import NO_ES_BONITO, PARSE_ERRORS
 
 LEXICON = FIXTURES / "lexicon.tsv"
 
@@ -375,3 +388,190 @@ class TestArgparseBehavior:
         )
         assert proc.returncode == 0
         assert proc.stdout == "muy_grande\t2.3375\tpositive\n"
+
+
+ENGINE = ("--lexicon", LEXICON, "--rules", DEFAULT_RULES, "--lists", LISTS_DIR)
+
+
+def bytes_stdin(data: bytes):
+    """A stand-in for POSIX stdin: a text layer over bytes, lines split at "\\n"."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+
+
+class TestStreamedInput:
+    """classify and trace read their input one sentence at a time."""
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize(
+        "text, error, message, where", PARSE_ERRORS.values(), ids=PARSE_ERRORS.keys()
+    )
+    def test_parse_error_exits_3(
+        self, capsys, monkeypatch, tmp_path, source, text, error, message, where
+    ):
+        path = tmp_path / "bad.conllu"
+        path.write_text(text, encoding="utf-8")
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", bytes_stdin(path.read_bytes()))
+            path = "-"
+        code, out, err = run(capsys, "classify", *ENGINE, "--input", path)
+        assert (code, out) == (3, "")
+        assert err == f"sisa: {error.__name__}: {message}\n"
+
+    def test_lone_carriage_return_is_the_same_from_file_stdin_and_text(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        text = (
+            "1\tmuy\tmuy\tADV\t_\t_\t2\tadvmod\t_\t_\r\n"
+            "2\tgran\rde\tgrande\tADJ\t_\t_\t0\troot\t_\t_\r\n"
+        )
+        path = tmp_path / "f.conllu"
+        path.write_bytes(text.encode("utf-8"))
+        want = (0, "f\t2.3375\tpositive\n", "")
+        assert run(capsys, "classify", *ENGINE, "--input", path) == want
+        stdin_want = (0, "-\t2.3375\tpositive\n", "")
+        for stdin in (io.StringIO(text), bytes_stdin(text.encode("utf-8"))):
+            monkeypatch.setattr(sys, "stdin", stdin)
+            assert run(capsys, "classify", *ENGINE, "--input", "-") == stdin_want
+        assert parse_document(text).sentences[0].token(2).form == "gran\rde"
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_invalid_utf8_exits_3(self, capsys, monkeypatch, tmp_path, source):
+        data = (FIXTURES / "no_es_bonito.conllu").read_bytes()
+        data = data.replace(b"bonito\tADJ", b"bon\xffito\tADJ")
+        path = tmp_path / "latin.conllu"
+        path.write_bytes(data)
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", bytes_stdin(data))
+            path = "-"
+        code, out, err = run(capsys, "classify", *ENGINE, "--input", path)
+        assert (code, out) == (3, "")
+        assert err == "sisa: ConlluParseError: line 3: not valid UTF-8: invalid start byte 0xff\n"
+
+    def test_invalid_utf8_item_is_errored_in_evaluate(self, capsys, tmp_path, caplog):
+        corpus = FIXTURES / "corpus"
+        for path in corpus.iterdir():
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        (tmp_path / "malo.conllu").write_bytes(b"1\tmal\xffo\tmalo\tADJ\t_\t_\t0\troot\t_\t_\n")
+        report = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys, "evaluate", "--corpus", tmp_path / "manifest.tsv", *ENGINE, "--report", report
+        )
+        assert code == 0
+        assert out == "SL-O\t1\t3\t0.3333\nSL+O\t3\t3\t1.0000\n"
+        summary = json.loads(report.read_text(encoding="utf-8"))
+        assert [r["errored"] for r in summary["reports"]] == [1, 1]
+        skipped = [r.getMessage() for r in caplog.records if r.getMessage().startswith("skipping")]
+        assert skipped == [
+            f"skipping {tmp_path / 'malo.conllu'}: line 1: not valid UTF-8: invalid start byte 0xff"
+        ]
+
+    @pytest.mark.parametrize(
+        "flag, name, error",
+        [
+            ("--lexicon", "lexicon.tsv", "LexiconParseError"),
+            ("--lists", "boosters.tsv", "WordListParseError"),
+            ("--rules", "sisa.rules", "RuleConfigError"),
+        ],
+    )
+    def test_invalid_utf8_in_other_inputs_exits_3(self, capsys, tmp_path, flag, name, error):
+        path = tmp_path / name
+        path.write_bytes(b"# first line\nbuen\xffo\tADJ\t2\n")
+        lexicon = () if flag == "--lexicon" else ("--lexicon", LEXICON)
+        value = tmp_path if flag == "--lists" else path
+        code, out, err = run(
+            capsys, "classify", *lexicon, flag, value, "--input", FIXTURES / "muy_grande.conllu"
+        )
+        assert (code, out) == (3, "")
+        assert err == f"sisa: {error}: {path}:2: not valid UTF-8: invalid start byte 0xff\n"
+
+    def test_invalid_utf8_in_manifest_exits_3(self, capsys, tmp_path):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_bytes(b"a.conllu\tpositive\nb\xff.conllu\tnegative\n")
+        code, out, err = run(capsys, "evaluate", "--corpus", manifest, "--lexicon", LEXICON)
+        assert (code, out) == (3, "")
+        reason = "not valid UTF-8: invalid start byte 0xff"
+        assert err == f"sisa: ManifestError: {manifest}:2: {reason}\n"
+
+    FIRST_TWO = (
+        "1\tmuy\tmuy\tADV\t_\t_\t2\tadvmod\t_\t_\n2\tgrande\tgrande\tADJ\t_\t_\t0\troot\t_\t_\n\n"
+        "1\tbien\tbien\tADV\t_\t_\t0\troot\t_\t_\n"
+    )
+    BAD_THIRD = FIRST_TWO + (
+        "\n1\ta\ta\tX\t_\t_\t2\tdep\t_\t_\n2\tb\tb\tX\t_\t_\t1\tdep\t_\t_\n\n"
+        "1\tbien\tbien\tADV\t_\t_\t0\troot\t_\t_\n"
+    )
+    NO_ROOT = "sisa: TreeStructureError: sentence 3: expected exactly one root, found 0\n"
+
+    def test_sentence_lines_before_a_bad_sentence_are_printed(self, capsys, tmp_path):
+        path = tmp_path / "third.conllu"
+        path.write_text(self.BAD_THIRD, encoding="utf-8")
+        code, out, err = run(
+            capsys, "classify", *ENGINE, "--granularity", "sentence", "--input", path
+        )
+        assert (code, err) == (3, self.NO_ROOT)
+        assert out == "third:1\t2.3375\tpositive\nthird:2\t1\tpositive\n"
+
+    def test_trace_blocks_before_a_bad_sentence_are_printed(self, capsys, tmp_path):
+        path = tmp_path / "third.conllu"
+        path.write_text(self.BAD_THIRD, encoding="utf-8")
+        code, out, err = run(capsys, "trace", *ENGINE, "--input", path)
+        assert (code, err) == (3, self.NO_ROOT)
+        good = tmp_path / "good.conllu"
+        good.write_text(self.FIRST_TWO, encoding="utf-8")
+        assert run(capsys, "trace", *ENGINE, "--input", good) == (0, out.replace("third", "good"), "")
+        assert out.count("# third sentence") == 2
+
+    def test_document_granularity_prints_nothing_before_a_bad_sentence(self, capsys, tmp_path):
+        path = tmp_path / "third.conllu"
+        path.write_text(self.BAD_THIRD, encoding="utf-8")
+        assert run(capsys, "classify", *ENGINE, "--input", path) == (3, "", self.NO_ROOT)
+
+    @pytest.mark.parametrize("agg, want", [("sum", "2.8375"), ("mean", "0.945833333333")])
+    def test_document_score_is_classify_document(self, capsys, tmp_path, agg, want):
+        path = tmp_path / "two.conllu"
+        path.write_text(self.FIRST_TWO + "\n" + NO_ES_BONITO, encoding="utf-8")
+        doc = read_document(path)
+        lexicon = load_lexicon(LEXICON)
+        lists = load_wordlists(LISTS_DIR)
+        result = classify_document(doc, lexicon, load_rules(DEFAULT_RULES, lists), lists, agg=agg)
+        code, out, _ = run(capsys, "classify", *ENGINE, "--agg", agg, "--input", path)
+        assert code == 0
+        assert out == f"two\t{format_so(result.so)}\t{result.label}\n" == f"two\t{want}\tpositive\n"
+
+    def test_empty_input_is_a_usage_error_for_documents(self, capsys, tmp_path):
+        path = tmp_path / "empty.conllu"
+        path.write_text("# only a comment\n\n", encoding="utf-8")
+        code, out, err = run(capsys, "classify", *ENGINE, "--input", path)
+        assert (code, out, err) == (4, "", "sisa: document 'empty' has no sentences\n")
+        argv = ("classify", *ENGINE, "--granularity", "sentence", "--input", path)
+        assert run(capsys, *argv) == (0, "", "")
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("command", [("classify", "--granularity", "sentence"), ("trace",)])
+def test_memory_is_bounded_by_one_sentence(command, tmp_path):
+    sentence = (FIXTURES / "bueno_pero_caro.conllu").read_text(encoding="utf-8").strip("\n") + "\n\n"
+
+    def peak(sentences):
+        path = tmp_path / f"{sentences}.conllu"
+        path.write_text(sentence * sentences, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(_Discard()):
+                assert main([*command, *map(str, ENGINE), "--input", str(path)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2000)  # the first run imports and fills the interpreter's caches
+    small, large = peak(20), peak(2000)
+    # Reading the whole 2000-sentence file first adds about 4 MB. What is
+    # left is CPython's bounded reuse of freed small tuples.
+    assert large - small < 512 * 1024, (small, large)

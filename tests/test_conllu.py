@@ -1,8 +1,18 @@
+import io
 from random import Random
 
 import pytest
 
-from sisa import ConlluParseError, DepTree, Document, Token, TreeStructureError, parse_document
+from sisa import (
+    ConlluParseError,
+    DepTree,
+    Document,
+    Token,
+    TreeStructureError,
+    iter_sentences,
+    parse_document,
+    read_document,
+)
 from sisa.conllu import serialize_document
 from treegen import random_document
 
@@ -279,14 +289,92 @@ PARSE_ERRORS = {
     "text, error, message, where", PARSE_ERRORS.values(), ids=PARSE_ERRORS.keys()
 )
 def test_parse_error_is_pinned(text, error, message, where):
+    assert_parse_error(lambda: parse_document(text), error, message, where)
+
+
+def assert_parse_error(parse, error, message, where):
     with pytest.raises(error) as err:
-        parse_document(text)
+        parse()
     assert type(err.value) is error
     assert str(err.value) == message
     if error is ConlluParseError:
         assert err.value.line_no == where
     else:
         assert err.value.sentence_index == where
+
+
+def _stream_file(path):
+    with open(path, encoding="utf-8", newline="\n") as lines:
+        return Document(tuple(iter_sentences(lines)), path.stem)
+
+
+def _write(data, tmp_path):
+    path = tmp_path / "in.conllu"
+    path.write_bytes(data)
+    return path
+
+
+def _stream_stdin(data):
+    # POSIX stdin: a text layer over bytes that splits lines at "\n" only.
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+    return Document(tuple(iter_sentences(stdin)))
+
+
+# name: read(bytes, tmp_path) -> Document
+STREAM_READERS = {
+    "file streamed": lambda data, tmp_path: _stream_file(_write(data, tmp_path)),
+    "file read whole": lambda data, tmp_path: read_document(_write(data, tmp_path)),
+    "stdin": lambda data, tmp_path: _stream_stdin(data),
+}
+READERS = {"text": lambda data, tmp_path: parse_document(data.decode("utf-8")), **STREAM_READERS}
+
+
+@pytest.mark.parametrize("read", STREAM_READERS.values(), ids=STREAM_READERS.keys())
+@pytest.mark.parametrize(
+    "text, error, message, where", PARSE_ERRORS.values(), ids=PARSE_ERRORS.keys()
+)
+def test_parse_error_is_the_same_from_files_and_stdin(read, text, error, message, where, tmp_path):
+    assert_parse_error(lambda: read(text.encode("utf-8"), tmp_path), error, message, where)
+
+
+@pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+def test_lone_carriage_return_stays_in_its_field(read, tmp_path):
+    data = b"# c\r\n1\tgran\rde\tgrande\tADJ\t_\t_\t0\troot\t_\t_\r\r\n\r\n"
+    (tree,) = read(data, tmp_path).sentences
+    assert tree.tokens == (Token(1, "gran\rde", "grande", "ADJ", 0, "root"),)
+
+
+INVALID_UTF8 = {
+    "invalid start byte": (b"\xff", "not valid UTF-8: invalid start byte 0xff"),
+    "invalid continuation": (b"\xc3(", "not valid UTF-8: invalid continuation byte 0xc3"),
+    "encoded surrogate": (b"\xed\xa0\x80", "not valid UTF-8: invalid continuation byte 0xed"),
+}
+
+
+@pytest.mark.parametrize("read", STREAM_READERS.values(), ids=STREAM_READERS.keys())
+@pytest.mark.parametrize("bad, reason", INVALID_UTF8.values(), ids=INVALID_UTF8.keys())
+def test_invalid_utf8_reports_its_line(read, bad, reason, tmp_path):
+    # Long enough that a text file decodes the bad byte in a later chunk.
+    before = NO_ES_BONITO.encode("utf-8") + b"\n"
+    data = before * 600 + b"1\tb" + bad + b"\tb\tX\t_\t_\t0\troot\t_\t_\n" + before
+    message = f"line {600 * 4 + 1}: {reason}"
+    assert_parse_error(lambda: read(data, tmp_path), ConlluParseError, message, 600 * 4 + 1)
+
+
+@pytest.mark.parametrize("read", STREAM_READERS.values(), ids=STREAM_READERS.keys())
+def test_invalid_utf8_at_the_end_of_the_input(read, tmp_path):
+    data = NO_ES_BONITO.encode("utf-8") + b"\xc3"
+    message = "line 4: not valid UTF-8: unexpected end of data 0xc3"
+    assert_parse_error(lambda: read(data, tmp_path), ConlluParseError, message, 4)
+
+
+def test_sentences_before_a_bad_one_are_yielded_first():
+    text = NO_ES_BONITO + "\n" + NO_ES_BONITO + "\n" + _line(1, 2) + _line(2, 1)
+    trees = iter_sentences(text.split("\n"))
+    assert next(trees) == next(trees) == parse_document(NO_ES_BONITO).sentences[0]
+    with pytest.raises(TreeStructureError) as err:
+        next(trees)
+    assert err.value.sentence_index == 3
 
 
 @pytest.mark.parametrize(
@@ -369,3 +457,25 @@ def test_random_documents_roundtrip(line_end):
                 assert tree.children(tok.id) == kids
                 if tok.head == 0:
                     assert tree.root_id == tok.id
+
+
+LAYOUTS = {
+    "LF": lambda text: text,
+    "CRLF": lambda text: text.replace("\n", "\r\n"),
+    "BOM": lambda text: "\ufeff" + text,
+    "no final newline": lambda text: text.rstrip("\n"),
+    "extra blank lines": lambda text: "\n \r\n" + text.replace("\n\n", "\n\n\t\n\r\n\n"),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_iter_sentences_equals_parse_document(layout):
+    rng = Random(23)
+    for _ in range(300):
+        doc = random_document(rng, max_sentences=4, max_nodes=9)
+        text = layout(serialize_document(doc))
+        parsed = parse_document(text, source_id=doc.source_id)
+        assert parsed == doc
+        streamed = tuple(iter_sentences(io.StringIO(text)))
+        assert streamed == parsed.sentences
+        assert tuple(iter_sentences(text.split("\n"))) == parsed.sentences
