@@ -7,7 +7,7 @@ from math import fsum
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .conllu import DepTree, Document
-from .engine import SoTrace, compute_so
+from .engine import CompiledRules, SoTrace, compile_rules, compute_so
 from .errors import UsageError
 from .lexicon import SentimentLexicon, WordList
 from .operations import OperationDefinition
@@ -70,7 +70,7 @@ def document_so(scores: Iterable[float], source_id: str, agg: str = "sum") -> fl
 def classify_sentence(
     tree: DepTree,
     lex: SentimentLexicon,
-    defs: Sequence[OperationDefinition],
+    defs: Sequence[OperationDefinition] | CompiledRules,
     lists: Mapping[str, WordList] | None = None,
     *,
     tie: str = "pos",
@@ -89,7 +89,7 @@ def classify_sentence(
 def classify_document(
     doc: Document,
     lex: SentimentLexicon,
-    defs: Sequence[OperationDefinition],
+    defs: Sequence[OperationDefinition] | CompiledRules,
     lists: Mapping[str, WordList] | None = None,
     *,
     agg: str = "sum",
@@ -97,8 +97,9 @@ def classify_document(
     with_trace: bool = False,
 ) -> PolarityResult:
     """Aggregate sentence scores into a document score and label it; see
-    :func:`document_so`."""
-    traces = [compute_so(tree, lex, defs, lists, record=with_trace) for tree in doc.sentences]
+    :func:`document_so`. The rules are compiled once for all sentences."""
+    rules = compile_rules(defs)
+    traces = [compute_so(tree, lex, rules, lists, record=with_trace) for tree in doc.sentences]
     so = document_so((trace.sentence_so for trace in traces), doc.source_id, agg)
     return PolarityResult(
         so=so,

@@ -19,7 +19,7 @@ from typing import Iterator, TextIO
 
 from .classify import classify_sentence, document_so, polarity_label
 from .conllu import iter_sentences
-from .engine import compute_so
+from .engine import compile_rules, compute_so
 from .errors import PARSE_ERRORS, ScaleMismatchError, UsageError
 from .evaluate import (
     RunConfig,
@@ -78,13 +78,14 @@ def _input_lines(path_text: str) -> Iterator[tuple[TextIO, str]]:
 
 
 def _load_environment(args) -> tuple:
-    """Load the lexicon, word lists and rules named by common flags."""
+    """Load the lexicon, word lists and rules named by common flags; the
+    rules come compiled, once for the whole run."""
     if len(args.lexicon) > 1:
         raise UsageError(f"{args.subcommand} takes one --lexicon input, got {len(args.lexicon)}")
     lists = load_wordlists(args.lists) if args.lists else {}
     (path,) = args.lexicon
     lexicon = load_lexicon(path, sniff_scale(path) or SFU)
-    defs = load_rules(args.rules, lists) if args.rules else []
+    defs = compile_rules(load_rules(args.rules, lists) if args.rules else ())
     return lexicon, defs, lists
 
 

@@ -72,7 +72,7 @@ class DepTree:
     tokens: tuple[Token, ...]
     root_id: int = field(init=False, compare=False, repr=False)
     # _children[i] lists the dependents of token i in surface order;
-    # _children[0] holds the root.
+    # _children[0] holds the root. The engine indexes it directly.
     _children: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -121,13 +121,8 @@ class DepTree:
 
     def children(self, token_id: int) -> tuple[int, ...]:
         """Dependents of a node, ordered by surface position."""
-        # Past the last id, indexing fails on its own: the engine calls this
-        # twice per node, and a full range test would cost it ~1%.
-        if token_id > 0:
-            try:
-                return self._children[token_id]
-            except IndexError:
-                pass
+        if 0 < token_id < len(self._children):
+            return self._children[token_id]
         raise KeyError(token_id)
 
     def __len__(self) -> int:

@@ -15,6 +15,21 @@ that only move right instead of rescanning the branches of a wide level for
 every operation. The full trace of every trigger, application and discard is
 recorded only when asked for; without it the returned :class:`SoTrace`
 carries the sentence score and the warnings alone.
+
+A scorer does only the work its rules need:
+
+- :func:`compile_rules` builds a rule set's trigger table once: each rule's
+  constraints, the union of all trigger words, and whether some rule has no
+  form constraint. A node runs the rule loop only when its lowercased form or
+  lemma is in that union (or such an unconstrained rule exists), and only
+  then is its deprel stripped of its subtype. Callers that score many
+  sentences compile once and pass the result wherever definitions go.
+- Without rules and without a trace, scoring is the rule-free pass: the
+  postorder sum of lexical scores, added in the same order as the full pass
+  adds an untouched level, so the floats are bit-identical.
+- An operation that climbs out of a node is queued at its head, so a level
+  reads one queue instead of scanning its children's lists. Children finish
+  in surface order, which is the order the queue is filled in.
 """
 
 from __future__ import annotations
@@ -332,10 +347,61 @@ def _apply_batch(
             )
 
 
+@dataclass(frozen=True)
+class CompiledRules:
+    """A rule set prepared once for scoring many sentences.
+
+    ``triggers`` holds one ``(definition, forms, pos, deprels)`` tuple per
+    rule, in definition order, a word list's dict standing in for the list
+    so that membership tests skip a method call. ``words`` is the union of
+    every rule's trigger words and ``unindexed`` tells whether some rule has
+    no form constraint: a node whose lowercased form and lemma are both
+    outside ``words`` can fire only such a rule. Word lists are read when
+    the rules are compiled, so compile after the lists are final.
+    """
+
+    triggers: tuple[tuple, ...]
+    words: frozenset[str]
+    unindexed: bool
+
+
+def compile_rules(defs: Sequence[OperationDefinition] | CompiledRules) -> CompiledRules:
+    """Compile rule definitions for :func:`compute_so`; a compiled rule set
+    is returned as it is."""
+    if isinstance(defs, CompiledRules):
+        return defs
+    triggers = []
+    words: set[str] = set()
+    unindexed = False
+    for definition in defs:
+        trigger = definition.trigger
+        forms = trigger.forms.words if isinstance(trigger.forms, WordList) else trigger.forms
+        if forms is None:
+            unindexed = True
+        else:
+            words.update(forms)
+        triggers.append((definition, forms, trigger.pos, trigger.deprel))
+    return CompiledRules(tuple(triggers), frozenset(words), unindexed)
+
+
+def _postorder(tree: DepTree) -> list[int]:
+    """Node ids children first, siblings left to right: the reverse of a
+    right-to-left preorder."""
+    children = tree._children
+    order = []
+    stack = [tree.root_id]
+    while stack:
+        node_id = stack.pop()
+        order.append(node_id)
+        stack.extend(children[node_id])
+    order.reverse()
+    return order
+
+
 def compute_so(
     tree: DepTree,
     lex: SentimentLexicon,
-    defs: Sequence[OperationDefinition],
+    defs: Sequence[OperationDefinition] | CompiledRules,
     lists: Mapping[str, WordList] | None = None,
     *,
     record: bool = True,
@@ -350,95 +416,126 @@ def compute_so(
     the possibly-transformed head score plus all branch scores; instances
     still counting down climb on, and any left over at the root are
     force-applied there. With ``record=False`` the returned trace has no
-    nodes; its score and warnings are the same.
+    nodes; its score and warnings are the same. ``defs`` may be plain
+    definitions or, to skip compiling them for every sentence, the result
+    of :func:`compile_rules`.
     """
-    lists = lists or {}
-    # Each rule's trigger constraints, with a word list's dict standing in
-    # for the list so that membership tests skip a method call.
-    triggers = []
-    for definition in defs:
-        trigger = definition.trigger
-        forms = trigger.forms.words if isinstance(trigger.forms, WordList) else trigger.forms
-        triggers.append((definition, forms, trigger.pos, trigger.deprel))
+    rules = compile_rules(defs)
+    if not rules.triggers and not record:
+        return SoTrace([], _lexical_sum(tree, lex))
+    return _propagate(tree, lex, rules, lists or {}, record)
+
+
+def _lexical_sum(tree: DepTree, lex: SentimentLexicon) -> float:
+    """The rule-free pass: every node's score is its lexical score plus its
+    children's, summed as :func:`_propagate` sums an untouched level."""
+    lookup = lex.lookup
+    subtree = [0.0]
+    subtree += [lookup(form, lemma, upos) for _, form, lemma, upos, _, _ in tree.tokens]
+    children = tree._children
+    # Leaves keep their lexical score, as in _propagate.
+    for node_id in _postorder(tree):
+        kids = children[node_id]
+        if kids:
+            subtree[node_id] = subtree[node_id] + sum([subtree[c] for c in kids]) + 0.0
+    return subtree[tree.root_id]
+
+
+def _propagate(
+    tree: DepTree,
+    lex: SentimentLexicon,
+    rules: CompiledRules,
+    lists: Mapping[str, WordList],
+    record: bool,
+) -> SoTrace:
+    """The full pass of :func:`compute_so`: triggers, queues and scopes."""
     tokens = tree.tokens
-    children = tree.children
+    children = tree._children
+    root_id = tree.root_id
+    lookup = lex.lookup
+    triggers = rules.triggers
+    words = rules.words
+    unindexed = rules.unindexed
     size = len(tokens) + 1
-    bare: list[str] = [""] * size
     subtree: list[float] = [0.0] * size
-    climbing_from: list[Sequence[PendingOperation]] = [()] * size
+    # queues[h] holds the operations that climbed into h, each with the
+    # child it came through, in the children's surface order.
+    queues: list[list[tuple[PendingOperation, int]] | None] = [None] * size
     traces: list[NodeTrace | None] = [None] * size
     warnings: list[str] = []
 
-    # Reversing a right-to-left preorder gives the left-to-right postorder.
-    order = []
-    stack = [tree.root_id]
-    while stack:
-        node_id = stack.pop()
-        order.append(node_id)
-        stack.extend(children(node_id))
-
-    for node_id in reversed(order):
-        _, surface, lemma, upos, _, deprel = tokens[node_id - 1]
-        lexical = lex.lookup(surface, lemma, upos)
-        # Token.bare_deprel, inlined: a property read per node costs ~2%.
-        deprel = bare[node_id] = deprel.split(":", 1)[0]
+    for node_id in _postorder(tree):
+        _, surface, lemma, upos, head, deprel = tokens[node_id - 1]
+        lexical = lookup(surface, lemma, upos)
         node_trace = None
         if record:
             node_trace = traces[node_id] = NodeTrace(node_id, surface, lexical)
-
-        kids = children(node_id)
-        carried: list[tuple[PendingOperation, int]] = []
-        for child_id in kids:
-            for pending in climbing_from[child_id]:
-                pending.remaining -= 1
-                carried.append((pending, child_id))
+        carried = queues[node_id]
 
         form = surface.lower()
-        lemma = lemma.lower()
-        for definition, forms, pos, deprels in triggers:
-            if forms is not None and form not in forms and lemma not in forms:
-                continue
-            if pos is not None and upos not in pos:
-                continue
-            if deprels is not None and deprel not in deprels:
-                continue
-            beta: float | None = None
-            source = definition.transform.booster_source
-            if source is not None:
-                beta, missing = _booster_value(source, form, lemma, lists)
-                if missing:
-                    warnings.append(
-                        f"rule {definition.name}: no booster value for trigger "
-                        f"{surface!r} (token {node_id}); using 0"
-                    )
-                if record:
-                    node_trace.triggers.append(
-                        TriggerRecord(definition.name, definition.delta, beta, missing)
-                    )
-            elif record:
-                node_trace.triggers.append(TriggerRecord(definition.name, definition.delta))
-            carried.append((PendingOperation(definition, node_id, definition.delta, beta), node_id))
+        lemma = form if lemma == surface else lemma.lower()
+        if unindexed or form in words or lemma in words:
+            # Token.bare_deprel, inlined.
+            deprel = deprel.split(":", 1)[0]
+            for definition, forms, pos, deprels in triggers:
+                if forms is not None and form not in forms and lemma not in forms:
+                    continue
+                if pos is not None and upos not in pos:
+                    continue
+                if deprels is not None and deprel not in deprels:
+                    continue
+                beta: float | None = None
+                source = definition.transform.booster_source
+                if source is not None:
+                    beta, missing = _booster_value(source, form, lemma, lists)
+                    if missing:
+                        warnings.append(
+                            f"rule {definition.name}: no booster value for trigger "
+                            f"{surface!r} (token {node_id}); using 0"
+                        )
+                    if record:
+                        node_trace.triggers.append(
+                            TriggerRecord(definition.name, definition.delta, beta, missing)
+                        )
+                elif record:
+                    node_trace.triggers.append(TriggerRecord(definition.name, definition.delta))
+                if carried is None:
+                    carried = []
+                carried.append(
+                    (PendingOperation(definition, node_id, definition.delta, beta), node_id)
+                )
 
+        kids = children[node_id]
         if carried:
             level = LevelState(
-                node_id, lexical, [BranchState(c, bare[c], subtree[c]) for c in kids]
+                node_id,
+                lexical,
+                [BranchState(c, tokens[c - 1].deprel.split(":", 1)[0], subtree[c]) for c in kids],
             )
             ready = [(p, origin) for p, origin in carried if p.remaining == 0]
             climbing = [(p, origin) for p, origin in carried if p.remaining > 0]
             if ready:
                 _apply_batch(ready, level, node_trace, forced=False)
-            if climbing and node_id == tree.root_id:
+            if climbing and node_id == root_id:
                 _apply_batch(climbing, level, node_trace, forced=True)
             elif climbing:
-                climbing_from[node_id] = [p for p, _ in climbing]
+                # Climb one head link: the countdown drops on arrival.
+                queue = queues[head]
+                if queue is None:
+                    queue = queues[head] = []
+                for pending, _ in climbing:
+                    pending.remaining -= 1
+                    queue.append((pending, node_id))
             subtree_so = level.total()
-        else:
+        elif kids:
             # Nothing applies here: total() of an untouched level, with the
             # branch scores summed the same way and a zero adjustment.
             subtree_so = lexical + sum([subtree[c] for c in kids]) + 0.0
+        else:
+            # A leaf: lookup never returns -0.0, so lexical + 0 + 0.0 is lexical.
+            subtree_so = lexical
         subtree[node_id] = subtree_so
         if record:
             node_trace.subtree_so = subtree_so
 
-    sentence_so = subtree[tree.root_id]
-    return SoTrace(traces[1:] if record else [], sentence_so, warnings)
+    return SoTrace(traces[1:] if record else [], subtree[root_id], warnings)

@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .classify import classify_document
 from .conllu import parse_document
+from .engine import compile_rules
 from .errors import ConlluParseError, ManifestError, SisaError, UsageError
 from .lexicon import SentimentLexicon, WordList
 from .operations import OperationDefinition
@@ -127,12 +128,14 @@ def evaluate_configs(
     agreement, one report per configuration in the given order.
 
     Each item is read and parsed once and scored under every configuration
-    before the next item is read, so one document is held at a time. Items
+    before the next item is read, so one document is held at a time. Each
+    configuration's rules are compiled once for the whole manifest. Items
     that cannot be read or parsed are logged once and recorded as errored
     under every configuration, excluded from the accuracy denominator; a
     manifest with no readable items at all is a usage error.
     """
     results: list[list[ItemResult]] = [[] for _ in configs]
+    rules = [compile_rules(cfg.rules) for cfg in configs]
     for item_path, gold in manifest.items:
         try:
             doc = parse_document(
@@ -143,9 +146,9 @@ def evaluate_configs(
             for items in results:
                 items.append(ItemResult(str(item_path), gold, None, None, error=str(exc)))
             continue
-        for items, cfg in zip(results, configs):
+        for items, cfg, cfg_rules in zip(results, configs, rules):
             try:
-                result = classify_document(doc, cfg.lexicon, cfg.rules, lists, agg=agg, tie=tie)
+                result = classify_document(doc, cfg.lexicon, cfg_rules, lists, agg=agg, tie=tie)
             except SisaError as exc:
                 logger.warning("skipping %s under %s: %s", item_path, cfg.config_id, exc)
                 items.append(ItemResult(str(item_path), gold, None, None, error=str(exc)))

@@ -22,7 +22,7 @@ from .errors import (
     UsageError,
     WordListParseError,
 )
-from .util import format_so, read_utf8
+from .util import format_so, read_utf8, utf8_error
 
 logger = logging.getLogger(__name__)
 
@@ -94,16 +94,24 @@ class SentimentLexicon:
 
         Keys are tried in order: (form, upos), (lemma, upos), (form, "*"),
         (lemma, "*"), everything lowercased. The first present key wins;
-        a neutralized entry counts as a hit and contributes 0.
+        a neutralized entry counts as a hit and contributes 0. The lemma
+        keys are probed only when the lemma differs from the form.
         """
+        entries = self.entries
         form = form.lower()
-        lemma = lemma.lower()
-        for key in ((form, upos), (lemma, upos), (form, "*"), (lemma, "*")):
-            hit = self.entries.get(key)
-            if hit is not None:
-                so = hit.so
-                return so if so else 0.0
-        return 0.0
+        hit = entries.get((form, upos))
+        if hit is None:
+            lemma = lemma.lower()
+            if lemma != form:
+                hit = entries.get((lemma, upos))
+            if hit is None:
+                hit = entries.get((form, "*"))
+                if hit is None and lemma != form:
+                    hit = entries.get((lemma, "*"))
+                if hit is None:
+                    return 0.0
+        so = hit.so
+        return so if so else 0.0
 
     def sizes(self) -> dict[str, int]:
         """Entry counts per PoS tag, in the fixed tag order."""
@@ -172,20 +180,25 @@ def load_lexicon(path: str | Path, scale: str = SFU) -> SentimentLexicon:
 
 
 def sniff_scale(path: str | Path) -> str | None:
-    """Return the scale declared in a leading ``# scale: ...`` comment, if any."""
+    """Return the scale declared in a leading ``# scale: ...`` comment, if any.
+
+    Reads only the blank and comment lines before the first entry; a byte
+    that is not UTF-8 after them is :func:`load_lexicon`'s to report.
+    """
     path = Path(path)
-    lines = read_utf8(
-        path, lambda message, line_no: LexiconParseError(message, str(path), line_no)
-    ).split("\n")
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        if not line.startswith("#"):
-            return None
-        body = line.lstrip("#").strip()
-        if body.lower().startswith("scale:"):
-            return body.split(":", 1)[1].strip()
+    with open(path, "rb") as lines:
+        for line_no, raw in enumerate(lines, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise LexiconParseError(utf8_error(exc), str(path), line_no) from None
+            if not line:
+                continue
+            if not line.startswith("#"):
+                return None
+            body = line.lstrip("#").strip()
+            if body.lower().startswith("scale:"):
+                return body.split(":", 1)[1].strip()
     return None
 
 

@@ -484,6 +484,26 @@ class TestStreamedInput:
         assert (code, out) == (3, "")
         assert err == f"sisa: {error}: {path}:2: not valid UTF-8: invalid start byte 0xff\n"
 
+    @pytest.mark.parametrize(
+        "command, position", [("classify", 0), ("evaluate", 0), ("evaluate", 1)]
+    )
+    def test_invalid_utf8_after_the_lexicon_header_exits_3(
+        self, capsys, tmp_path, command, position
+    ):
+        # The scale header is read on its own; the bad byte on line 4 is
+        # reported by the lexicon loader, with the same message and line.
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"# scale: sfu\n\nbueno\tADJ\t2\nmal\xffo\tADJ\t-2\n")
+        lexica = [LEXICON] * position + [bad]
+        flags = [arg for path in lexica for arg in ("--lexicon", path)]
+        if command == "classify":
+            flags += ["--input", FIXTURES / "muy_grande.conllu"]
+        else:
+            flags += ["--corpus", FIXTURES / "corpus" / "manifest.tsv"]
+        code, out, err = run(capsys, command, *flags)
+        assert (code, out) == (3, "")
+        assert err == f"sisa: LexiconParseError: {bad}:4: not valid UTF-8: invalid start byte 0xff\n"
+
     def test_invalid_utf8_in_manifest_exits_3(self, capsys, tmp_path):
         manifest = tmp_path / "manifest.tsv"
         manifest.write_bytes(b"a.conllu\tpositive\nb\xff.conllu\tnegative\n")

@@ -6,8 +6,8 @@ import pytest
 from conftest import DEFAULT_RULES
 from reference import reference_so
 from sisa import DepTree, Token, compute_so, load_rules, read_document
-from sisa.engine import BranchState, LevelState, resolve_scope
-from sisa.lexicon import WordList
+from sisa.engine import BranchState, LevelState, compile_rules, resolve_scope
+from sisa.lexicon import SentimentLexicon, WordList
 from sisa.operations import (
     ALL,
     BRANCH,
@@ -136,7 +136,15 @@ class TestComputeSo:
 class TestGoldenTraces:
     @pytest.mark.parametrize(
         "name",
-        ["muy_grande", "no_es_bonito", "bueno_pero_caro", "no_es_eso", "no_muy_bueno"],
+        [
+            "muy_grande",
+            "no_es_bonito",
+            "bueno_pero_caro",
+            "no_es_eso",
+            "no_muy_bueno",
+            # 'pero' tagged CCONJ, the UD v2 name of CONJ
+            "bueno_pero_caro_ud2",
+        ],
     )
     def test_trace_matches_golden_bytes(
         self, name, fixtures, fixture_lexicon, default_rules, wordlists
@@ -412,3 +420,135 @@ class TestRecordingSwitch:
         wide = build_tree(star_heads(rng, 300), [0] * 300)
         self.same_outcome(wide, lex, defs, valueless)
         assert compute_so(wide, lex, defs, valueless, record=False).warnings
+
+
+def fixture_trees(fixtures):
+    """Every sentence of every CoNLL-U fixture, corpus items included."""
+    paths = sorted(fixtures.glob("*.conllu")) + sorted((fixtures / "corpus").glob("*.conllu"))
+    return [tree for path in paths for tree in read_document(path).sentences]
+
+
+def neutralized_lexicon():
+    """A vocabulary lexicon with a neutralized entry, a wildcard entry and
+    scores whose float sums depend on the order they are added in."""
+    lex = SentimentLexicon(name="neutralized")
+    lex.add("bueno", "ADJ", 0.1)
+    lex.add("malo", "ADJ", -0.7)
+    lex.add("muy", "ADV", 0.2)
+    lex.add("pero", "CONJ", 1.5)
+    lex.add("pero", "CONJ", -1.5)
+    lex.add("si", "*", 0.3)
+    return lex
+
+
+class TestCompiledRules:
+    """A rule set compiled once scores like the plain definitions it came
+    from, and the rule-free pass like the recorded full pass."""
+
+    def same(self, tree, lex, defs, compiled, lists):
+        plain = compute_so(tree, lex, defs, lists)
+        once = compute_so(tree, lex, compiled, lists)
+        assert once.render() == plain.render()
+        assert once.sentence_so.hex() == plain.sentence_so.hex()
+        assert once.warnings == plain.warnings
+        quiet = compute_so(tree, lex, compiled, lists, record=False)
+        assert quiet.sentence_so.hex() == plain.sentence_so.hex()
+
+    def test_reused_across_random_trees(self):
+        lex = neutralized_lexicon()
+        lists = vocab_lists()
+        defs = load_rules(DEFAULT_RULES, lists)
+        compiled = compile_rules(defs)
+        rng = Random(606)
+        for _ in range(400):
+            self.same(random_tree(rng, max_nodes=10), lex, defs, compiled, lists)
+        wide = build_tree(star_heads(rng, 300), [rng.randrange(len(VOCAB)) for _ in range(300)])
+        self.same(wide, lex, defs, compiled, lists)
+        self.same(build_tree(chain_heads(300), [1, 0] * 150), lex, defs, compiled, lists)
+
+    def test_reused_across_fixtures(self, fixtures, fixture_lexicon, default_rules, wordlists):
+        compiled = compile_rules(default_rules)
+        trees = fixture_trees(fixtures)
+        assert len(trees) >= 10
+        for tree in trees:
+            self.same(tree, fixture_lexicon, default_rules, compiled, wordlists)
+
+    def test_compiled_rules_pass_through(self, default_rules):
+        compiled = compile_rules(default_rules)
+        assert compile_rules(compiled) is compiled
+        assert [rule[0] for rule in compiled.triggers] == default_rules
+        assert not compiled.unindexed
+
+    @pytest.mark.parametrize("rules", [(), compile_rules(())], ids=["plain", "compiled"])
+    def test_rule_free_pass_is_bit_equal_to_the_recorded_pass(self, rules):
+        lex = neutralized_lexicon()
+        rng = Random(77)
+        trees = [random_tree(rng, max_nodes=12) for _ in range(300)]
+        trees.append(build_tree(star_heads(rng, 400), [rng.randrange(len(VOCAB)) for _ in range(400)]))
+        trees.append(build_tree(chain_heads(400), [rng.randrange(len(VOCAB)) for _ in range(400)]))
+        for tree in trees:
+            recorded = compute_so(tree, lex, rules)
+            free = compute_so(tree, lex, rules, record=False)
+            assert free.sentence_so.hex() == recorded.sentence_so.hex()
+            assert free.nodes == [] and free.warnings == []
+            assert free.sentence_so == reference_so(tree, lex, ())
+
+    UNINDEXED = """
+[operation]
+name = adjectives
+trigger.forms = *
+trigger.pos = ADJ
+trigger.deprel = amod
+tau = weighting(0.5)
+delta = 1
+priority = 1
+scope = target,all
+
+[operation]
+name = literal
+trigger.forms = NO,Nunca
+trigger.deprel = advmod
+tau = shift(1)
+delta = 1
+priority = 2
+scope = target,subjr,all
+"""
+
+    def test_unindexed_rule_runs_on_every_node(self):
+        lists = vocab_lists()
+        defs = parse_rules(self.UNINDEXED, lists)
+        compiled = compile_rules(defs)
+        assert compiled.unindexed
+        assert compiled.words == {"no", "nunca"}
+        assert not compile_rules(defs[1:]).unindexed
+        lex = neutralized_lexicon()
+        rng = Random(31)
+        fired = set()
+        for _ in range(300):
+            tree = random_tree(rng, max_nodes=9)
+            trace = compute_so(tree, lex, compiled, lists)
+            fired.update(t.rule for node in trace.nodes for t in node.triggers)
+            assert trace.render() == compute_so(tree, lex, defs, lists).render()
+            assert trace.sentence_so == pytest.approx(
+                reference_so(tree, lex, defs, lists), rel=1e-12, abs=1e-12
+            )
+        # 'malo' is the vocabulary's only amod adjective; 'no' its only
+        # literal trigger, matched after lowercasing the rule's forms.
+        assert fired == {"adjectives", "literal"}
+
+    def test_trigger_word_matches_by_lemma_and_case(self):
+        lists = vocab_lists()
+        defs = parse_rules(self.UNINDEXED, lists)[1:]
+        compiled = compile_rules(defs)
+        lex = vocab_lexicon()
+        for form, lemma in (("NO", "no"), ("Nunca", "nunca"), ("jamás", "NUNCA"), ("nop", "nop")):
+            tree = DepTree(
+                (
+                    Token(1, form, lemma, "ADV", 2, "advmod:neg"),
+                    Token(2, "bueno", "bueno", "ADJ", 0, "root"),
+                )
+            )
+            trace = compute_so(tree, lex, compiled, lists)
+            fires = [t.rule for t in trace.nodes[0].triggers]
+            assert fires == ([] if form == "nop" else ["literal"])
+            assert trace.sentence_so == reference_so(tree, lex, defs, lists)

@@ -1,8 +1,14 @@
 
+from math import fsum
+from random import Random
+
 import pytest
 
 import sisa.evaluate as evaluation
-from sisa import ManifestError, UsageError, load_lexicon
+from conftest import DEFAULT_RULES
+from reference import reference_so
+from sisa import ManifestError, UsageError, load_lexicon, load_rules
+from sisa.conllu import serialize_document
 from sisa.evaluate import (
     CorpusManifest,
     EvaluationReport,
@@ -14,6 +20,7 @@ from sisa.evaluate import (
     render_impact,
     render_report,
 )
+from treegen import random_document, vocab_lexicon, vocab_lists
 
 
 @pytest.fixture()
@@ -247,3 +254,38 @@ class TestRendering:
         assert "impact\to_effect_ml\t6.69\n" in text
         assert "impact\tml_effect_no_ops\t2.68\n" in text
         assert "impact\tml_effect_ops\t3.12\n" in text
+
+
+class TestOracleThroughTheMatrix:
+    def test_four_configurations_match_the_reference(self, tmp_path):
+        """Every item score of every configuration, each with its rules
+        compiled once for the manifest, equals the brute-force reference
+        summed over the item's sentences."""
+        lists = vocab_lists()
+        defs = tuple(load_rules(DEFAULT_RULES, lists))
+        single = vocab_lexicon()
+        merged = vocab_lexicon()
+        merged.add("malo", "ADJ", 3.0)  # neutralized
+        merged.add("muy", "*", 0.5)
+        merged.add("pero", "CONJ", -1.0)
+        rng = Random(2017)
+        documents = [random_document(rng, max_sentences=4, max_nodes=9) for _ in range(60)]
+        lines = []
+        for index, doc in enumerate(documents):
+            (tmp_path / f"d{index}.conllu").write_text(serialize_document(doc), encoding="utf-8")
+            lines.append(f"d{index}.conllu\t{'positive' if index % 2 else 'negative'}\n")
+        (tmp_path / "manifest.tsv").write_text("".join(lines), encoding="utf-8")
+        configs = [
+            RunConfig("SL-O", single),
+            RunConfig("SL+O", single, defs),
+            RunConfig("ML-O", merged),
+            RunConfig("ML+O", merged, defs),
+        ]
+        reports = evaluate_configs(load_manifest(tmp_path / "manifest.tsv"), configs, lists)
+        for report, cfg in zip(reports, configs):
+            assert report.errored == 0
+            for item, doc in zip(report.items, documents):
+                want = fsum(reference_so(tree, cfg.lexicon, cfg.rules, lists) for tree in doc.sentences)
+                assert item.so == pytest.approx(want, rel=1e-12, abs=1e-12), (cfg.config_id, item.path)
+                if abs(want) > 1e-9:
+                    assert item.predicted == ("positive" if want > 0 else "negative")

@@ -201,6 +201,61 @@ class TestLookup:
         assert merged.lookup("raro", "raro", "ADJ") == 0.0
         assert merged.lookup("raro", "raro", "NOUN") == 1
 
+    PRECEDENCE = """casa\tNOUN\t1
+casas\t*\t2
+bonito\tADJ\t3
+bonito\t*\t0.5
+bonita\t*\t-1
+raro\t*\t4
+"""
+    # (form, lemma, upos, score): the first present key of (form, upos),
+    # (lemma, upos), (form, *), (lemma, *), all lowercased, wins.
+    PRECEDENCE_TABLE = [
+        ("casa", "casa", "NOUN", 1.0),  # lemma = form
+        ("Casa", "casa", "NOUN", 1.0),  # case variant of the form
+        ("CASA", "CASA", "NOUN", 1.0),  # lemma = form, both upper case
+        ("casa", "casa", "VERB", 0.0),  # no wildcard entry
+        ("casas", "casa", "NOUN", 1.0),  # lemma != form: (lemma, upos)
+        ("casas", "casa", "VERB", 2.0),  # (form, *)
+        ("bonita", "bonito", "ADJ", 3.0),  # (lemma, upos) beats (form, *)
+        ("bonita", "bonito", "NOUN", -1.0),  # (form, *) beats (lemma, *)
+        ("bonitos", "Bonito", "NOUN", 0.5),  # (lemma, *)
+        ("bonito", "bonita", "ADJ", 3.0),  # (form, upos) beats everything
+        ("raro", "raro", "ADJ", 0.0),  # neutralized hit stops the fallback
+        ("rara", "raro", "ADJ", 0.0),  # neutralized lemma hit
+        ("RARO", "Raro", "NOUN", 4.0),  # equal once lowercased
+        ("rara", "raro", "NOUN", 4.0),  # (lemma, *) past a miss on (form, *)
+        ("zzz", "raro", "ADJ", 0.0),  # neutralized lemma hit, absent form
+    ]
+
+    @pytest.fixture()
+    def precedence_lexicon(self, tmp_path):
+        lex = load_lexicon(write(tmp_path, "p.tsv", self.PRECEDENCE))
+        lex.add("raro", "ADJ", 2.0)
+        lex.add("raro", "ADJ", -2.0)
+        return lex
+
+    @pytest.mark.parametrize("form, lemma, upos, score", PRECEDENCE_TABLE)
+    def test_precedence_table(self, precedence_lexicon, form, lemma, upos, score):
+        assert precedence_lexicon.lookup(form, lemma, upos) == score
+
+    def test_every_key_order_against_the_four_probes(self, precedence_lexicon):
+        words = ["casa", "Casas", "bonito", "BONITA", "raro", "Rara", "zzz"]
+        for form in words:
+            for lemma in words:
+                for upos in ("NOUN", "ADJ", "VERB"):
+                    want = 0.0
+                    for key in (
+                        (form.lower(), upos),
+                        (lemma.lower(), upos),
+                        (form.lower(), "*"),
+                        (lemma.lower(), "*"),
+                    ):
+                        if key in precedence_lexicon:
+                            want = precedence_lexicon.entries[key].so
+                            break
+                    assert precedence_lexicon.lookup(form, lemma, upos) == want
+
     def test_zero_scores_come_back_as_positive_zero(self):
         lex = SentimentLexicon(name="z")
         lex.add("nulo", "ADJ", -0.0)
@@ -225,6 +280,26 @@ class TestDumpAndSniff:
         path = write(tmp_path, "l.tsv", "# scale: senticon_raw\nraro\tADJ\t0.5\n")
         assert sniff_scale(path) == "senticon_raw"
         assert sniff_scale(write(tmp_path, "m.tsv", "raro\tADJ\t1\n")) is None
+
+    def test_sniff_scale_stops_at_the_first_entry(self, tmp_path):
+        path = tmp_path / "l.tsv"
+        path.write_bytes(b"# comment\n\n# scale: sfu\nraro\tADJ\t1\nmal\xffo\tADJ\t-1\n")
+        assert sniff_scale(path) == "sfu"
+        path.write_bytes(b"\n# comment\nraro\tADJ\t1\n# scale: sfu\nmal\xffo\tADJ\t-1\n")
+        assert sniff_scale(path) is None
+        with pytest.raises(LexiconParseError, match=":5: not valid UTF-8") as info:
+            load_lexicon(path)
+        assert info.value.line_no == 5
+
+    def test_sniff_scale_reports_bad_utf8_in_the_header(self, tmp_path):
+        path = tmp_path / "l.tsv"
+        path.write_bytes(b"# first\n# scale: s\xc3\nraro\tADJ\t1\n")
+        with pytest.raises(LexiconParseError) as sniffed:
+            sniff_scale(path)
+        with pytest.raises(LexiconParseError) as loaded:
+            load_lexicon(path)
+        assert str(sniffed.value) == str(loaded.value)
+        assert sniffed.value.line_no == 2
 
 
 class TestWordList:

@@ -123,7 +123,7 @@ class TestDefaultRules:
         adv = by_name["adversative"]
         assert (adv.delta, adv.priority) == (1, 1)
         assert adv.transform == Transformation(WEIGHTING, -0.25)
-        assert adv.trigger.pos == frozenset({"CONJ", "SCONJ"})
+        assert adv.trigger.pos == frozenset({"CONJ", "CCONJ", "SCONJ"})
         assert adv.trigger.deprel == frozenset({"cc", "advmod", "mark"})
         assert [s.kind for s in adv.scopes] == [SUBJL]
 
