@@ -67,13 +67,16 @@ class Token(_TokenFields):
 
 @dataclass(frozen=True)
 class DepTree:
-    """A single-rooted, acyclic dependency tree over an ordered token list."""
+    """A single-rooted, acyclic dependency tree over an ordered token list.
+
+    ``dependents[i]`` holds the ids of token i's dependents in surface order,
+    and ``dependents[0]`` is ``(root_id,)``. Walks over every node index it
+    directly; :meth:`children` is the checked lookup of one node.
+    """
 
     tokens: tuple[Token, ...]
     root_id: int = field(init=False, compare=False, repr=False)
-    # _children[i] lists the dependents of token i in surface order;
-    # _children[0] holds the root. The engine indexes it directly.
-    _children: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    dependents: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         tokens = tuple(self.tokens)
@@ -112,7 +115,7 @@ class DepTree:
         if seen != size:
             raise TreeStructureError("head relation contains a cycle")
         object.__setattr__(self, "root_id", roots[0])
-        object.__setattr__(self, "_children", tuple(map(tuple, children)))
+        object.__setattr__(self, "dependents", tuple(map(tuple, children)))
 
     def token(self, token_id: int) -> Token:
         if 0 < token_id <= len(self.tokens):
@@ -121,8 +124,8 @@ class DepTree:
 
     def children(self, token_id: int) -> tuple[int, ...]:
         """Dependents of a node, ordered by surface position."""
-        if 0 < token_id < len(self._children):
-            return self._children[token_id]
+        if 0 < token_id < len(self.dependents):
+            return self.dependents[token_id]
         raise KeyError(token_id)
 
     def __len__(self) -> int:

@@ -22,11 +22,9 @@ A scorer does only the work its rules need:
   constraints, the union of all trigger words, and whether some rule has no
   form constraint. A node runs the rule loop only when its lowercased form or
   lemma is in that union (or such an unconstrained rule exists), and only
-  then is its deprel stripped of its subtype. Callers that score many
+  then is its deprel stripped of its subtype. Without rules (the -O
+  configurations) no node tests the index at all. Callers that score many
   sentences compile once and pass the result wherever definitions go.
-- Without rules and without a trace, scoring is the rule-free pass: the
-  postorder sum of lexical scores, added in the same order as the full pass
-  adds an untouched level, so the floats are bit-identical.
 - An operation that climbs out of a node is queued at its head, so a level
   reads one queue instead of scanning its children's lists. Children finish
   in surface order, which is the order the queue is filled in.
@@ -384,20 +382,6 @@ def compile_rules(defs: Sequence[OperationDefinition] | CompiledRules) -> Compil
     return CompiledRules(tuple(triggers), frozenset(words), unindexed)
 
 
-def _postorder(tree: DepTree) -> list[int]:
-    """Node ids children first, siblings left to right: the reverse of a
-    right-to-left preorder."""
-    children = tree._children
-    order = []
-    stack = [tree.root_id]
-    while stack:
-        node_id = stack.pop()
-        order.append(node_id)
-        stack.extend(children[node_id])
-    order.reverse()
-    return order
-
-
 def compute_so(
     tree: DepTree,
     lex: SentimentLexicon,
@@ -421,36 +405,9 @@ def compute_so(
     of :func:`compile_rules`.
     """
     rules = compile_rules(defs)
-    if not rules.triggers and not record:
-        return SoTrace([], _lexical_sum(tree, lex))
-    return _propagate(tree, lex, rules, lists or {}, record)
-
-
-def _lexical_sum(tree: DepTree, lex: SentimentLexicon) -> float:
-    """The rule-free pass: every node's score is its lexical score plus its
-    children's, summed as :func:`_propagate` sums an untouched level."""
-    lookup = lex.lookup
-    subtree = [0.0]
-    subtree += [lookup(form, lemma, upos) for _, form, lemma, upos, _, _ in tree.tokens]
-    children = tree._children
-    # Leaves keep their lexical score, as in _propagate.
-    for node_id in _postorder(tree):
-        kids = children[node_id]
-        if kids:
-            subtree[node_id] = subtree[node_id] + sum([subtree[c] for c in kids]) + 0.0
-    return subtree[tree.root_id]
-
-
-def _propagate(
-    tree: DepTree,
-    lex: SentimentLexicon,
-    rules: CompiledRules,
-    lists: Mapping[str, WordList],
-    record: bool,
-) -> SoTrace:
-    """The full pass of :func:`compute_so`: triggers, queues and scopes."""
+    lists = lists or {}
     tokens = tree.tokens
-    children = tree._children
+    children = tree.dependents
     root_id = tree.root_id
     lookup = lex.lookup
     triggers = rules.triggers
@@ -464,7 +421,15 @@ def _propagate(
     traces: list[NodeTrace | None] = [None] * size
     warnings: list[str] = []
 
-    for node_id in _postorder(tree):
+    # Reversing a right-to-left preorder gives the left-to-right postorder.
+    order = []
+    stack = [root_id]
+    while stack:
+        node_id = stack.pop()
+        order.append(node_id)
+        stack.extend(children[node_id])
+
+    for node_id in reversed(order):
         _, surface, lemma, upos, head, deprel = tokens[node_id - 1]
         lexical = lookup(surface, lemma, upos)
         node_trace = None
@@ -472,38 +437,39 @@ def _propagate(
             node_trace = traces[node_id] = NodeTrace(node_id, surface, lexical)
         carried = queues[node_id]
 
-        form = surface.lower()
-        lemma = form if lemma == surface else lemma.lower()
-        if unindexed or form in words or lemma in words:
-            # Token.bare_deprel, inlined.
-            deprel = deprel.split(":", 1)[0]
-            for definition, forms, pos, deprels in triggers:
-                if forms is not None and form not in forms and lemma not in forms:
-                    continue
-                if pos is not None and upos not in pos:
-                    continue
-                if deprels is not None and deprel not in deprels:
-                    continue
-                beta: float | None = None
-                source = definition.transform.booster_source
-                if source is not None:
-                    beta, missing = _booster_value(source, form, lemma, lists)
-                    if missing:
-                        warnings.append(
-                            f"rule {definition.name}: no booster value for trigger "
-                            f"{surface!r} (token {node_id}); using 0"
-                        )
-                    if record:
-                        node_trace.triggers.append(
-                            TriggerRecord(definition.name, definition.delta, beta, missing)
-                        )
-                elif record:
-                    node_trace.triggers.append(TriggerRecord(definition.name, definition.delta))
-                if carried is None:
-                    carried = []
-                carried.append(
-                    (PendingOperation(definition, node_id, definition.delta, beta), node_id)
-                )
+        if triggers:
+            form = surface.lower()
+            lemma = form if lemma == surface else lemma.lower()
+            if unindexed or form in words or lemma in words:
+                # Token.bare_deprel, inlined.
+                deprel = deprel.split(":", 1)[0]
+                for definition, forms, pos, deprels in triggers:
+                    if forms is not None and form not in forms and lemma not in forms:
+                        continue
+                    if pos is not None and upos not in pos:
+                        continue
+                    if deprels is not None and deprel not in deprels:
+                        continue
+                    beta: float | None = None
+                    source = definition.transform.booster_source
+                    if source is not None:
+                        beta, missing = _booster_value(source, form, lemma, lists)
+                        if missing:
+                            warnings.append(
+                                f"rule {definition.name}: no booster value for trigger "
+                                f"{surface!r} (token {node_id}); using 0"
+                            )
+                        if record:
+                            node_trace.triggers.append(
+                                TriggerRecord(definition.name, definition.delta, beta, missing)
+                            )
+                    elif record:
+                        node_trace.triggers.append(TriggerRecord(definition.name, definition.delta))
+                    if carried is None:
+                        carried = []
+                    carried.append(
+                        (PendingOperation(definition, node_id, definition.delta, beta), node_id)
+                    )
 
         kids = children[node_id]
         if carried:

@@ -142,8 +142,13 @@ class TestGoldenTraces:
             "bueno_pero_caro",
             "no_es_eso",
             "no_muy_bueno",
-            # 'pero' tagged CCONJ, the UD v2 name of CONJ
-            "bueno_pero_caro_ud2",
+            # 'pero' tagged CCONJ, the UD v2 name of CONJ, in the v1 tree
+            "bueno_pero_caro_cconj",
+            # The UD v2 tree: 'pero' hangs from 'caro', the conjunct after
+            # it. The adversative rule finds no branch on its left and is
+            # discarded, so the sentence scores 0 instead of -0.5. A fix to
+            # the rule shows up as a change to this golden.
+            "bueno_pero_caro_v2_tree",
         ],
     )
     def test_trace_matches_golden_bytes(
@@ -443,7 +448,7 @@ def neutralized_lexicon():
 
 class TestCompiledRules:
     """A rule set compiled once scores like the plain definitions it came
-    from, and the rule-free pass like the recorded full pass."""
+    from, and a pass without a trace like the recorded pass."""
 
     def same(self, tree, lex, defs, compiled, lists):
         plain = compute_so(tree, lex, defs, lists)
@@ -480,7 +485,7 @@ class TestCompiledRules:
         assert not compiled.unindexed
 
     @pytest.mark.parametrize("rules", [(), compile_rules(())], ids=["plain", "compiled"])
-    def test_rule_free_pass_is_bit_equal_to_the_recorded_pass(self, rules):
+    def test_without_rules_the_quiet_pass_is_bit_equal_to_the_recorded_pass(self, rules):
         lex = neutralized_lexicon()
         rng = Random(77)
         trees = [random_tree(rng, max_nodes=12) for _ in range(300)]
