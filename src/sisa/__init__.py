@@ -20,6 +20,7 @@ from .errors import (
     LexiconParseError,
     LexiconRangeError,
     ManifestError,
+    NonFiniteScoreError,
     RuleConfigError,
     ScaleMismatchError,
     SisaError,
@@ -39,6 +40,7 @@ __all__ = [
     "LexiconParseError",
     "LexiconRangeError",
     "ManifestError",
+    "NonFiniteScoreError",
     "RuleConfigError",
     "ScaleMismatchError",
     "SisaError",

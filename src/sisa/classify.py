@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, isfinite
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .conllu import DepTree, Document
 from .engine import CompiledRules, SoTrace, compile_rules, compute_so
-from .errors import UsageError
+from .errors import NonFiniteScoreError, UsageError
 from .lexicon import SentimentLexicon, WordList
 from .operations import OperationDefinition
 
@@ -47,7 +47,8 @@ def document_so(scores: Iterable[float], source_id: str, agg: str = "sum") -> fl
 
     The default aggregation is an unweighted sum (via fsum, so sentence order
     cannot change the result); ``agg="mean"`` divides by the sentence count.
-    A document without sentences is a usage error, checked before ``agg``.
+    A document without sentences is a usage error, checked before ``agg``; a
+    sum that overflows the float range raises :class:`NonFiniteScoreError`.
     """
     count = 0
 
@@ -57,13 +58,18 @@ def document_so(scores: Iterable[float], source_id: str, agg: str = "sum") -> fl
             count += 1
             yield so
 
-    so = fsum(counted())
+    try:
+        so = fsum(counted())
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf + -inf
+        so = float("nan")
     if not count:
         raise UsageError(f"document {source_id!r} has no sentences")
     if agg == "mean":
         so /= count
     elif agg != "sum":
         raise UsageError(f"unknown aggregation {agg!r}")
+    if not isfinite(so):
+        raise NonFiniteScoreError(f"document {source_id!r} score is not finite")
     return so
 
 

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Results go to stdout as tab-separated lines, diagnostics to stderr. Exit
-codes: 0 success, 2 missing file, 3 unparseable input, 4 usage error
-(including scale mismatches). ``classify`` and ``trace`` read their input one
-sentence at a time, so per-sentence output before a malformed sentence has
-already been written when they exit 3.
+codes: 0 success, 2 missing file, 3 unparseable input or a score that is not
+finite, 4 usage error (including scale mismatches). ``classify`` and
+``trace`` read their input one sentence at a time, so per-sentence output
+before a malformed sentence has already been written when they exit 3.
 """
 
 from __future__ import annotations
@@ -110,10 +110,11 @@ def _cmd_trace(args) -> int:
     lexicon, defs, lists = _load_environment(args)
     with _input_lines(args.input) as (lines, source_id):
         for index, tree in enumerate(iter_sentences(lines), 1):
+            trace = compute_so(tree, lexicon, defs, lists)
             if index > 1:
                 print()
             print(f"# {source_id} sentence {index}")
-            print(compute_so(tree, lexicon, defs, lists).render(), end="")
+            print(trace.render(), end="")
     return EXIT_OK
 
 

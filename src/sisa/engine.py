@@ -34,10 +34,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import isfinite
 from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .conllu import DepTree
+from .errors import NonFiniteScoreError
 from .lexicon import SentimentLexicon, WordList
 from .operations import (
     ALL,
@@ -402,7 +404,8 @@ def compute_so(
     force-applied there. With ``record=False`` the returned trace has no
     nodes; its score and warnings are the same. ``defs`` may be plain
     definitions or, to skip compiling them for every sentence, the result
-    of :func:`compile_rules`.
+    of :func:`compile_rules`. A sentence score that overflows to infinity or
+    NaN raises :class:`NonFiniteScoreError`.
     """
     rules = compile_rules(defs)
     lists = lists or {}
@@ -504,4 +507,7 @@ def compute_so(
         if record:
             node_trace.subtree_so = subtree_so
 
-    return SoTrace(traces[1:] if record else [], subtree[root_id], warnings)
+    sentence_so = subtree[root_id]
+    if not isfinite(sentence_so):
+        raise NonFiniteScoreError(f"sentence score {sentence_so} is not finite")
+    return SoTrace(traces[1:] if record else [], sentence_so, warnings)

@@ -65,6 +65,10 @@ class ManifestError(SisaError):
         self.line_no = line_no
 
 
+class NonFiniteScoreError(SisaError):
+    """A sentence or document score overflowed to infinity or NaN."""
+
+
 class UsageError(SisaError):
     """An operation was invoked with arguments that make no sense together."""
 
@@ -73,7 +77,7 @@ class ScaleMismatchError(UsageError):
     """Lexica on different value scales were combined without rescaling."""
 
 
-#: Errors that mean "the input file could not be understood" (CLI exit 3).
+#: Errors that mean "the input could not be understood or scored" (CLI exit 3).
 PARSE_ERRORS = (
     ConlluParseError,
     TreeStructureError,
@@ -82,4 +86,5 @@ PARSE_ERRORS = (
     WordListParseError,
     RuleConfigError,
     ManifestError,
+    NonFiniteScoreError,
 )

@@ -1,9 +1,10 @@
 """Sentiment lexica and trigger word lists.
 
-A lexicon maps (entry, pos) keys to signed scores whose magnitude lives on a
-1-to-5 scale for subjective words. Raw scores with magnitude at most 1 (the
-"senticon_raw" scale) are rescaled onto that range at load time. Merging
-keeps (sum, count) provenance so that averaging stays associative and
+A lexicon is a flat table from (entry, pos) keys to signed scores whose
+magnitude lives on a 1-to-5 scale for subjective words. Raw scores with
+magnitude at most 1 (the "senticon_raw" scale) are rescaled onto that range
+at load time. Keys averaged from more than one contribution also keep their
+(sum, count) provenance, so that merging stays count-weighted and
 order-independent.
 """
 
@@ -22,7 +23,7 @@ from .errors import (
     UsageError,
     WordListParseError,
 )
-from .util import format_so, read_utf8, utf8_error
+from .util import read_utf8, utf8_error
 
 logger = logging.getLogger(__name__)
 
@@ -47,47 +48,34 @@ def scale_senticon(so_raw: float) -> float:
     return math.copysign(1.0 + 4.0 * abs(so_raw), so_raw)
 
 
-@dataclass(slots=True)
-class LexiconEntry:
-    """One (entry, pos) key with merge provenance.
-
-    ``so_sum`` is the sum of every score that ever contributed to this key
-    and ``count`` how many there were, so the effective score is their mean
-    and re-merging stays order-independent.
-    """
-
-    entry: str
-    pos: str
-    so_sum: float
-    count: int
-
-    @property
-    def so(self) -> float:
-        return self.so_sum / self.count
-
-    @property
-    def neutralized(self) -> bool:
-        """True when contributions cancelled out exactly; ignored by lookup."""
-        return self.so == 0.0
-
-
 @dataclass
 class SentimentLexicon:
-    """Mapping from (lowercased entry, pos) to scored entries."""
+    """Mapping from (lowercased entry, pos) to scores.
+
+    ``scores`` holds each key's effective score: the mean of every
+    contribution, computed once, with -0.0 folded to 0.0. A key whose
+    contributions cancelled out stays in the table at 0.0 (neutralized), so
+    that it still stops the lookup fallback. ``provenance`` keeps the
+    ``(sum, count)`` of the keys whose count is not 1, the only ones whose
+    sum differs from their score; :func:`merge_lexica` weights by it.
+    """
 
     name: str
     scale: str = SFU
-    entries: dict[tuple[str, str], LexiconEntry] = field(default_factory=dict)
+    scores: dict[tuple[str, str], float] = field(default_factory=dict)
+    provenance: dict[tuple[str, str], tuple[float, int]] = field(default_factory=dict)
 
     def add(self, entry: str, pos: str, so: float, count: int = 1) -> None:
         """Fold one contribution (or a pre-aggregated sum) into the lexicon."""
         key = (entry, pos)
-        existing = self.entries.get(key)
-        if existing is None:
-            self.entries[key] = LexiconEntry(entry, pos, so, count)
-        else:
-            existing.so_sum += so
-            existing.count += count
+        old = self.scores.get(key)
+        if old is not None:
+            so_sum, old_count = self.provenance.get(key, (old, 1))
+            so = so_sum + so
+            count += old_count
+        if count != 1:
+            self.provenance[key] = (so, count)
+        self.scores[key] = so / count or 0.0
 
     def lookup(self, form: str, lemma: str, upos: str) -> float:
         """Score for a token, 0.0 when absent.
@@ -97,34 +85,33 @@ class SentimentLexicon:
         a neutralized entry counts as a hit and contributes 0. The lemma
         keys are probed only when the lemma differs from the form.
         """
-        entries = self.entries
+        scores = self.scores
         form = form.lower()
-        hit = entries.get((form, upos))
-        if hit is None:
+        so = scores.get((form, upos))
+        if so is None:
             lemma = lemma.lower()
             if lemma != form:
-                hit = entries.get((lemma, upos))
-            if hit is None:
-                hit = entries.get((form, "*"))
-                if hit is None and lemma != form:
-                    hit = entries.get((lemma, "*"))
-                if hit is None:
+                so = scores.get((lemma, upos))
+            if so is None:
+                so = scores.get((form, "*"))
+                if so is None and lemma != form:
+                    so = scores.get((lemma, "*"))
+                if so is None:
                     return 0.0
-        so = hit.so
-        return so if so else 0.0
+        return so
 
     def sizes(self) -> dict[str, int]:
         """Entry counts per PoS tag, in the fixed tag order."""
         counts = {pos: 0 for pos in POS_TAGS}
-        for _, pos in self.entries:
+        for _, pos in self.scores:
             counts[pos] = counts.get(pos, 0) + 1
         return counts
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.scores)
 
     def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self.entries
+        return key in self.scores
 
 
 def load_lexicon(path: str | Path, scale: str = SFU) -> SentimentLexicon:
@@ -133,12 +120,16 @@ def load_lexicon(path: str | Path, scale: str = SFU) -> SentimentLexicon:
     ``scale`` declares the scale of the file's scores. senticon_raw scores
     must have magnitude at most 1 and are rescaled before storage, so the
     returned lexicon is always on the sfu scale. Duplicate (entry, pos) lines
-    are merged by averaging; zero-valued lines are dropped.
+    are merged by averaging, summed in file order; zero-valued lines are
+    dropped.
     """
     if scale not in SCALES:
         raise UsageError(f"unknown lexicon scale {scale!r}")
     path = Path(path)
     lexicon = SentimentLexicon(name=path.stem, scale=SFU)
+    scores = lexicon.scores
+    rescale = scale == SENTICON_RAW
+    limit = 1.0 if rescale else 5.0
     lines = read_utf8(
         path, lambda message, line_no: LexiconParseError(message, str(path), line_no)
     ).split("\n")
@@ -158,24 +149,21 @@ def load_lexicon(path: str | Path, scale: str = SFU) -> SentimentLexicon:
             so = float(so_text)
         except ValueError:
             raise LexiconParseError(f"non-numeric score {so_text!r}", str(path), line_no) from None
-        if not math.isfinite(so):
-            raise LexiconParseError(f"non-finite score {so_text!r}", str(path), line_no)
-        if scale == SENTICON_RAW:
-            if abs(so) > 1:
-                raise LexiconRangeError(
-                    f"score {so} outside [-1, 1] for scale senticon_raw", str(path), line_no
-                )
-            if so == 0:
-                continue
+        if not abs(so) <= limit:  # also true for NaN
+            if not math.isfinite(so):
+                raise LexiconParseError(f"non-finite score {so_text!r}", str(path), line_no)
+            raise LexiconRangeError(
+                f"score {so} outside [-{limit:g}, {limit:g}] for scale {scale}", str(path), line_no
+            )
+        if not so:
+            continue
+        if rescale:
             so = scale_senticon(so)
+        key = (entry.lower(), pos)
+        if key in scores:
+            lexicon.add(key[0], pos, so)
         else:
-            if abs(so) > 5:
-                raise LexiconRangeError(
-                    f"score {so} outside [-5, 5] for scale sfu", str(path), line_no
-                )
-            if so == 0:
-                continue
-        lexicon.add(entry.lower(), pos, so)
+            scores[key] = so
     return lexicon
 
 
@@ -205,10 +193,12 @@ def sniff_scale(path: str | Path) -> str | None:
 def merge_lexica(sources: Sequence[SentimentLexicon], name: str) -> SentimentLexicon:
     """Average lexica entry-wise, weighting by contribution counts.
 
-    The merged (sum, count) pair per key is the component-wise total over all
-    sources (summed with :func:`math.fsum`, so source order cannot change the
-    result). Keys whose contributions cancel to exactly 0 are retained as
-    neutralized entries so that merge statistics stay auditable.
+    A key found in one source keeps its score and provenance. For a key
+    shared by several sources the merged (sum, count) pair is the
+    component-wise total over them, the sums added with :func:`math.fsum` so
+    that source order cannot change the result. Keys whose contributions
+    cancel to exactly 0 are retained as neutralized entries so that merge
+    statistics stay auditable.
     """
     if not sources:
         raise UsageError("merge requires at least one source lexicon")
@@ -218,14 +208,21 @@ def merge_lexica(sources: Sequence[SentimentLexicon], name: str) -> SentimentLex
                 f"lexicon {lex.name!r} is on scale {lex.scale!r}; rescale it first"
             )
     merged = SentimentLexicon(name=name, scale=SFU)
-    keys: set[tuple[str, str]] = set()
+    scores = merged.scores
+    provenance = merged.provenance
+    shared: set[tuple[str, str]] = set()
     for lex in sources:
-        keys.update(lex.entries)
-    for key in sorted(keys):
-        contributions = [lex.entries[key] for lex in sources if key in lex.entries]
-        so_sum = math.fsum(entry.so_sum for entry in contributions)
-        count = sum(entry.count for entry in contributions)
-        merged.add(key[0], key[1], so_sum, count)
+        shared.update(scores.keys() & lex.scores.keys())
+        scores.update(lex.scores)
+        provenance.update(lex.provenance)
+    for key in shared:
+        parts = [
+            lex.provenance.get(key) or (lex.scores[key], 1) for lex in sources if key in lex.scores
+        ]
+        so_sum = math.fsum(part[0] for part in parts)
+        count = sum(part[1] for part in parts)
+        provenance[key] = (so_sum, count)
+        scores[key] = so_sum / count or 0.0
     return merged
 
 
@@ -235,10 +232,10 @@ def dump_lexicon(lexicon: SentimentLexicon) -> str:
     Only the effective score survives; provenance counts are not part of the
     schema, so chain merges should be done in one call to keep the weighting.
     """
-    lines = [f"# scale: {lexicon.scale}\n"]
-    for (entry, pos), item in sorted(lexicon.entries.items()):
-        lines.append(f"{entry}\t{pos}\t{format_so(item.so)}\n")
-    return "".join(lines)
+    scores = lexicon.scores
+    # format_so's rendering, inlined: the table holds no -0.0 to normalize.
+    lines = [f"{key[0]}\t{key[1]}\t{scores[key]:.12g}\n" for key in sorted(scores)]
+    return f"# scale: {lexicon.scale}\n" + "".join(lines)
 
 
 @dataclass

@@ -36,15 +36,15 @@ def source_scores(sources):
     """Each key's effective score in every source that has it."""
     scores = {}
     for source in sources:
-        for key, entry in source.entries.items():
-            scores.setdefault(key, []).append(entry.so)
+        for key, so in source.scores.items():
+            scores.setdefault(key, []).append(so)
     return scores
 
 
 def _check_within(merged, contributions):
-    for key, entry in merged.entries.items():
+    for key, so in merged.scores.items():
         values = contributions[key]
-        assert min(values) - 1e-12 <= entry.so <= max(values) + 1e-12
+        assert min(values) - 1e-12 <= so <= max(values) + 1e-12
 
 
 def check_merge_order_independent(sources, shuffled, contributions):
@@ -52,9 +52,7 @@ def check_merge_order_independent(sources, shuffled, contributions):
     scores, and each merged score lies within its ``contributions``."""
     merged = merge_lexica(sources, name="m")
     permuted = merge_lexica(shuffled, name="m")
-    assert {k: e.so for k, e in merged.entries.items()} == {
-        k: e.so for k, e in permuted.entries.items()
-    }
+    assert merged.scores == permuted.scores
     _check_within(merged, contributions)
 
 

@@ -68,7 +68,7 @@ def test_criterion_1_reference_arithmetic():
         sfu = SentimentLexicon(name="sfu")
         sfu.add("abandonat", "ADJ", -3.0)
         merged = merge_lexica([senticon, sfu], name="ca")
-        assert merged.entries[("abandonat", "ADJ")].so == pytest.approx(-2.4375, abs=1e-12)
+        assert merged.scores[("abandonat", "ADJ")] == pytest.approx(-2.4375, abs=1e-12)
 
 
 def _report(config_id, correct, total=10000, name="bench"):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -246,7 +247,36 @@ class TestMergeLexicon:
         assert "abandonat\tADJ\t-3\n" in target.read_text(encoding="utf-8")
 
 
+    @pytest.mark.parametrize(
+        "golden, inputs",
+        [
+            ("merge_lexicon_ca.tsv", [("senticon_ca.tsv", "senticon_raw"), ("sfu_ca.tsv", "sfu")]),
+            (
+                "merge_lexicon_all.tsv",
+                [
+                    ("senticon_ca.tsv", "senticon_raw"),
+                    ("sfu_ca.tsv", "sfu"),
+                    ("lexicon.tsv", "sfu"),
+                    ("corpus/lexicon_ml.tsv", "sfu"),
+                ],
+            ),
+        ],
+    )
+    def test_golden_output(self, capsys, fixtures, golden, inputs):
+        argv = ["merge-lexicon"]
+        argv += [arg for name, _ in inputs for arg in ("--lexicon", fixtures / name)]
+        argv += [arg for _, scale in inputs for arg in ("--scale", scale)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode("utf-8") == (fixtures / "golden" / golden).read_bytes()
+
+
 class TestScaleSenticon:
+    def test_golden_output(self, capsys, fixtures):
+        code, out, _ = run(capsys, "scale-senticon", "--input", fixtures / "senticon_ca.tsv")
+        assert code == 0
+        assert out.encode("utf-8") == (fixtures / "golden" / "scale_senticon_ca.tsv").read_bytes()
+
     def test_rescale(self, capsys, fixtures):
         code, out, _ = run(capsys, "scale-senticon", "--input", fixtures / "senticon_ca.tsv")
         assert code == 0
@@ -565,6 +595,89 @@ class TestStreamedInput:
         assert (code, out, err) == (4, "", "sisa: document 'empty' has no sentences\n")
         argv = ("classify", *ENGINE, "--granularity", "sentence", "--input", path)
         assert run(capsys, *argv) == (0, "", "")
+
+
+def huge_weighting_rules(tmp_path, beta):
+    """An intensification of "muy" by (1 + beta): near the float maximum it
+    overflows a sentence (1e308) or a two-sentence document sum (9e307)."""
+    path = tmp_path / f"huge_{beta}.rules"
+    path.write_text(
+        "[operation]\nname = intensification\ntrigger.forms = muy\ntrigger.pos = ADV\n"
+        f"trigger.deprel = advmod\ntau = weighting({beta})\ndelta = 1\npriority = 3\n"
+        "scope = target\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+class TestNonFiniteScores:
+    """A score past the float range is a typed error (exit 3), never a label."""
+
+    @pytest.fixture()
+    def two(self, tmp_path):
+        path = tmp_path / "two.conllu"
+        sentence = (FIXTURES / "muy_grande.conllu").read_text(encoding="utf-8")
+        path.write_text(sentence + "\n" + sentence, encoding="utf-8")
+        return path
+
+    def classify(self, capsys, tmp_path, beta, path, *flags):
+        rules = huge_weighting_rules(tmp_path, beta)
+        argv = ("classify", "--lexicon", LEXICON, "--rules", rules, "--input", path, *flags)
+        return run(capsys, *argv)
+
+    def test_document_sum_overflow_exits_3(self, capsys, tmp_path, two):
+        assert self.classify(capsys, tmp_path, "9e307", two) == (
+            3, "", "sisa: NonFiniteScoreError: document 'two' score is not finite\n"
+        )
+        # Each sentence on its own is finite.
+        code, out, _ = self.classify(capsys, tmp_path, "9e307", two, "--granularity", "sentence")
+        assert (code, out) == (0, "two:1\t1.683e+308\tpositive\ntwo:2\t1.683e+308\tpositive\n")
+
+    @pytest.mark.parametrize("granularity", ["doc", "sentence"])
+    def test_infinite_sentence_exits_3(self, capsys, tmp_path, two, granularity):
+        assert self.classify(capsys, tmp_path, "1e308", two, "--granularity", granularity) == (
+            3, "", "sisa: NonFiniteScoreError: sentence score inf is not finite\n"
+        )
+
+    def test_trace_prints_nothing_for_an_infinite_sentence(self, capsys, tmp_path, two):
+        rules = huge_weighting_rules(tmp_path, "1e308")
+        argv = ("trace", "--lexicon", LEXICON, "--rules", rules, "--input", two)
+        assert run(capsys, *argv) == (
+            3, "", "sisa: NonFiniteScoreError: sentence score inf is not finite\n"
+        )
+
+    @pytest.mark.parametrize(
+        "beta, bad", [("9e307", {"twice"}), ("1e308", {"twice", "pos_clean"})]
+    )
+    def test_evaluate_errors_only_the_bad_items(self, capsys, tmp_path, caplog, two, beta, bad):
+        corpus = FIXTURES / "corpus"
+        for path in corpus.iterdir():
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        two.rename(tmp_path / "twice.conllu")
+        with open(tmp_path / "manifest.tsv", "a", encoding="utf-8") as manifest:
+            manifest.write("twice.conllu\tpositive\n")
+        report = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys,
+            "evaluate",
+            "--corpus", tmp_path / "manifest.tsv",
+            "--lexicon", LEXICON,
+            "--rules", huge_weighting_rules(tmp_path, beta),
+            "--report", report,
+        )
+        assert code == 0
+        without, with_rules = json.loads(report.read_text(encoding="utf-8"))["reports"]
+        assert without["errored"] == 0 and without["total"] == 5
+        assert with_rules["errored"] == len(bad) and with_rules["total"] == 5 - len(bad)
+        for item in with_rules["items"]:
+            stem = item["path"].rsplit("/", 1)[-1].removesuffix(".conllu")
+            if stem in bad:
+                assert item["predicted"] is None and "not finite" in item["error"]
+            else:
+                assert item["predicted"] is not None and math.isfinite(item["so"])
+        skipped = sorted(r.getMessage() for r in caplog.records if "not finite" in r.getMessage())
+        assert len(skipped) == len(bad)
+        assert all(" under SL+O: " in message for message in skipped)
 
 
 class _Discard:

@@ -58,21 +58,20 @@ class TestScaleSenticon:
 class TestLoadLexicon:
     def test_sfu_line(self, tmp_path):
         lex = load_lexicon(write(tmp_path, "l.tsv", "abandonat\tADJ\t-3\n"))
-        assert lex.entries[("abandonat", "ADJ")].so == -3
+        assert lex.scores[("abandonat", "ADJ")] == -3
         assert lex.scale == "sfu"
 
     def test_senticon_raw_rescaled_at_load(self, tmp_path):
         lex = load_lexicon(
             write(tmp_path, "l.tsv", "abandonat\tADJ\t-0.21875\n"), scale="senticon_raw"
         )
-        assert lex.entries[("abandonat", "ADJ")].so == -1.875
+        assert lex.scores[("abandonat", "ADJ")] == -1.875
         assert lex.scale == "sfu"
 
     def test_duplicates_merge_by_averaging(self, tmp_path):
         lex = load_lexicon(write(tmp_path, "l.tsv", "raro\tADJ\t2\nraro\tADJ\t4\n"))
-        entry = lex.entries[("raro", "ADJ")]
-        assert entry.so == 3
-        assert entry.count == 2
+        assert lex.scores[("raro", "ADJ")] == 3
+        assert lex.provenance[("raro", "ADJ")] == (6.0, 2)
 
     def test_non_numeric_score_is_parse_error(self, tmp_path):
         with pytest.raises(LexiconParseError) as err:
@@ -120,7 +119,7 @@ class TestMerge:
         )
         sfu = load_lexicon(write(tmp_path, "b.tsv", "abandonat\tADJ\t-3\n"))
         merged = merge_lexica([senticon, sfu], name="ca")
-        assert merged.entries[("abandonat", "ADJ")].so == -2.4375
+        assert merged.scores[("abandonat", "ADJ")] == -2.4375
 
     def test_espantoso_mean_of_three(self, tmp_path):
         sources = [
@@ -129,29 +128,27 @@ class TestMerge:
         ]
         merged = merge_lexica(sources, name="combined")
         expected = math.fsum([-4.1075, -3.125, 5.0]) / 3
-        assert merged.entries[("espantoso", "ADJ")].so == pytest.approx(expected, abs=1e-12)
+        assert merged.scores[("espantoso", "ADJ")] == pytest.approx(expected, abs=1e-12)
 
     def test_single_source_identity(self, tmp_path):
         lex = load_lexicon(write(tmp_path, "l.tsv", "raro\tADJ\t2\nfeo\tADJ\t-1\n"))
         merged = merge_lexica([lex], name="same")
-        assert {k: e.so for k, e in merged.entries.items()} == {
-            k: e.so for k, e in lex.entries.items()
-        }
+        assert merged.scores == lex.scores
 
     def test_count_weighting(self, tmp_path):
         # Two contributions of 2 against one of 5: mean is 3, not 3.5.
         doubled = load_lexicon(write(tmp_path, "a.tsv", "raro\tADJ\t2\nraro\tADJ\t2\n"))
         single = load_lexicon(write(tmp_path, "b.tsv", "raro\tADJ\t5\n"))
         merged = merge_lexica([doubled, single], name="m")
-        assert merged.entries[("raro", "ADJ")].so == 3
-        assert merged.entries[("raro", "ADJ")].count == 3
+        assert merged.scores[("raro", "ADJ")] == 3
+        assert merged.provenance[("raro", "ADJ")][1] == 3
 
     def test_exact_cancellation_is_retained_neutralized(self, tmp_path):
         pos = load_lexicon(write(tmp_path, "a.tsv", "vessar\tADJ\t2\n"))
         neg = load_lexicon(write(tmp_path, "b.tsv", "vessar\tADJ\t-2\n"))
         merged = merge_lexica([pos, neg], name="m")
-        entry = merged.entries[("vessar", "ADJ")]
-        assert entry.neutralized
+        assert ("vessar", "ADJ") in merged
+        assert merged.scores[("vessar", "ADJ")] == 0.0
         assert merged.lookup("vessar", "vessar", "ADJ") == 0.0
 
     def test_scale_mixing_rejected(self):
@@ -252,7 +249,7 @@ raro\t*\t4
                         (lemma.lower(), "*"),
                     ):
                         if key in precedence_lexicon:
-                            want = precedence_lexicon.entries[key].so
+                            want = precedence_lexicon.scores[key]
                             break
                     assert precedence_lexicon.lookup(form, lemma, upos) == want
 
@@ -272,8 +269,8 @@ class TestDumpAndSniff:
     def test_dump_reload_preserves_effective_scores(self, tmp_path, fixture_lexicon):
         path = write(tmp_path, "out.tsv", dump_lexicon(fixture_lexicon))
         again = load_lexicon(path)
-        assert {k: e.so for k, e in again.entries.items()} == {
-            k: pytest.approx(e.so, rel=1e-11) for k, e in fixture_lexicon.entries.items()
+        assert again.scores == {
+            k: pytest.approx(so, rel=1e-11) for k, so in fixture_lexicon.scores.items()
         }
 
     def test_sniff_scale_header(self, tmp_path):

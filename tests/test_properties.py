@@ -2,9 +2,10 @@
 acceptance module, these favor shrinking and odd corners during development.
 Both drivers assert each shared property through ``property_checks``."""
 
+import math
 from random import Random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import DEFAULT_RULES
 from property_checks import (
@@ -18,10 +19,10 @@ from property_checks import (
     check_weighting_linear,
     source_scores,
 )
-from sisa import Document, compute_so, load_rules
+from sisa import Document, NonFiniteScoreError, classify_document, compute_so, load_rules
 from sisa.lexicon import SentimentLexicon
 from sisa.operations import apply_weighting
-from treegen import random_document, random_tree, vocab_lexicon, vocab_lists
+from treegen import random_document, random_tree, shaped_tree, vocab_lexicon, vocab_lists
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 nonzero = finite.filter(lambda x: x != 0)
@@ -138,3 +139,27 @@ def test_zero_lexicon_keeps_zero_unless_shift_fires(tree):
             if app.before == 0.0:
                 assert app.scope == "all" and app.backoff
                 assert app.after == -4.0
+
+
+@settings(deadline=None, max_examples=6)
+@given(
+    shape=st.sampled_from(("star", "chain")),
+    n=st.sampled_from((1, 500, 4000, 16000, 32000)),
+    seed=st.integers(0, 2**16),
+)
+@example(shape="chain", n=32000, seed=1)  # NaN at the root
+@example(shape="star", n=32000, seed=1)  # -inf at the root
+def test_long_shapes_score_finite_or_raise_the_typed_error(shape, n, seed):
+    """A score is finite or a NonFiniteScoreError, for a sentence and for a
+    document of that sentence twice."""
+    tree = shaped_tree(Random(seed), n, shape)
+    rules = load_rules(DEFAULT_RULES, LISTS)
+    for score in (
+        lambda: compute_so(tree, LEX, rules, LISTS, record=False).sentence_so,
+        lambda: classify_document(Document((tree, tree)), LEX, rules, LISTS).so,
+    ):
+        try:
+            so = score()
+        except NonFiniteScoreError:
+            continue
+        assert math.isfinite(so)

@@ -100,3 +100,16 @@ def random_document(rng: Random, max_sentences: int = 4, max_nodes: int = 6) -> 
         tuple(random_tree(rng, max_nodes) for _ in range(count)),
         source_id=f"doc{rng.randrange(10_000)}",
     )
+
+
+def shaped_tree(rng: Random, n: int, shape: str) -> DepTree:
+    """A star (every token on one root) or a chain (each token heads the
+    next) of ``n`` tokens over the fixture vocabulary."""
+    root = rng.randint(1, n) if shape == "star" else n
+    heads = []
+    for position in range(1, n + 1):
+        if shape == "star":
+            heads.append(0 if position == root else root)
+        else:
+            heads.append(0 if position == n else position + 1)
+    return build_tree(heads, [rng.randrange(len(VOCAB)) for _ in range(n)])
