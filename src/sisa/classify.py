@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, isfinite
-from typing import Iterable, Iterator, Mapping, Sequence
+from fractions import Fraction
+from math import fsum, isfinite, nan
+from typing import Iterable, Mapping, Sequence
 
 from .conllu import DepTree, Document
 from .engine import CompiledRules, SoTrace, compile_rules, compute_so
@@ -45,29 +46,32 @@ def polarity_label(so: float, tie: str) -> str:
 def document_so(scores: Iterable[float], source_id: str, agg: str = "sum") -> float:
     """Aggregate sentence scores, read once in order, into a document score.
 
-    The default aggregation is an unweighted sum (via fsum, so sentence order
-    cannot change the result); ``agg="mean"`` divides by the sentence count.
-    A document without sentences is a usage error, checked before ``agg``; a
-    sum that overflows the float range raises :class:`NonFiniteScoreError`.
+    The default aggregation is an unweighted sum, correctly rounded from the
+    exact sum of the scores, so sentence order cannot change the result;
+    ``agg="mean"`` divides it by the sentence count. A document without
+    sentences is a usage error, checked before ``agg``; a result past the
+    float range raises :class:`NonFiniteScoreError`.
     """
-    count = 0
-
-    def counted() -> Iterator[float]:
-        nonlocal count
-        for so in scores:
-            count += 1
-            yield so
-
-    try:
-        so = fsum(counted())
-    except (OverflowError, ValueError):  # an intermediate overflow, or inf + -inf
-        so = float("nan")
-    if not count:
+    scores = list(scores)
+    if not scores:
         raise UsageError(f"document {source_id!r} has no sentences")
-    if agg == "mean":
-        so /= count
-    elif agg != "sum":
+    if agg not in ("sum", "mean"):
         raise UsageError(f"unknown aggregation {agg!r}")
+    try:
+        so = fsum(scores)
+        if agg == "mean":
+            so /= len(scores)
+    except OverflowError:
+        # fsum gives up when a partial sum leaves the float range, even where
+        # the total (or the mean) is back inside it. The exact rational sum
+        # has no partial sums; the float() of a Fraction rounds correctly.
+        try:
+            exact = sum(map(Fraction, scores), Fraction())
+            so = float(exact / len(scores) if agg == "mean" else exact)
+        except (OverflowError, ValueError):  # the result, or a score, is not finite
+            so = nan
+    except ValueError:  # inf + -inf
+        so = nan
     if not isfinite(so):
         raise NonFiniteScoreError(f"document {source_id!r} score is not finite")
     return so

@@ -129,10 +129,13 @@ def evaluate_configs(
 
     Each item is read and parsed once and scored under every configuration
     before the next item is read, so one document is held at a time. Each
-    configuration's rules are compiled once for the whole manifest. Items
-    that cannot be read or parsed are logged once and recorded as errored
-    under every configuration, excluded from the accuracy denominator; a
-    manifest with no readable items at all is a usage error.
+    configuration's rules are compiled once for the whole manifest. An item
+    that cannot be read or parsed, or that fails to score under any one
+    configuration (a :class:`NonFiniteScoreError`, say), is logged once and
+    recorded as errored under every configuration, so all reports count the
+    same items and stay comparable in :func:`compare_configs`. Errored items
+    are excluded from the accuracy denominator; a manifest with no readable
+    items at all is a usage error.
     """
     results: list[list[ItemResult]] = [[] for _ in configs]
     rules = [compile_rules(cfg.rules) for cfg in configs]
@@ -141,18 +144,16 @@ def evaluate_configs(
             doc = parse_document(
                 read_utf8(Path(item_path), ConlluParseError), source_id=Path(item_path).stem
             )
+            scored = [
+                classify_document(doc, cfg.lexicon, cfg_rules, lists, agg=agg, tie=tie)
+                for cfg, cfg_rules in zip(configs, rules)
+            ]
         except (OSError, SisaError) as exc:
             logger.warning("skipping %s: %s", item_path, exc)
             for items in results:
                 items.append(ItemResult(str(item_path), gold, None, None, error=str(exc)))
             continue
-        for items, cfg, cfg_rules in zip(results, configs, rules):
-            try:
-                result = classify_document(doc, cfg.lexicon, cfg_rules, lists, agg=agg, tie=tie)
-            except SisaError as exc:
-                logger.warning("skipping %s under %s: %s", item_path, cfg.config_id, exc)
-                items.append(ItemResult(str(item_path), gold, None, None, error=str(exc)))
-                continue
+        for items, result in zip(results, scored):
             items.append(ItemResult(str(item_path), gold, result.label, result.so))
     return [_report(manifest, cfg, items) for cfg, items in zip(configs, results)]
 

@@ -23,7 +23,7 @@ from .errors import (
     UsageError,
     WordListParseError,
 )
-from .util import read_utf8, utf8_error
+from .util import format_so, read_utf8, utf8_error
 
 logger = logging.getLogger(__name__)
 
@@ -233,8 +233,7 @@ def dump_lexicon(lexicon: SentimentLexicon) -> str:
     schema, so chain merges should be done in one call to keep the weighting.
     """
     scores = lexicon.scores
-    # format_so's rendering, inlined: the table holds no -0.0 to normalize.
-    lines = [f"{key[0]}\t{key[1]}\t{scores[key]:.12g}\n" for key in sorted(scores)]
+    lines = [f"{key[0]}\t{key[1]}\t{format_so(scores[key])}\n" for key in sorted(scores)]
     return f"# scale: {lexicon.scale}\n" + "".join(lines)
 
 

@@ -1,13 +1,21 @@
+import itertools
+import math
+
 import pytest
 
 from sisa import (
     Document,
+    NonFiniteScoreError,
     UsageError,
     classify_document,
     classify_sentence,
     parse_document,
     read_document,
 )
+from sisa.classify import document_so
+
+INF = float("inf")
+NAN = float("nan")
 
 
 def doc_of(*texts, source="d"):
@@ -110,3 +118,37 @@ class TestDocument:
             classify_document(doc, fixture_lexicon, []).so
             == classify_document(flipped, fixture_lexicon, []).so
         )
+
+
+class TestDocumentSoRange:
+    """Document aggregation near the float maximum: only a result past the
+    range is an error, whatever the order of the sentences."""
+
+    @pytest.mark.parametrize(
+        "scores", list(itertools.permutations([1e308, 1e308, -1e308]))
+    )
+    def test_overflowing_partial_sum_with_finite_total(self, scores):
+        assert document_so(scores, "d") == 1e308
+
+    def test_exact_total_is_correctly_rounded(self):
+        # fsum's partials overflow; the tiny score must survive the cancellation.
+        assert document_so([1e308, 1e308, 5e-324, -1e308, -1e308], "d") == 5e-324
+
+    def test_mean_of_scores_whose_sum_overflows(self):
+        assert math.isinf(1.683e308 * 2)
+        assert document_so([1.683e308, 1.683e308], "d", "mean") == 1.683e308
+        # Halving these is exact, so the sum of the halves is the rounded mean.
+        assert document_so([1.7e308, 1.6e308], "d", "mean") == 1.7e308 / 2 + 1.6e308 / 2
+
+    def test_sum_past_the_range_raises(self):
+        with pytest.raises(NonFiniteScoreError):
+            document_so([1.683e308, 1.683e308], "d")
+
+    @pytest.mark.parametrize("agg", ["sum", "mean"])
+    @pytest.mark.parametrize(
+        "scores",
+        [[1e308, 1e308, INF], [INF, -INF], [NAN], [1e308, 1e308, NAN]],
+    )
+    def test_non_finite_score_raises(self, scores, agg):
+        with pytest.raises(NonFiniteScoreError):
+            document_so(scores, "d", agg)

@@ -646,38 +646,61 @@ class TestNonFiniteScores:
             3, "", "sisa: NonFiniteScoreError: sentence score inf is not finite\n"
         )
 
+    def test_document_mean_back_in_range(self, capsys, tmp_path, two):
+        # The sum overflows, the mean of the two sentences does not.
+        code, out, _ = self.classify(capsys, tmp_path, "9e307", two, "--agg", "mean")
+        assert (code, out) == (0, "two\t1.683e+308\tpositive\n")
+
     @pytest.mark.parametrize(
-        "beta, bad", [("9e307", {"twice"}), ("1e308", {"twice", "pos_clean"})]
+        "beta, ml, bad",
+        [
+            ("9e307", False, {"twice"}),
+            ("1e308", False, {"twice", "pos_clean"}),
+            # "grande" scores 2 in the merged lexicon: 9e307 overflows its
+            # sentence under ML+O and pos_clean fails there only.
+            ("9e307", True, {"twice", "pos_clean"}),
+            ("1e308", True, {"twice", "pos_clean"}),
+        ],
     )
-    def test_evaluate_errors_only_the_bad_items(self, capsys, tmp_path, caplog, two, beta, bad):
+    def test_evaluate_errors_the_bad_items_under_every_config(
+        self, capsys, tmp_path, caplog, two, beta, ml, bad
+    ):
         corpus = FIXTURES / "corpus"
         for path in corpus.iterdir():
             (tmp_path / path.name).write_bytes(path.read_bytes())
         two.rename(tmp_path / "twice.conllu")
         with open(tmp_path / "manifest.tsv", "a", encoding="utf-8") as manifest:
             manifest.write("twice.conllu\tpositive\n")
+        lexica = ("--lexicon", LEXICON) + (("--lexicon", corpus / "lexicon_ml.tsv") if ml else ())
         report = tmp_path / "report.json"
-        code, _, _ = run(
+        code, out, _ = run(
             capsys,
             "evaluate",
             "--corpus", tmp_path / "manifest.tsv",
-            "--lexicon", LEXICON,
+            *lexica,
             "--rules", huge_weighting_rules(tmp_path, beta),
             "--report", report,
         )
         assert code == 0
-        without, with_rules = json.loads(report.read_text(encoding="utf-8"))["reports"]
-        assert without["errored"] == 0 and without["total"] == 5
-        assert with_rules["errored"] == len(bad) and with_rules["total"] == 5 - len(bad)
-        for item in with_rules["items"]:
-            stem = item["path"].rsplit("/", 1)[-1].removesuffix(".conllu")
-            if stem in bad:
-                assert item["predicted"] is None and "not finite" in item["error"]
-            else:
-                assert item["predicted"] is not None and math.isfinite(item["so"])
-        skipped = sorted(r.getMessage() for r in caplog.records if "not finite" in r.getMessage())
-        assert len(skipped) == len(bad)
-        assert all(" under SL+O: " in message for message in skipped)
+        summary = json.loads(report.read_text(encoding="utf-8"))
+        assert len(summary["reports"]) == (4 if ml else 2)
+        for config in summary["reports"]:
+            assert (config["errored"], config["total"]) == (len(bad), 5 - len(bad))
+            for item in config["items"]:
+                stem = item["path"].rsplit("/", 1)[-1].removesuffix(".conllu")
+                if stem in bad:
+                    assert item["predicted"] is None and "not finite" in item["error"]
+                else:
+                    assert item["predicted"] is not None and math.isfinite(item["so"])
+        impact = [line.split("\t")[1] for line in out.splitlines() if line.startswith("impact\t")]
+        assert impact == (
+            ["o_effect_sl", "o_effect_ml", "ml_effect_no_ops", "ml_effect_ops"] if ml else []
+        )
+        assert (summary["impact"] is not None) == ml
+        skipped = [r.getMessage() for r in caplog.records if "not finite" in r.getMessage()]
+        assert sorted(m.split()[1].rsplit("/", 1)[-1] for m in skipped) == sorted(
+            f"{stem}.conllu:" for stem in bad
+        )
 
 
 class _Discard:
