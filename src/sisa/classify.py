@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import fsum, isfinite, nan
 from typing import Iterable, Mapping, Sequence
 
@@ -65,6 +64,9 @@ def document_so(scores: Iterable[float], source_id: str, agg: str = "sum") -> fl
         # fsum gives up when a partial sum leaves the float range, even where
         # the total (or the mean) is back inside it. The exact rational sum
         # has no partial sums; the float() of a Fraction rounds correctly.
+        # Imported here: only this rare path needs it.
+        from fractions import Fraction
+
         try:
             exact = sum(map(Fraction, scores), Fraction())
             so = float(exact / len(scores) if agg == "mean" else exact)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -195,6 +194,8 @@ def _cmd_evaluate(args) -> int:
     if impact is not None:
         sys.stdout.write(render_impact(impact))
     if args.report:
+        import json  # only --report needs it
+
         Path(args.report).write_text(
             json.dumps(summary_dict(reports, impact), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",

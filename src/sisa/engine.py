@@ -28,6 +28,11 @@ A scorer does only the work its rules need:
 - An operation that climbs out of a node is queued at its head, so a level
   reads one queue instead of scanning its children's lists. Children finish
   in surface order, which is the order the queue is filled in.
+- A node builds a :class:`LevelState`, with its branch list, only when an
+  operation is dequeued there: a countdown at 0, or anything left at the
+  root. Operations still counting down pass straight on to the head's queue,
+  and every other node sums its branches as an untouched level would. A
+  batch of one operation is not sorted.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import isfinite
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .conllu import DepTree
 from .errors import NonFiniteScoreError
@@ -139,8 +144,7 @@ class LevelState:
         return None
 
 
-@dataclass(frozen=True)
-class ScopeSelection:
+class ScopeSelection(NamedTuple):
     """Outcome of scope resolution: which spec matched and, for branch-like
     scopes, which branch it selected."""
 
@@ -305,7 +309,8 @@ def _apply_batch(
     """Dequeue a batch at one level: higher priority first, then leftmost
     trigger. Transformed constituents stay visible to later operations.
     Applications are recorded into ``node_trace`` when one is given."""
-    batch.sort(key=lambda item: (-item[0].definition.priority, item[0].trigger_id))
+    if len(batch) > 1:
+        batch.sort(key=lambda item: (-item[0].definition.priority, item[0].trigger_id))
     for pending, origin_id in batch:
         name = pending.definition.name
         selection = resolve_scope(pending.definition.scopes, level, origin_id)
@@ -475,26 +480,36 @@ def compute_so(
                     )
 
         kids = children[node_id]
+        ready = forced = None
         if carried:
+            # An operation at 0 is dequeued here. At the root every other one
+            # is forced after that batch; elsewhere it climbs one head link
+            # in the same pass, and its countdown drops on arrival.
+            if node_id == root_id:
+                ready = [item for item in carried if item[0].remaining == 0]
+                forced = [item for item in carried if item[0].remaining > 0]
+            else:
+                ready = []
+                queue = queues[head]
+                for item in carried:
+                    pending = item[0]
+                    if pending.remaining:
+                        pending.remaining -= 1
+                        if queue is None:
+                            queue = queues[head] = []
+                        queue.append((pending, node_id))
+                    else:
+                        ready.append(item)
+        if ready or forced:
             level = LevelState(
                 node_id,
                 lexical,
                 [BranchState(c, tokens[c - 1].deprel.split(":", 1)[0], subtree[c]) for c in kids],
             )
-            ready = [(p, origin) for p, origin in carried if p.remaining == 0]
-            climbing = [(p, origin) for p, origin in carried if p.remaining > 0]
             if ready:
                 _apply_batch(ready, level, node_trace, forced=False)
-            if climbing and node_id == root_id:
-                _apply_batch(climbing, level, node_trace, forced=True)
-            elif climbing:
-                # Climb one head link: the countdown drops on arrival.
-                queue = queues[head]
-                if queue is None:
-                    queue = queues[head] = []
-                for pending, _ in climbing:
-                    pending.remaining -= 1
-                    queue.append((pending, node_id))
+            if forced:
+                _apply_batch(forced, level, node_trace, forced=True)
             subtree_so = level.total()
         elif kids:
             # Nothing applies here: total() of an untouched level, with the

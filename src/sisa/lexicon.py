@@ -66,8 +66,14 @@ class SentimentLexicon:
     provenance: dict[tuple[str, str], tuple[float, int]] = field(default_factory=dict)
 
     def add(self, entry: str, pos: str, so: float, count: int = 1) -> None:
-        """Fold one contribution (or a pre-aggregated sum) into the lexicon."""
-        key = (entry, pos)
+        """Fold one contribution (or a pre-aggregated sum) into the lexicon.
+
+        The entry is lowercased, as :func:`load_lexicon` does; a PoS tag
+        outside ``POS_TAGS`` is a :class:`UsageError`.
+        """
+        if pos not in POS_TAGS:
+            raise UsageError(f"unknown PoS tag {pos!r}; a lexicon key takes one of {POS_TAGS}")
+        key = (entry.lower(), pos)
         old = self.scores.get(key)
         if old is not None:
             so_sum, old_count = self.provenance.get(key, (old, 1))

@@ -440,8 +440,8 @@ def neutralized_lexicon():
     lex.add("bueno", "ADJ", 0.1)
     lex.add("malo", "ADJ", -0.7)
     lex.add("muy", "ADV", 0.2)
-    lex.add("pero", "CONJ", 1.5)
-    lex.add("pero", "CONJ", -1.5)
+    lex.add("pero", "*", 1.5)
+    lex.add("pero", "*", -1.5)
     lex.add("si", "*", 0.3)
     return lex
 

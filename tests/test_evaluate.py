@@ -267,7 +267,7 @@ class TestOracleThroughTheMatrix:
         merged = vocab_lexicon()
         merged.add("malo", "ADJ", 3.0)  # neutralized
         merged.add("muy", "*", 0.5)
-        merged.add("pero", "CONJ", -1.0)
+        merged.add("pero", "*", -1.0)
         rng = Random(2017)
         documents = [random_document(rng, max_sentences=4, max_nodes=9) for _ in range(60)]
         lines = []

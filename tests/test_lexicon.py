@@ -169,6 +169,25 @@ class TestMerge:
         assert len(merged) == 3
 
 
+class TestAdd:
+    def test_entry_is_lowercased_like_a_loaded_line(self, tmp_path):
+        lex = SentimentLexicon(name="mem")
+        lex.add("Bueno", "ADJ", 2.0)
+        lex.add("BUENO", "ADJ", 1.0)
+        assert lex.lookup("Bueno", "bueno", "ADJ") == 1.5
+        assert list(lex.scores) == [("bueno", "ADJ")]
+        loaded = load_lexicon(write(tmp_path, "l.tsv", "Bueno\tADJ\t2.0\nBUENO\tADJ\t1.0\n"))
+        assert lex.scores == loaded.scores and lex.provenance == loaded.provenance
+
+    @pytest.mark.parametrize("pos", ["adj", "CONJ", "", "ADJ "])
+    def test_unknown_pos_tag_is_a_usage_error(self, pos):
+        lex = SentimentLexicon(name="mem")
+        with pytest.raises(UsageError, match="PoS tag"):
+            lex.add("bueno", pos, 1.0)
+        assert len(lex) == 0
+        assert lex.sizes() == {"ADJ": 0, "NOUN": 0, "ADV": 0, "VERB": 0, "*": 0}
+
+
 class TestLookup:
     def test_form_hit(self, fixture_lexicon):
         assert fixture_lexicon.lookup("Grande", "grande", "ADJ") == 1.87
