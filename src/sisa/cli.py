@@ -76,16 +76,22 @@ def _input_lines(path_text: str) -> Iterator[tuple[TextIO, str]]:
         lines.detach()  # leaves sys.stdin open
 
 
+def _load_inputs(args) -> tuple:
+    """Load the word lists, then the rules, then every --lexicon, in that
+    order, so that the first broken input decides the exit code of every
+    scoring command; returns (lists, rule definitions, lexica)."""
+    lists = load_wordlists(args.lists) if args.lists else {}
+    rules = tuple(load_rules(args.rules, lists)) if args.rules else ()
+    return lists, rules, [load_lexicon(path) for path in args.lexicon]
+
+
 def _load_environment(args) -> tuple:
-    """Load the lexicon, word lists and rules named by common flags; the
-    rules come compiled, once for the whole run."""
+    """The one lexicon, the rules compiled once for the whole run, and the
+    word lists of ``classify`` and ``trace``."""
     if len(args.lexicon) > 1:
         raise UsageError(f"{args.subcommand} takes one --lexicon input, got {len(args.lexicon)}")
-    lists = load_wordlists(args.lists) if args.lists else {}
-    (path,) = args.lexicon
-    lexicon = load_lexicon(path, sniff_scale(path) or SFU)
-    defs = compile_rules(load_rules(args.rules, lists) if args.rules else ())
-    return lexicon, defs, lists
+    lists, rules, (lexicon,) = _load_inputs(args)
+    return lexicon, compile_rules(rules), lists
 
 
 def _cmd_classify(args) -> int:
@@ -153,7 +159,7 @@ def _write_output(text: str, output: str | None) -> None:
 def _cmd_merge_lexicon(args) -> int:
     scales = _effective_scales(args.lexicon, args.scale)
     lexica = [load_lexicon(path, scale) for path, scale in zip(args.lexicon, scales)]
-    merged = merge_lexica(lexica, name=args.name)
+    merged = merge_lexica(lexica, name="merged")
     _write_output(dump_lexicon(merged), args.output)
     sizes = merged.sizes()
     for pos in POS_TAGS:
@@ -171,21 +177,14 @@ def _cmd_scale_senticon(args) -> int:
 def _cmd_evaluate(args) -> int:
     if len(args.lexicon) > 2:
         raise UsageError("evaluate takes at most two --lexicon inputs (single, multilingual)")
+    lists, rules, lexica = _load_inputs(args)
     manifest = load_manifest(args.corpus)
-    lists = load_wordlists(args.lists) if args.lists else {}
-    rules = tuple(load_rules(args.rules, lists)) if args.rules else ()
-    single = load_lexicon(args.lexicon[0], sniff_scale(args.lexicon[0]) or SFU)
-    merged = None
-    if len(args.lexicon) == 2:
-        merged = load_lexicon(args.lexicon[1], sniff_scale(args.lexicon[1]) or SFU)
 
-    configs = [RunConfig("SL-O", single)]
-    if rules:
-        configs.append(RunConfig("SL+O", single, rules))
-    if merged is not None:
-        configs.append(RunConfig("ML-O", merged))
+    configs = []
+    for lexicon, (without_ops, with_ops) in zip(lexica, (("SL-O", "SL+O"), ("ML-O", "ML+O"))):
+        configs.append(RunConfig(without_ops, lexicon))
         if rules:
-            configs.append(RunConfig("ML+O", merged, rules))
+            configs.append(RunConfig(with_ops, lexicon, rules))
 
     reports = evaluate_configs(manifest, configs, lists, agg=args.agg, tie=args.tie)
     for report in reports:
@@ -239,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scale of the inputs: give once for all, or once per --lexicon",
     )
     merge.add_argument("--output", metavar="PATH", help="write here instead of stdout")
-    merge.add_argument("--name", default="merged", help="name of the merged lexicon")
     merge.set_defaults(func=_cmd_merge_lexicon)
 
     scale = sub.add_parser("scale-senticon", help="rescale a raw lexicon onto the 1-5 scale")

@@ -148,13 +148,9 @@ def _is_number(text: str) -> bool:
     return text.isdecimal() and text.isascii()
 
 
-def _is_range_id(text: str) -> bool:
-    left, sep, right = text.partition("-")
-    return bool(sep) and _is_number(left) and _is_number(right)
-
-
-def _is_empty_node_id(text: str) -> bool:
-    left, sep, right = text.partition(".")
+def _is_number_pair(text: str, separator: str) -> bool:
+    """A multiword range ("1-2", separator "-") or an empty node ("1.1", ".")."""
+    left, sep, right = text.partition(separator)
     return bool(sep) and _is_number(left) and _is_number(right)
 
 
@@ -206,7 +202,7 @@ def iter_sentences(lines: Iterable[str]) -> Iterator[DepTree]:
             id_text = columns[0]
             if id_text.isdecimal() and id_text.isascii():
                 token_id = int(id_text)
-            elif _is_range_id(id_text) or _is_empty_node_id(id_text):
+            elif _is_number_pair(id_text, "-") or _is_number_pair(id_text, "."):
                 continue
             else:
                 raise ConlluParseError(f"non-integer token id {id_text!r}", line_no)

@@ -25,44 +25,33 @@ class TreeStructureError(SisaError):
         self.sentence_index = sentence_index
 
 
-class LexiconParseError(SisaError):
+class _FileLineError(SisaError):
+    """An input file line is at fault; the message starts ``path:line:``."""
+
+    def __init__(self, message: str, path: str, line_no: int):
+        super().__init__(f"{path}:{line_no}: {message}")
+        self.path = path
+        self.line_no = line_no
+
+
+class LexiconParseError(_FileLineError):
     """A sentiment lexicon line is malformed."""
 
-    def __init__(self, message: str, path: str, line_no: int):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path = path
-        self.line_no = line_no
 
-
-class LexiconRangeError(SisaError):
+class LexiconRangeError(_FileLineError):
     """A sentiment score lies outside the declared scale."""
 
-    def __init__(self, message: str, path: str, line_no: int):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path = path
-        self.line_no = line_no
 
-
-class WordListParseError(SisaError):
+class WordListParseError(_FileLineError):
     """A trigger word list line is malformed."""
-
-    def __init__(self, message: str, path: str, line_no: int):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path = path
-        self.line_no = line_no
 
 
 class RuleConfigError(SisaError):
     """The rule configuration file is invalid."""
 
 
-class ManifestError(SisaError):
+class ManifestError(_FileLineError):
     """A corpus manifest line is malformed."""
-
-    def __init__(self, message: str, path: str, line_no: int):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path = path
-        self.line_no = line_no
 
 
 class NonFiniteScoreError(SisaError):

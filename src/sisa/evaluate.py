@@ -9,7 +9,7 @@ folded into an impact table of pairwise percentage-point differences.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -35,7 +35,7 @@ class CorpusManifest:
     items: tuple[tuple[Path, str], ...]
 
 
-def load_manifest(path: str | Path, name: str | None = None) -> CorpusManifest:
+def load_manifest(path: str | Path) -> CorpusManifest:
     """Load a ``relative/path.conllu<TAB>label`` manifest.
 
     Relative paths resolve against the manifest's own directory.
@@ -62,7 +62,7 @@ def load_manifest(path: str | Path, name: str | None = None) -> CorpusManifest:
         if not resolved.is_absolute():
             resolved = base / resolved
         items.append((resolved, label))
-    return CorpusManifest(name=name or path.stem, items=tuple(items))
+    return CorpusManifest(name=path.stem, items=tuple(items))
 
 
 @dataclass(frozen=True)
@@ -232,13 +232,9 @@ def render_report(report: EvaluationReport, verbose: bool = False) -> str:
 
 def render_impact(impact: ImpactTable) -> str:
     """Tab-separated impact lines, one per pairwise difference."""
-    rows = (
-        ("o_effect_sl", impact.o_effect_sl),
-        ("o_effect_ml", impact.o_effect_ml),
-        ("ml_effect_no_ops", impact.ml_effect_no_ops),
-        ("ml_effect_ops", impact.ml_effect_ops),
+    return "".join(
+        f"impact\t{key}\t{format_so(value)}\n" for key, value in asdict(impact).items()
     )
-    return "".join(f"impact\t{key}\t{format_so(value)}\n" for key, value in rows)
 
 
 def summary_dict(
@@ -267,12 +263,5 @@ def summary_dict(
             }
             for report in reports
         ],
-        "impact": None
-        if impact is None
-        else {
-            "o_effect_sl": impact.o_effect_sl,
-            "o_effect_ml": impact.o_effect_ml,
-            "ml_effect_no_ops": impact.ml_effect_no_ops,
-            "ml_effect_ops": impact.ml_effect_ops,
-        },
+        "impact": None if impact is None else asdict(impact),
     }

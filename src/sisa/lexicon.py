@@ -19,7 +19,6 @@ from typing import Sequence
 from .errors import (
     LexiconParseError,
     LexiconRangeError,
-    ScaleMismatchError,
     UsageError,
     WordListParseError,
 )
@@ -61,7 +60,6 @@ class SentimentLexicon:
     """
 
     name: str
-    scale: str = SFU
     scores: dict[tuple[str, str], float] = field(default_factory=dict)
     provenance: dict[tuple[str, str], tuple[float, int]] = field(default_factory=dict)
 
@@ -120,19 +118,22 @@ class SentimentLexicon:
         return key in self.scores
 
 
-def load_lexicon(path: str | Path, scale: str = SFU) -> SentimentLexicon:
+def load_lexicon(path: str | Path, scale: str | None = None) -> SentimentLexicon:
     """Load a ``entry<TAB>pos<TAB>so`` lexicon file.
 
-    ``scale`` declares the scale of the file's scores. senticon_raw scores
-    must have magnitude at most 1 and are rescaled before storage, so the
-    returned lexicon is always on the sfu scale. Duplicate (entry, pos) lines
-    are merged by averaging, summed in file order; zero-valued lines are
-    dropped.
+    ``scale`` declares the scale of the file's scores; without it, the
+    file's ``# scale:`` header decides (:func:`sniff_scale`), and a file
+    without one is on the sfu scale. senticon_raw scores must have magnitude
+    at most 1 and are rescaled before storage, so the returned lexicon is
+    always on the sfu scale. Duplicate (entry, pos) lines are merged by
+    averaging, summed in file order; zero-valued lines are dropped.
     """
+    path = Path(path)
+    if scale is None:
+        scale = sniff_scale(path) or SFU
     if scale not in SCALES:
         raise UsageError(f"unknown lexicon scale {scale!r}")
-    path = Path(path)
-    lexicon = SentimentLexicon(name=path.stem, scale=SFU)
+    lexicon = SentimentLexicon(name=path.stem)
     scores = lexicon.scores
     rescale = scale == SENTICON_RAW
     limit = 1.0 if rescale else 5.0
@@ -208,12 +209,7 @@ def merge_lexica(sources: Sequence[SentimentLexicon], name: str) -> SentimentLex
     """
     if not sources:
         raise UsageError("merge requires at least one source lexicon")
-    for lex in sources:
-        if lex.scale != SFU:
-            raise ScaleMismatchError(
-                f"lexicon {lex.name!r} is on scale {lex.scale!r}; rescale it first"
-            )
-    merged = SentimentLexicon(name=name, scale=SFU)
+    merged = SentimentLexicon(name=name)
     scores = merged.scores
     provenance = merged.provenance
     shared: set[tuple[str, str]] = set()
@@ -240,7 +236,7 @@ def dump_lexicon(lexicon: SentimentLexicon) -> str:
     """
     scores = lexicon.scores
     lines = [f"{key[0]}\t{key[1]}\t{format_so(scores[key])}\n" for key in sorted(scores)]
-    return f"# scale: {lexicon.scale}\n" + "".join(lines)
+    return f"# scale: {SFU}\n" + "".join(lines)
 
 
 @dataclass
@@ -260,10 +256,10 @@ class WordList:
         return self.words.get(word)
 
 
-def load_wordlist(path: str | Path, name: str | None = None) -> WordList:
+def load_wordlist(path: str | Path) -> WordList:
     """Load a word list file: one ``entry`` or ``entry<TAB>value`` per line."""
     path = Path(path)
-    wordlist = WordList(name=name or path.stem)
+    wordlist = WordList(name=path.stem)
     lines = read_utf8(
         path, lambda message, line_no: WordListParseError(message, str(path), line_no)
     ).split("\n")

@@ -150,9 +150,7 @@ _KNOWN_KEYS = {
 
 def _parse_scope(text: str, rule: str) -> ScopeSpec:
     text = text.strip()
-    if text == TARGET:
-        return ScopeSpec(TARGET)
-    if text in (SUBJL, SUBJR, ALL):
+    if text in (TARGET, SUBJL, SUBJR, ALL):
         return ScopeSpec(text)
     branch = _BRANCH_RE.match(text)
     if branch:
@@ -166,16 +164,21 @@ def _parse_set(value: str) -> frozenset[str] | None:
     return frozenset(item.strip() for item in value.split(",") if item.strip())
 
 
+def _list_name(reference: str, rule: str, lists: Mapping[str, WordList]) -> str:
+    """The name of the word list an ``@name`` reference points to."""
+    name = reference[1:]
+    if name not in lists:
+        raise RuleConfigError(f"rule {rule!r}: missing word list @{name}")
+    return name
+
+
 def _parse_forms(
     value: str, rule: str, lists: Mapping[str, WordList]
 ) -> WordList | frozenset[str] | None:
     if value == "*":
         return None
     if value.startswith("@"):
-        name = value[1:]
-        if name not in lists:
-            raise RuleConfigError(f"rule {rule!r}: missing word list @{name}")
-        return lists[name]
+        return lists[_list_name(value, rule, lists)]
     return frozenset(item.strip().lower() for item in value.split(",") if item.strip())
 
 
@@ -187,10 +190,7 @@ def _parse_tau(value: str, rule: str, lists: Mapping[str, WordList]) -> Transfor
     if arg.startswith("@"):
         if kind != WEIGHTING:
             raise RuleConfigError(f"rule {rule!r}: shift requires a numeric amount")
-        name = arg[1:]
-        if name not in lists:
-            raise RuleConfigError(f"rule {rule!r}: missing word list @{name}")
-        return Transformation(kind=WEIGHTING, booster_source=name)
+        return Transformation(kind=WEIGHTING, booster_source=_list_name(arg, rule, lists))
     try:
         param = float(arg)
     except ValueError:

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import DEFAULT_RULES, FIXTURES, LISTS_DIR
+from conftest import DEFAULT_RULES, FIXTURES, LISTS_DIR, REPO
 from sisa import (
     classify_document,
     load_lexicon,
@@ -354,6 +354,55 @@ class TestEvaluate:
         )
         assert code == 4
         assert "at most two --lexicon" in err
+
+    def test_golden_output(self, capsys, monkeypatch, tmp_path):
+        # The README's command, run from the repository root.
+        monkeypatch.chdir(REPO)
+        code, out, _ = run(
+            capsys,
+            "evaluate",
+            "--corpus", "tests/fixtures/corpus/manifest.tsv",
+            "--lexicon", "tests/fixtures/lexicon.tsv",
+            "--lexicon", "tests/fixtures/corpus/lexicon_ml.tsv",
+            "--rules", "rules/sisa_default.rules",
+            "--lists", "lists",
+            "--report", tmp_path / "summary.json",
+            "--verbose",
+        )
+        assert code == 0
+        golden = FIXTURES / "golden"
+        assert out.encode("utf-8") == (golden / "evaluate_corpus.txt").read_bytes()
+        report = (tmp_path / "summary.json").read_bytes()
+        assert report == (golden / "evaluate_corpus.json").read_bytes()
+
+
+class TestInputLoading:
+    """Every scoring command loads the word lists, then the rules, then each
+    lexicon, so the same broken inputs fail the same way."""
+
+    @pytest.mark.parametrize("command", ["classify", "trace", "evaluate"])
+    def test_rules_fail_before_a_missing_lexicon(self, capsys, tmp_path, command):
+        rules = tmp_path / "no_tau.rules"
+        rules.write_text("[operation]\nname = neg\nscope = target\n", encoding="utf-8")
+        data = (
+            ("--corpus", FIXTURES / "corpus" / "manifest.tsv")
+            if command == "evaluate"
+            else ("--input", FIXTURES / "muy_grande.conllu")
+        )
+        code, out, err = run(
+            capsys, command, "--lexicon", tmp_path / "missing.tsv", "--rules", rules, *data
+        )
+        assert (code, out) == (3, "")
+        assert err == "sisa: RuleConfigError: rule 'neg': missing required key 'tau'\n"
+
+    def test_library_and_classify_agree_on_the_header_scale(self, capsys, tmp_path):
+        lexicon = tmp_path / "raw.tsv"
+        lexicon.write_text("# scale: senticon_raw\ngrande\tADJ\t0.5\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "classify", "--lexicon", lexicon, "--input", FIXTURES / "muy_grande.conllu"
+        )
+        assert (code, out) == (0, "muy_grande\t3\tpositive\n")
+        assert load_lexicon(lexicon).lookup("grande", "grande", "ADJ") == 3.0
 
 
 class TestByteOrderMark:

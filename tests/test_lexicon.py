@@ -5,7 +5,6 @@ import pytest
 from sisa import (
     LexiconParseError,
     LexiconRangeError,
-    ScaleMismatchError,
     UsageError,
     WordListParseError,
     load_lexicon,
@@ -59,14 +58,12 @@ class TestLoadLexicon:
     def test_sfu_line(self, tmp_path):
         lex = load_lexicon(write(tmp_path, "l.tsv", "abandonat\tADJ\t-3\n"))
         assert lex.scores[("abandonat", "ADJ")] == -3
-        assert lex.scale == "sfu"
 
     def test_senticon_raw_rescaled_at_load(self, tmp_path):
         lex = load_lexicon(
             write(tmp_path, "l.tsv", "abandonat\tADJ\t-0.21875\n"), scale="senticon_raw"
         )
         assert lex.scores[("abandonat", "ADJ")] == -1.875
-        assert lex.scale == "sfu"
 
     def test_duplicates_merge_by_averaging(self, tmp_path):
         lex = load_lexicon(write(tmp_path, "l.tsv", "raro\tADJ\t2\nraro\tADJ\t4\n"))
@@ -111,6 +108,13 @@ class TestLoadLexicon:
         with pytest.raises(UsageError):
             load_lexicon(write(tmp_path, "l.tsv", "raro\tADJ\t1\n"), scale="volts")
 
+    def test_header_decides_the_scale_unless_one_is_given(self, tmp_path):
+        path = write(tmp_path, "l.tsv", "# scale: senticon_raw\nraro\tADJ\t0.5\n")
+        assert load_lexicon(path).scores[("raro", "ADJ")] == 3.0
+        assert load_lexicon(path, "sfu").scores[("raro", "ADJ")] == 0.5
+        with pytest.raises(UsageError, match="volts"):
+            load_lexicon(write(tmp_path, "v.tsv", "# scale: volts\nraro\tADJ\t1\n"))
+
 
 class TestMerge:
     def test_abandonat_cross_lexicon_merge(self, tmp_path):
@@ -150,12 +154,6 @@ class TestMerge:
         assert ("vessar", "ADJ") in merged
         assert merged.scores[("vessar", "ADJ")] == 0.0
         assert merged.lookup("vessar", "vessar", "ADJ") == 0.0
-
-    def test_scale_mixing_rejected(self):
-        raw = SentimentLexicon(name="raw", scale="senticon_raw")
-        ok = SentimentLexicon(name="ok")
-        with pytest.raises(ScaleMismatchError):
-            merge_lexica([ok, raw], name="m")
 
     def test_empty_source_list_rejected(self):
         with pytest.raises(UsageError):
