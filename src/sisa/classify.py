@@ -30,16 +30,15 @@ class PolarityResult:
 
 
 def polarity_label(so: float, tie: str) -> str:
-    """Label a score by its sign; ``tie`` ("pos" or "neg") labels an exact 0."""
+    """Label a score by its sign; ``tie`` ("pos" or "neg") labels an exact 0.
+    An unknown ``tie`` is a usage error whatever the score."""
+    if tie not in ("pos", "neg"):
+        raise UsageError(f"unknown tie rule {tie!r}")
     if so > 0:
         return POSITIVE
     if so < 0:
         return NEGATIVE
-    if tie == "pos":
-        return POSITIVE
-    if tie == "neg":
-        return NEGATIVE
-    raise UsageError(f"unknown tie rule {tie!r}")
+    return POSITIVE if tie == "pos" else NEGATIVE
 
 
 def document_so(scores: Iterable[float], source_id: str, agg: str = "sum") -> float:

@@ -1,11 +1,11 @@
 """Queue-and-propagate scoring of dependency trees.
 
-The tree is evaluated bottom-up. Matching nodes instantiate pending
-operations that climb one head link per level; where an instance's countdown
-reaches zero it is dequeued and applied, transforming either the level head's
-lexical score, one child branch's accumulated score, or the whole accumulated
-level. Instances still pending at the root are force-applied there rather
-than dropped.
+The tree is evaluated bottom-up. A rule matching a node instantiates an
+operation that climbs ``delta`` head links and is applied at the level it
+reaches, transforming either the level head's lexical score, one child
+branch's accumulated score, or the whole accumulated level. An operation
+that reaches the root before it has climbed ``delta`` links is force-applied
+there rather than dropped.
 
 A sentence costs time linear in its tokens plus its operations, for every
 tree shape, up to the binary search that places a subjr origin among a
@@ -25,14 +25,14 @@ A scorer does only the work its rules need:
   then is its deprel stripped of its subtype. Without rules (the -O
   configurations) no node tests the index at all. Callers that score many
   sentences compile once and pass the result wherever definitions go.
-- An operation that climbs out of a node is queued at its head, so a level
-  reads one queue instead of scanning its children's lists. Children finish
-  in surface order, which is the order the queue is filled in.
-- A node builds a :class:`LevelState`, with its branch list, only when an
-  operation is dequeued there: a countdown at 0, or anything left at the
-  root. Operations still counting down pass straight on to the head's queue,
-  and every other node sums its branches as an untouched level would. A
-  batch of one operation is not sorted.
+- An operation is resolved once, when it triggers: its climb fixes the
+  level it applies at, the node it enters that level through (its origin)
+  and whether the root cut the climb short (it is forced). It is queued once,
+  at that level, so no node handles an operation that only passes through.
+- A node builds a :class:`LevelState`, with its branch list, only when its
+  queue is not empty, and applies that queue as one batch; every other node
+  sums its branches as an untouched level would. A batch of one operation is
+  not sorted.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .operations import (
     TARGET,
     WEIGHTING,
     OperationDefinition,
-    PendingOperation,
     ScopeSpec,
     apply_shift,
     apply_weighting,
@@ -142,6 +141,23 @@ class LevelState:
                 return candidates[-1]
             candidates.pop()
         return None
+
+
+@dataclass(slots=True)
+class PendingOperation:
+    """A triggered operation, queued at the level where it applies.
+
+    ``origin_id`` is the node through which it entered that level (the
+    trigger itself when ``delta`` is 0), ``forced`` tells whether the root
+    cut its climb short, and ``amount`` is its weighting or shift amount:
+    the rule's own, or the booster value of the trigger word.
+    """
+
+    definition: OperationDefinition
+    trigger_id: int
+    origin_id: int
+    forced: bool
+    amount: float
 
 
 class ScopeSelection(NamedTuple):
@@ -291,29 +307,24 @@ def _booster_value(
 
 
 def _transform(pending: PendingOperation, so: float) -> float:
-    transform = pending.definition.transform
-    if transform.kind == WEIGHTING:
-        beta = transform.param
-        if beta is None:
-            beta = pending.resolved_beta if pending.resolved_beta is not None else 0.0
-        return apply_weighting(beta, so)
-    return apply_shift(transform.param, so)
+    if pending.definition.transform.kind == WEIGHTING:
+        return apply_weighting(pending.amount, so)
+    return apply_shift(pending.amount, so)
 
 
 def _apply_batch(
-    batch: list[tuple[PendingOperation, int]],
-    level: LevelState,
-    node_trace: NodeTrace | None,
-    forced: bool,
+    batch: list[PendingOperation], level: LevelState, node_trace: NodeTrace | None
 ) -> None:
-    """Dequeue a batch at one level: higher priority first, then leftmost
-    trigger. Transformed constituents stay visible to later operations.
-    Applications are recorded into ``node_trace`` when one is given."""
+    """Dequeue a level's operations: forced ones after the rest, then higher
+    priority first, then leftmost trigger. Transformed constituents stay
+    visible to later operations. Applications are recorded into
+    ``node_trace`` when one is given."""
     if len(batch) > 1:
-        batch.sort(key=lambda item: (-item[0].definition.priority, item[0].trigger_id))
-    for pending, origin_id in batch:
+        batch.sort(key=lambda p: (p.forced, -p.definition.priority, p.trigger_id))
+    for pending in batch:
         name = pending.definition.name
-        selection = resolve_scope(pending.definition.scopes, level, origin_id)
+        forced = pending.forced
+        selection = resolve_scope(pending.definition.scopes, level, pending.origin_id)
         if selection is None:
             if node_trace is not None:
                 node_trace.applications.append(
@@ -399,14 +410,13 @@ def compute_so(
 ) -> SoTrace:
     """Score one sentence; with ``record`` (the default), trace every node.
 
-    Post-order over the tree: children are evaluated first; pending
-    operations arriving from a child have their countdown decremented; rules
-    matching the node itself are instantiated with a fresh countdown, in
-    definition order; every instance at zero is dequeued and applied here
-    (higher priority first, leftmost trigger on ties); the level total is
-    the possibly-transformed head score plus all branch scores; instances
-    still counting down climb on, and any left over at the root are
-    force-applied there. With ``record=False`` the returned trace has no
+    Post-order over the tree: children are evaluated first; rules matching
+    the node are instantiated in definition order, each queued at the level
+    ``delta`` head links up, or forced at the root if that comes first; the
+    node's queue is then applied (forced operations last, higher priority
+    first, leftmost trigger on ties); the level total is the
+    possibly-transformed head score plus all branch scores. With
+    ``record=False`` the returned trace has no
     nodes; its score and warnings are the same. ``defs`` may be plain
     definitions or, to skip compiling them for every sentence, the result
     of :func:`compile_rules`. A sentence score that overflows to infinity or
@@ -423,9 +433,8 @@ def compute_so(
     unindexed = rules.unindexed
     size = len(tokens) + 1
     subtree: list[float] = [0.0] * size
-    # queues[h] holds the operations that climbed into h, each with the
-    # child it came through, in the children's surface order.
-    queues: list[list[tuple[PendingOperation, int]] | None] = [None] * size
+    # queues[h] holds the operations that apply at h.
+    queues: list[list[PendingOperation] | None] = [None] * size
     traces: list[NodeTrace | None] = [None] * size
     warnings: list[str] = []
 
@@ -438,12 +447,11 @@ def compute_so(
         stack.extend(children[node_id])
 
     for node_id in reversed(order):
-        _, surface, lemma, upos, head, deprel = tokens[node_id - 1]
+        _, surface, lemma, upos, _, deprel = tokens[node_id - 1]
         lexical = lookup(surface, lemma, upos)
         node_trace = None
         if record:
             node_trace = traces[node_id] = NodeTrace(node_id, surface, lexical)
-        carried = queues[node_id]
 
         if triggers:
             form = surface.lower()
@@ -458,10 +466,11 @@ def compute_so(
                         continue
                     if deprels is not None and deprel not in deprels:
                         continue
-                    beta: float | None = None
+                    delta = definition.delta
+                    amount = definition.transform.param
                     source = definition.transform.booster_source
                     if source is not None:
-                        beta, missing = _booster_value(source, form, lemma, lists)
+                        amount, missing = _booster_value(source, form, lemma, lists)
                         if missing:
                             warnings.append(
                                 f"rule {definition.name}: no booster value for trigger "
@@ -469,47 +478,32 @@ def compute_so(
                             )
                         if record:
                             node_trace.triggers.append(
-                                TriggerRecord(definition.name, definition.delta, beta, missing)
+                                TriggerRecord(definition.name, delta, amount, missing)
                             )
                     elif record:
-                        node_trace.triggers.append(TriggerRecord(definition.name, definition.delta))
-                    if carried is None:
-                        carried = []
-                    carried.append(
-                        (PendingOperation(definition, node_id, definition.delta, beta), node_id)
-                    )
+                        node_trace.triggers.append(TriggerRecord(definition.name, delta))
+                    # Climb up to delta head links; a climb the root cuts
+                    # short is forced there.
+                    target = origin = node_id
+                    climb = delta
+                    while climb and target != root_id:
+                        origin = target
+                        target = tokens[target - 1][4]
+                        climb -= 1
+                    queue = queues[target]
+                    if queue is None:
+                        queue = queues[target] = []
+                    queue.append(PendingOperation(definition, node_id, origin, climb > 0, amount))
 
         kids = children[node_id]
-        ready = forced = None
-        if carried:
-            # An operation at 0 is dequeued here. At the root every other one
-            # is forced after that batch; elsewhere it climbs one head link
-            # in the same pass, and its countdown drops on arrival.
-            if node_id == root_id:
-                ready = [item for item in carried if item[0].remaining == 0]
-                forced = [item for item in carried if item[0].remaining > 0]
-            else:
-                ready = []
-                queue = queues[head]
-                for item in carried:
-                    pending = item[0]
-                    if pending.remaining:
-                        pending.remaining -= 1
-                        if queue is None:
-                            queue = queues[head] = []
-                        queue.append((pending, node_id))
-                    else:
-                        ready.append(item)
-        if ready or forced:
+        batch = queues[node_id]
+        if batch:
             level = LevelState(
                 node_id,
                 lexical,
                 [BranchState(c, tokens[c - 1].deprel.split(":", 1)[0], subtree[c]) for c in kids],
             )
-            if ready:
-                _apply_batch(ready, level, node_trace, forced=False)
-            if forced:
-                _apply_batch(forced, level, node_trace, forced=True)
+            _apply_batch(batch, level, node_trace)
             subtree_so = level.total()
         elif kids:
             # Nothing applies here: total() of an untouched level, with the

@@ -63,8 +63,8 @@ class SentimentLexicon:
     scores: dict[tuple[str, str], float] = field(default_factory=dict)
     provenance: dict[tuple[str, str], tuple[float, int]] = field(default_factory=dict)
 
-    def add(self, entry: str, pos: str, so: float, count: int = 1) -> None:
-        """Fold one contribution (or a pre-aggregated sum) into the lexicon.
+    def add(self, entry: str, pos: str, so: float) -> None:
+        """Fold one contribution into the lexicon.
 
         The entry is lowercased, as :func:`load_lexicon` does; a PoS tag
         outside ``POS_TAGS`` is a :class:`UsageError`.
@@ -73,11 +73,11 @@ class SentimentLexicon:
             raise UsageError(f"unknown PoS tag {pos!r}; a lexicon key takes one of {POS_TAGS}")
         key = (entry.lower(), pos)
         old = self.scores.get(key)
+        count = 1
         if old is not None:
             so_sum, old_count = self.provenance.get(key, (old, 1))
             so = so_sum + so
-            count += old_count
-        if count != 1:
+            count = old_count + 1
             self.provenance[key] = (so, count)
         self.scores[key] = so / count or 0.0
 
@@ -177,8 +177,10 @@ def load_lexicon(path: str | Path, scale: str | None = None) -> SentimentLexicon
 def sniff_scale(path: str | Path) -> str | None:
     """Return the scale declared in a leading ``# scale: ...`` comment, if any.
 
-    Reads only the blank and comment lines before the first entry; a byte
-    that is not UTF-8 after them is :func:`load_lexicon`'s to report.
+    Key and value are both read case-insensitively; a value outside
+    ``SCALES`` is a :class:`LexiconParseError` at the header line. Reads only
+    the blank and comment lines before the first entry; a byte that is not
+    UTF-8 after them is :func:`load_lexicon`'s to report.
     """
     path = Path(path)
     with open(path, "rb") as lines:
@@ -193,7 +195,15 @@ def sniff_scale(path: str | Path) -> str | None:
                 return None
             body = line.lstrip("#").strip()
             if body.lower().startswith("scale:"):
-                return body.split(":", 1)[1].strip()
+                value = body.split(":", 1)[1].strip()
+                scale = value.lower()
+                if scale not in SCALES:
+                    raise LexiconParseError(
+                        f"unknown lexicon scale {value!r}; expected one of {', '.join(SCALES)}",
+                        str(path),
+                        line_no,
+                    )
+                return scale
     return None
 
 

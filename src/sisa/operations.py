@@ -118,21 +118,6 @@ class OperationDefinition:
             raise RuleConfigError(f"rule {self.name!r}: scope list must not be empty")
 
 
-@dataclass(slots=True)
-class PendingOperation:
-    """A triggered operation instance climbing the tree.
-
-    ``remaining`` counts down from the definition's delta; the instance is
-    applied where it reaches 0 (or force-applied at the root). The booster
-    value is snapshotted at trigger time.
-    """
-
-    definition: OperationDefinition
-    trigger_id: int
-    remaining: int
-    resolved_beta: float | None = None
-
-
 _TAU_RE = re.compile(r"^(weighting|shift)\((.+)\)$")
 _BRANCH_RE = re.compile(r"^b\((.+)\)$")
 

@@ -57,6 +57,16 @@ class TestSentence:
         assert classify_sentence(tree, fixture_lexicon, [], tie="neg").label == "negative"
         assert classify_sentence(tree, fixture_lexicon, [], tie="pos").label == "positive"
 
+    def test_unknown_tie_is_refused_for_any_score(self, fixture_lexicon, default_rules, wordlists):
+        for text in (MUY_GRANDE, NO_ES_BONITO, NEUTRAL):
+            tree = parse_document(text).sentences[0]
+            with pytest.raises(UsageError, match="unknown tie rule 'bogus'"):
+                classify_sentence(tree, fixture_lexicon, default_rules, wordlists, tie="bogus")
+            with pytest.raises(UsageError, match="unknown tie rule 'bogus'"):
+                classify_document(
+                    doc_of(text), fixture_lexicon, default_rules, wordlists, tie="bogus"
+                )
+
     def test_trace_attached_on_request(self, fixture_lexicon, default_rules, wordlists):
         tree = parse_document(MUY_GRANDE).sentences[0]
         result = classify_sentence(

@@ -404,6 +404,29 @@ class TestInputLoading:
         assert (code, out) == (0, "muy_grande\t3\tpositive\n")
         assert load_lexicon(lexicon).lookup("grande", "grande", "ADJ") == 3.0
 
+    def test_scale_header_value_is_case_insensitive(self, capsys, tmp_path):
+        lexicon = tmp_path / "upper.tsv"
+        lexicon.write_text("# Scale: SFU\ngrande\tADJ\t1.87\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "classify", "--lexicon", lexicon, "--input", FIXTURES / "muy_grande.conllu"
+        )
+        assert (code, out, err) == (0, "muy_grande\t1.87\tpositive\n", "")
+
+    @pytest.mark.parametrize("command", ["classify", "trace", "evaluate", "merge-lexicon"])
+    def test_unknown_scale_header_exits_3(self, capsys, tmp_path, command):
+        lexicon = tmp_path / "volts.tsv"
+        lexicon.write_text("# comment\n# scale: volts\ngrande\tADJ\t1\n", encoding="utf-8")
+        data = {
+            "evaluate": ("--corpus", FIXTURES / "corpus" / "manifest.tsv"),
+            "merge-lexicon": (),
+        }.get(command, ("--input", FIXTURES / "muy_grande.conllu"))
+        code, out, err = run(capsys, command, "--lexicon", lexicon, *data)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"sisa: LexiconParseError: {lexicon}:2: unknown lexicon scale 'volts'; "
+            "expected one of sfu, senticon_raw\n"
+        )
+
 
 class TestByteOrderMark:
     """A UTF-8 byte order mark at the start of a CoNLL-U input is ignored."""

@@ -112,8 +112,10 @@ class TestLoadLexicon:
         path = write(tmp_path, "l.tsv", "# scale: senticon_raw\nraro\tADJ\t0.5\n")
         assert load_lexicon(path).scores[("raro", "ADJ")] == 3.0
         assert load_lexicon(path, "sfu").scores[("raro", "ADJ")] == 0.5
-        with pytest.raises(UsageError, match="volts"):
+        with pytest.raises(LexiconParseError, match="v.tsv:1: unknown lexicon scale 'volts'"):
             load_lexicon(write(tmp_path, "v.tsv", "# scale: volts\nraro\tADJ\t1\n"))
+        upper = write(tmp_path, "u.tsv", "# Scale: SENTICON_RAW\nraro\tADJ\t0.5\n")
+        assert load_lexicon(upper).scores == {("raro", "ADJ"): 3.0}
 
 
 class TestMerge:
@@ -275,7 +277,8 @@ raro\t*\t4
         lex.add("nulo", "ADJ", -0.0)
         lex.add("raro", "ADJ", 2.0)
         lex.add("raro", "ADJ", -2.0)
-        lex.add("doble", "ADJ", 3.0, count=2)
+        lex.add("doble", "ADJ", 1.0)
+        lex.add("doble", "ADJ", 2.0)
         for word in ("nulo", "raro"):
             score = lex.lookup(word, word, "ADJ")
             assert score == 0.0 and math.copysign(1.0, score) == 1.0
