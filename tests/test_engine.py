@@ -557,3 +557,95 @@ scope = target,subjr,all
             fires = [t.rule for t in trace.nodes[0].triggers]
             assert fires == ([] if form == "nop" else ["literal"])
             assert trace.sentence_so == reference_so(tree, lex, defs, lists)
+
+
+class TestRenderLines:
+    """Byte-exact render lines that no golden trace holds: forced applies and
+    discards, an apply that is both forced and backed off, a trigger with no
+    booster value and the warning it raises."""
+
+    LISTS = {
+        "negators": WordList("negators", {"no": None}),
+        "boosters": WordList("boosters", {"muy": 0.25, "bastante": None}),
+    }
+    RULES = """
+[operation]
+name = deepneg
+trigger.forms = @negators
+trigger.deprel = advmod
+tau = shift(4)
+delta = 2
+priority = 2
+scope = target,all
+
+[operation]
+name = pickyneg
+trigger.forms = @negators
+trigger.deprel = advmod
+tau = shift(4)
+delta = 2
+priority = 1
+scope = b(cop)
+
+[operation]
+name = intensify
+trigger.forms = @boosters
+trigger.deprel = advmod
+tau = weighting(@boosters)
+delta = 1
+priority = 3
+scope = target,b(amod)
+"""
+    CASES = {
+        "forced_target_and_missing_booster": (
+            [
+                ("bastante", "ADV", 3, "advmod"),
+                ("no", "ADV", 3, "advmod"),
+                ("bonito", "ADJ", 0, "root"),
+            ],
+            "node\t1\tbastante\tlexical\t0\n"
+            "\ttrigger\tintensify\tdelta\t1\tbeta\t0\tmissing-booster\n"
+            "\tsubtree\t0\n"
+            "node\t2\tno\tlexical\t0\n"
+            "\ttrigger\tdeepneg\tdelta\t2\n"
+            "\ttrigger\tpickyneg\tdelta\t2\n"
+            "\tsubtree\t0\n"
+            "node\t3\tbonito\tlexical\t3.5\n"
+            "\tapply\tintensify\ttrigger\t1\tscope\ttarget\tbefore\t3.5\tafter\t3.5\n"
+            "\tapply\tdeepneg\ttrigger\t2\tscope\ttarget\tbefore\t3.5\tafter\t-0.5\tforced\n"
+            "\tdiscard\tpickyneg\ttrigger\t2\tforced\n"
+            "\tsubtree\t-0.5\n"
+            "warn\trule intensify: no booster value for trigger 'bastante' (token 1); using 0\n"
+            "sentence\t-0.5\n",
+        ),
+        "forced_backoff_and_booster_value": (
+            [
+                ("no", "ADV", 2, "advmod"),
+                ("eso", "PRON", 0, "root"),
+                ("malo", "ADJ", 2, "amod"),
+                ("muy", "ADV", 3, "advmod"),
+            ],
+            "node\t1\tno\tlexical\t0\n"
+            "\ttrigger\tdeepneg\tdelta\t2\n"
+            "\ttrigger\tpickyneg\tdelta\t2\n"
+            "\tsubtree\t0\n"
+            "node\t2\teso\tlexical\t0\n"
+            "\tapply\tdeepneg\ttrigger\t1\tscope\tall\tbefore\t-3.75\tafter\t0.25\tforced\tbackoff\n"
+            "\tdiscard\tpickyneg\ttrigger\t1\tforced\n"
+            "\tsubtree\t0.25\n"
+            "node\t3\tmalo\tlexical\t-3\n"
+            "\tapply\tintensify\ttrigger\t4\tscope\ttarget\tbefore\t-3\tafter\t-3.75\n"
+            "\tsubtree\t-3.75\n"
+            "node\t4\tmuy\tlexical\t0\n"
+            "\ttrigger\tintensify\tdelta\t1\tbeta\t0.25\n"
+            "\tsubtree\t0\n"
+            "sentence\t0.25\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_render_matches_golden_text(self, case, fixture_lexicon):
+        rows, golden = self.CASES[case]
+        tree = chain_tree(rows)
+        defs = parse_rules(self.RULES, self.LISTS)
+        assert compute_so(tree, fixture_lexicon, defs, self.LISTS).render() == golden
