@@ -18,6 +18,9 @@ NEGATIVE = "negative"
 SENTENCE = "sentence"
 DOCUMENT = "document"
 
+AGGREGATIONS = ("sum", "mean")
+TIE_RULES = ("pos", "neg")
+
 
 @dataclass(frozen=True)
 class PolarityResult:
@@ -29,11 +32,22 @@ class PolarityResult:
     traces: tuple[SoTrace, ...] | None = None
 
 
+def check_agg(agg: str) -> None:
+    """Refuse an aggregation outside :data:`AGGREGATIONS` as a usage error."""
+    if agg not in AGGREGATIONS:
+        raise UsageError(f"unknown aggregation {agg!r}")
+
+
+def check_tie(tie: str) -> None:
+    """Refuse a tie rule outside :data:`TIE_RULES` as a usage error."""
+    if tie not in TIE_RULES:
+        raise UsageError(f"unknown tie rule {tie!r}")
+
+
 def polarity_label(so: float, tie: str) -> str:
     """Label a score by its sign; ``tie`` ("pos" or "neg") labels an exact 0.
     An unknown ``tie`` is a usage error whatever the score."""
-    if tie not in ("pos", "neg"):
-        raise UsageError(f"unknown tie rule {tie!r}")
+    check_tie(tie)
     if so > 0:
         return POSITIVE
     if so < 0:
@@ -53,8 +67,7 @@ def document_so(scores: Iterable[float], source_id: str, agg: str = "sum") -> fl
     scores = list(scores)
     if not scores:
         raise UsageError(f"document {source_id!r} has no sentences")
-    if agg not in ("sum", "mean"):
-        raise UsageError(f"unknown aggregation {agg!r}")
+    check_agg(agg)
     try:
         so = fsum(scores)
         if agg == "mean":

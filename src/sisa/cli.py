@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from .classify import classify_sentence, document_so, polarity_label
+from .classify import AGGREGATIONS, TIE_RULES, classify_sentence, document_so, polarity_label
 from .conllu import iter_sentences
 from .engine import compile_rules, compute_so
 from .errors import PARSE_ERRORS, ScaleMismatchError, UsageError
@@ -222,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(classify)
     classify.add_argument("--input", required=True, metavar="PATH", help="CoNLL-U file or -")
     classify.add_argument("--granularity", choices=("doc", "sentence"), default="doc")
-    classify.add_argument("--agg", choices=("sum", "mean"), default="sum")
-    classify.add_argument("--tie", choices=("pos", "neg"), default="pos")
+    classify.add_argument("--agg", choices=AGGREGATIONS, default="sum")
+    classify.add_argument("--tie", choices=TIE_RULES, default="pos")
     classify.set_defaults(func=_cmd_classify)
 
     trace = sub.add_parser("trace", help="print the full scoring trace of one document")
@@ -248,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="run configurations over a labeled corpus")
     _add_engine_flags(ev)
     ev.add_argument("--corpus", required=True, metavar="MANIFEST")
-    ev.add_argument("--agg", choices=("sum", "mean"), default="sum")
-    ev.add_argument("--tie", choices=("pos", "neg"), default="pos")
+    ev.add_argument("--agg", choices=AGGREGATIONS, default="sum")
+    ev.add_argument("--tie", choices=TIE_RULES, default="pos")
     ev.add_argument("--report", metavar="PATH", help="write a JSON summary here")
     ev.add_argument("--verbose", action="store_true", help="emit per-item lines")
     ev.set_defaults(func=_cmd_evaluate)

@@ -1,11 +1,9 @@
-"""Reading and writing CoNLL-U dependency trees.
+"""Reading CoNLL-U dependency trees.
 
 Only the columns the scoring engine consumes are modeled: FORM, LEMMA, UPOS,
-HEAD and DEPREL. The remaining columns (XPOS, FEATS, DEPS, MISC) are emitted
-as "_" on output and ignored on input, so a tree-only file round-trips
-byte-identically modulo comments. Multiword-token ranges ("1-2") and empty
-nodes ("5.1") are dropped before tree building; the engine operates on basic
-trees only.
+HEAD and DEPREL. The remaining columns (XPOS, FEATS, DEPS, MISC) are read
+past and not kept. Multiword-token ranges ("1-2") and empty nodes ("5.1") are
+dropped before tree building; the engine operates on basic trees only.
 """
 
 from __future__ import annotations
@@ -247,18 +245,6 @@ def iter_sentences(lines: Iterable[str]) -> Iterator[DepTree]:
 def parse_document(text: str, source_id: str = "-") -> Document:
     """Parse CoNLL-U text into a :class:`Document`; see :func:`iter_sentences`."""
     return Document(tuple(iter_sentences(text.split("\n"))), source_id)
-
-
-def serialize_document(doc: Document) -> str:
-    """Emit a document as CoNLL-U text, one blank line after each sentence."""
-    chunks: list[str] = []
-    for tree in doc.sentences:
-        for tok in tree.tokens:
-            chunks.append(
-                f"{tok.id}\t{tok.form}\t{tok.lemma}\t{tok.upos}\t_\t_\t{tok.head}\t{tok.deprel}\t_\t_\n"
-            )
-        chunks.append("\n")
-    return "".join(chunks)
 
 
 def read_document(path: str | Path) -> Document:

@@ -14,7 +14,11 @@ deprel) are computed once, and scope resolution walks per-level cursors
 that only move right instead of rescanning the branches of a wide level for
 every operation. The full trace of every trigger, application and discard is
 recorded only when asked for; without it the returned :class:`SoTrace`
-carries the sentence score and the warnings alone.
+carries the sentence score and the warnings alone. A recorded trace is kept
+flat: the lexical and subtree score of every node, indexed by token id, and
+plain tuples for the events of the nodes that have any. :meth:`SoTrace.render`
+reads those directly; :attr:`SoTrace.nodes` builds :class:`NodeTrace`
+records from them only when it is first read.
 
 A scorer does only the work its rules need:
 
@@ -238,51 +242,100 @@ class NodeTrace:
     subtree_so: float = 0.0
 
 
-@dataclass
 class SoTrace:
     """Account of one sentence evaluation: the score, the warnings and, when
-    recorded, one deterministic record per node (empty otherwise)."""
+    recorded, what happened at each node.
 
-    nodes: list[NodeTrace]
-    sentence_so: float
-    warnings: list[str] = field(default_factory=list)
+    A recorded trace carries ``record = (tokens, lexical, subtree, events)``:
+    the sentence's tokens, the lexical and the subtree score of every node
+    (lists indexed by token id) and, per node, its events in order, or None
+    for a node without any. A trigger is a ``(rule, delta, beta, missing)``
+    tuple, an operation dequeued at the node a ``(rule, trigger_id, scope,
+    before, after, forced, discarded, backoff)`` tuple: the fields of
+    :class:`TriggerRecord` and :class:`ApplyRecord`.
+    """
+
+    __slots__ = ("sentence_so", "warnings", "_record", "_nodes")
+
+    def __init__(self, sentence_so: float, warnings: list[str], record: tuple | None = None) -> None:
+        self.sentence_so = sentence_so
+        self.warnings = warnings
+        self._record = record
+        self._nodes: list[NodeTrace] | None = None
+
+    def __eq__(self, other: object) -> bool:
+        """Equal score, warnings and node records."""
+        if not isinstance(other, SoTrace):
+            return NotImplemented
+        return (self.sentence_so, self.warnings, self.nodes) == (
+            other.sentence_so,
+            other.warnings,
+            other.nodes,
+        )
+
+    @property
+    def nodes(self) -> list[NodeTrace]:
+        """One record per node in token order, built on first read; empty
+        when nothing was recorded."""
+        if self._nodes is None:
+            self._nodes = []
+            if self._record is not None:
+                tokens, lexical, subtree, events = self._record
+                for node_id, token in enumerate(tokens, 1):
+                    node = NodeTrace(
+                        node_id, token.form, lexical[node_id], subtree_so=subtree[node_id]
+                    )
+                    for event in events[node_id] or ():
+                        if len(event) == 4:
+                            node.triggers.append(TriggerRecord(*event))
+                        else:
+                            node.applications.append(ApplyRecord(*event))
+                    self._nodes.append(node)
+        return self._nodes
 
     def render(self) -> str:
         """Byte-stable plain-text rendering (used for golden files and the
         trace subcommand)."""
+        fmt = format_so
         lines: list[str] = []
-        for node in self.nodes:
-            lines.append(
-                f"node\t{node.token_id}\t{node.form}\tlexical\t{format_so(node.lexical_so)}"
-            )
-            for trig in node.triggers:
-                line = f"\ttrigger\t{trig.rule}\tdelta\t{trig.delta}"
-                if trig.beta is not None:
-                    line += f"\tbeta\t{format_so(trig.beta)}"
-                if trig.missing_booster:
-                    line += "\tmissing-booster"
-                lines.append(line)
-            for app in node.applications:
-                if app.discarded:
-                    line = f"\tdiscard\t{app.rule}\ttrigger\t{app.trigger_id}"
-                    if app.forced:
-                        line += "\tforced"
-                    lines.append(line)
+        append = lines.append
+        if self._record is not None:
+            tokens, lexical, subtree, events = self._record
+            for node_id, token in enumerate(tokens, 1):
+                node_events = events[node_id]
+                if node_events is None:
+                    append(
+                        f"node\t{node_id}\t{token.form}\tlexical\t{fmt(lexical[node_id])}"
+                        f"\n\tsubtree\t{fmt(subtree[node_id])}"
+                    )
                     continue
-                line = (
-                    f"\tapply\t{app.rule}\ttrigger\t{app.trigger_id}"
-                    f"\tscope\t{app.scope}"
-                    f"\tbefore\t{format_so(app.before)}\tafter\t{format_so(app.after)}"
-                )
-                if app.forced:
-                    line += "\tforced"
-                if app.backoff:
-                    line += "\tbackoff"
-                lines.append(line)
-            lines.append(f"\tsubtree\t{format_so(node.subtree_so)}")
+                append(f"node\t{node_id}\t{token.form}\tlexical\t{fmt(lexical[node_id])}")
+                for event in node_events:
+                    if len(event) == 4:
+                        rule, delta, beta, missing = event
+                        line = f"\ttrigger\t{rule}\tdelta\t{delta}"
+                        if beta is not None:
+                            line += f"\tbeta\t{fmt(beta)}"
+                        if missing:
+                            line += "\tmissing-booster"
+                    else:
+                        rule, trigger_id, scope, before, after, forced, discarded, backoff = event
+                        if discarded:
+                            line = f"\tdiscard\t{rule}\ttrigger\t{trigger_id}"
+                        else:
+                            line = (
+                                f"\tapply\t{rule}\ttrigger\t{trigger_id}\tscope\t{scope}"
+                                f"\tbefore\t{fmt(before)}\tafter\t{fmt(after)}"
+                            )
+                        if forced:
+                            line += "\tforced"
+                        if backoff:
+                            line += "\tbackoff"
+                    append(line)
+                append(f"\tsubtree\t{fmt(subtree[node_id])}")
         for warning in self.warnings:
-            lines.append(f"warn\t{warning}")
-        lines.append(f"sentence\t{format_so(self.sentence_so)}")
+            append(f"warn\t{warning}")
+        append(f"sentence\t{fmt(self.sentence_so)}")
         return "\n".join(lines) + "\n"
 
 
@@ -313,12 +366,12 @@ def _transform(pending: PendingOperation, so: float) -> float:
 
 
 def _apply_batch(
-    batch: list[PendingOperation], level: LevelState, node_trace: NodeTrace | None
+    batch: list[PendingOperation], level: LevelState, events: list[tuple] | None
 ) -> None:
     """Dequeue a level's operations: forced ones after the rest, then higher
     priority first, then leftmost trigger. Transformed constituents stay
-    visible to later operations. Applications are recorded into
-    ``node_trace`` when one is given."""
+    visible to later operations. Each application or discard is appended to
+    ``events``, as a :class:`SoTrace` event tuple, when a list is given."""
     if len(batch) > 1:
         batch.sort(key=lambda p: (p.forced, -p.definition.priority, p.trigger_id))
     for pending in batch:
@@ -326,10 +379,8 @@ def _apply_batch(
         forced = pending.forced
         selection = resolve_scope(pending.definition.scopes, level, pending.origin_id)
         if selection is None:
-            if node_trace is not None:
-                node_trace.applications.append(
-                    ApplyRecord(name, pending.trigger_id, "none", None, None, forced, discarded=True)
-                )
+            if events is not None:
+                events.append((name, pending.trigger_id, "none", None, None, forced, True, False))
             continue
         kind = selection.spec.kind
         if kind == TARGET:
@@ -345,21 +396,13 @@ def _apply_batch(
             before = branch.so
             after = _transform(pending, before)
             level.set_branch_so(branch, after)
-        if node_trace is not None:
+        if events is not None:
             if kind == TARGET or kind == ALL:
                 scope_text = kind
             else:
                 scope_text = f"{selection.spec}:{selection.branch.child_id}"
-            node_trace.applications.append(
-                ApplyRecord(
-                    name,
-                    pending.trigger_id,
-                    scope_text,
-                    before,
-                    after,
-                    forced,
-                    backoff=kind == ALL,
-                )
+            events.append(
+                (name, pending.trigger_id, scope_text, before, after, forced, False, kind == ALL)
             )
 
 
@@ -435,8 +478,12 @@ def compute_so(
     subtree: list[float] = [0.0] * size
     # queues[h] holds the operations that apply at h.
     queues: list[list[PendingOperation] | None] = [None] * size
-    traces: list[NodeTrace | None] = [None] * size
     warnings: list[str] = []
+    if record:
+        # Flat records by node id; a node's event list exists only once it
+        # has an event.
+        lexicals: list[float] = [0.0] * size
+        events: list[list[tuple] | None] = [None] * size
 
     # Reversing a right-to-left preorder gives the left-to-right postorder.
     order = []
@@ -449,9 +496,8 @@ def compute_so(
     for node_id in reversed(order):
         _, surface, lemma, upos, _, deprel = tokens[node_id - 1]
         lexical = lookup(surface, lemma, upos)
-        node_trace = None
         if record:
-            node_trace = traces[node_id] = NodeTrace(node_id, surface, lexical)
+            lexicals[node_id] = lexical
 
         if triggers:
             form = surface.lower()
@@ -476,12 +522,14 @@ def compute_so(
                                 f"rule {definition.name}: no booster value for trigger "
                                 f"{surface!r} (token {node_id}); using 0"
                             )
-                        if record:
-                            node_trace.triggers.append(
-                                TriggerRecord(definition.name, delta, amount, missing)
-                            )
-                    elif record:
-                        node_trace.triggers.append(TriggerRecord(definition.name, delta))
+                    if record:
+                        node_events = events[node_id]
+                        if node_events is None:
+                            node_events = events[node_id] = []
+                        if source is None:
+                            node_events.append((definition.name, delta, None, False))
+                        else:
+                            node_events.append((definition.name, delta, amount, missing))
                     # Climb up to delta head links; a climb the root cuts
                     # short is forced there.
                     target = origin = node_id
@@ -503,7 +551,12 @@ def compute_so(
                 lexical,
                 [BranchState(c, tokens[c - 1].deprel.split(":", 1)[0], subtree[c]) for c in kids],
             )
-            _apply_batch(batch, level, node_trace)
+            node_events = None
+            if record:
+                node_events = events[node_id]
+                if node_events is None:
+                    node_events = events[node_id] = []
+            _apply_batch(batch, level, node_events)
             subtree_so = level.total()
         elif kids:
             # Nothing applies here: total() of an untouched level, with the
@@ -513,10 +566,8 @@ def compute_so(
             # A leaf: lookup never returns -0.0, so lexical + 0 + 0.0 is lexical.
             subtree_so = lexical
         subtree[node_id] = subtree_so
-        if record:
-            node_trace.subtree_so = subtree_so
 
     sentence_so = subtree[root_id]
     if not isfinite(sentence_so):
         raise NonFiniteScoreError(f"sentence score {sentence_so} is not finite")
-    return SoTrace(traces[1:] if record else [], sentence_so, warnings)
+    return SoTrace(sentence_so, warnings, (tokens, lexicals, subtree, events) if record else None)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .classify import classify_document
+from .classify import check_agg, check_tie, classify_document
 from .conllu import parse_document
 from .engine import compile_rules
 from .errors import ConlluParseError, ManifestError, SisaError, UsageError
@@ -135,8 +135,11 @@ def evaluate_configs(
     recorded as errored under every configuration, so all reports count the
     same items and stay comparable in :func:`compare_configs`. Errored items
     are excluded from the accuracy denominator; a manifest with no readable
-    items at all is a usage error.
+    items at all is a usage error, as is an unknown ``agg`` or ``tie``,
+    refused before the first item is read.
     """
+    check_agg(agg)
+    check_tie(tie)
     results: list[list[ItemResult]] = [[] for _ in configs]
     rules = [compile_rules(cfg.rules) for cfg in configs]
     for item_path, gold in manifest.items:

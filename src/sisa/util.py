@@ -14,10 +14,9 @@ def format_so(value: float) -> str:
     "2.3375000000000004". Output is a pure function of the value, so files
     built from it are byte-stable across runs and platforms.
     """
-    value = float(value)
     if value == 0:
-        value = 0.0  # normalize -0.0
-    return format(value, ".12g")
+        return "0"  # also for -0.0; most rendered scores are zero
+    return format(float(value), ".12g")
 
 
 def utf8_error(exc: UnicodeDecodeError) -> str:

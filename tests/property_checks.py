@@ -10,9 +10,9 @@ import math
 import pytest
 
 from sisa import classify_document, compute_so, parse_document
-from sisa.conllu import serialize_document
 from sisa.lexicon import merge_lexica
 from sisa.operations import apply_shift, apply_weighting
+from treegen import serialize_document
 
 
 def check_weighting_linear(beta, scale, so):

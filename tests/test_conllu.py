@@ -13,8 +13,7 @@ from sisa import (
     parse_document,
     read_document,
 )
-from sisa.conllu import serialize_document
-from treegen import random_document
+from treegen import random_document, serialize_document
 
 NO_ES_BONITO = (
     "1\tno\tno\tADV\t_\t_\t3\tadvmod\t_\t_\n"

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 from random import Random
 
 import pytest
 
 from conftest import DEFAULT_RULES
 from reference import reference_so
-from sisa import DepTree, Token, compute_so, load_rules, read_document
+from sisa import DepTree, Token, compute_so, engine, load_rules, read_document
 from sisa.engine import BranchState, LevelState, compile_rules, resolve_scope
 from sisa.lexicon import SentimentLexicon, WordList
 from sisa.operations import (
@@ -649,3 +650,112 @@ scope = target,b(amod)
         tree = chain_tree(rows)
         defs = parse_rules(self.RULES, self.LISTS)
         assert compute_so(tree, fixture_lexicon, defs, self.LISTS).render() == golden
+
+
+def oracle_render(nodes, warnings, sentence_so):
+    """The trace text as rendered from :class:`NodeTrace` records, with the
+    score formatter written out in full: an independent reader of the same
+    records as ``SoTrace.render``."""
+
+    def fmt(value):
+        value = float(value)
+        if value == 0:
+            value = 0.0
+        return format(value, ".12g")
+
+    lines = []
+    for node in nodes:
+        lines.append(f"node\t{node.token_id}\t{node.form}\tlexical\t{fmt(node.lexical_so)}")
+        for trig in node.triggers:
+            line = f"\ttrigger\t{trig.rule}\tdelta\t{trig.delta}"
+            if trig.beta is not None:
+                line += f"\tbeta\t{fmt(trig.beta)}"
+            if trig.missing_booster:
+                line += "\tmissing-booster"
+            lines.append(line)
+        for app in node.applications:
+            if app.discarded:
+                line = f"\tdiscard\t{app.rule}\ttrigger\t{app.trigger_id}"
+                if app.forced:
+                    line += "\tforced"
+                lines.append(line)
+                continue
+            line = (
+                f"\tapply\t{app.rule}\ttrigger\t{app.trigger_id}\tscope\t{app.scope}"
+                f"\tbefore\t{fmt(app.before)}\tafter\t{fmt(app.after)}"
+            )
+            if app.forced:
+                line += "\tforced"
+            if app.backoff:
+                line += "\tbackoff"
+            lines.append(line)
+        lines.append(f"\tsubtree\t{fmt(node.subtree_so)}")
+    for warning in warnings:
+        lines.append(f"warn\t{warning}")
+    lines.append(f"sentence\t{fmt(sentence_so)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestFlatRecords:
+    """A recorded trace is read two ways, by ``render`` straight from its
+    flat records and through the :class:`NodeTrace` records of ``nodes``;
+    both must tell the same story."""
+
+    # One climb per rule, in the default rule order; 1 is the default.
+    DELTAS = ((0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3), (0, 2, 3, 1))
+
+    def test_render_agrees_with_the_node_records(self):
+        lex = neutralized_lexicon()
+        lists = vocab_lists()
+        # 'muy' still triggers intensification, but has no weighting amount.
+        valueless = dict(lists, boosters=WordList("boosters", {"muy": None}))
+        rules = load_rules(DEFAULT_RULES, lists)
+        rng = Random(1106)
+        seen = {"forced": 0, "discarded": 0, "backoff": 0, "missing": 0}
+        for deltas in self.DELTAS:
+            defs = compile_rules([replace(rule, delta=d) for rule, d in zip(rules, deltas)])
+            trees = [random_tree(rng, max_nodes=10) for _ in range(150)]
+            trees.append(build_tree(star_heads(rng, 60), [rng.randrange(len(VOCAB)) for _ in range(60)]))
+            for tree in trees:
+                for word_lists in (lists, valueless):
+                    trace = compute_so(tree, lex, defs, word_lists)
+                    quiet = compute_so(tree, lex, defs, word_lists, record=False)
+                    assert quiet.sentence_so.hex() == trace.sentence_so.hex()
+                    assert quiet.warnings == trace.warnings
+                    assert quiet.nodes == []
+                    nodes = trace.nodes
+                    assert trace.nodes is nodes and trace.nodes == nodes
+                    assert [node.token_id for node in nodes] == list(range(1, len(tree) + 1))
+                    assert nodes[tree.root_id - 1].subtree_so == trace.sentence_so
+                    assert trace.render() == oracle_render(nodes, trace.warnings, trace.sentence_so)
+                    for node in nodes:
+                        seen["missing"] += sum(t.missing_booster for t in node.triggers)
+                        for app in node.applications:
+                            seen["forced"] += app.forced
+                            seen["discarded"] += app.discarded
+                            seen["backoff"] += app.backoff
+        assert all(seen.values()), seen
+
+    def test_render_goldens_agree_with_the_node_records(self, fixture_lexicon):
+        case = TestRenderLines
+        defs = parse_rules(case.RULES, case.LISTS)
+        for rows, golden in case.CASES.values():
+            trace = compute_so(chain_tree(rows), fixture_lexicon, defs, case.LISTS)
+            assert oracle_render(trace.nodes, trace.warnings, trace.sentence_so) == golden
+
+    def test_records_are_built_only_when_nodes_is_read(
+        self, monkeypatch, fixtures, fixture_lexicon, default_rules, wordlists
+    ):
+        tree = tree_from(fixtures, "bueno_pero_caro")
+        golden = (fixtures / "golden" / "bueno_pero_caro.trace").read_text(encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("record object built before .nodes was read")
+
+        with monkeypatch.context() as patch:
+            for name in ("NodeTrace", "TriggerRecord", "ApplyRecord"):
+                patch.setattr(engine, name, refuse)
+            trace = compute_so(tree, fixture_lexicon, default_rules, wordlists)
+            assert trace.render() == golden
+        assert [app.scope for app in trace.nodes[0].applications] == ["subjl:2"]
+        assert trace.render() == golden

@@ -8,7 +8,6 @@ import sisa.evaluate as evaluation
 from conftest import DEFAULT_RULES
 from reference import reference_so
 from sisa import ManifestError, UsageError, load_lexicon, load_rules
-from sisa.conllu import serialize_document
 from sisa.evaluate import (
     CorpusManifest,
     EvaluationReport,
@@ -20,7 +19,7 @@ from sisa.evaluate import (
     render_impact,
     render_report,
 )
-from treegen import random_document, vocab_lexicon, vocab_lists
+from treegen import random_document, serialize_document, vocab_lexicon, vocab_lists
 
 
 @pytest.fixture()
@@ -193,6 +192,24 @@ class TestEvaluate:
         assert [report.errored for report in one_by_one] == [2, 2, 2, 2]
         # One warning per unreadable item, not one per configuration.
         assert len([r for r in caplog.records if r.getMessage().startswith("skipping")]) == 2
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ({"agg": "median"}, "unknown aggregation 'median'"),
+            ({"tie": "bogus"}, "unknown tie rule 'bogus'"),
+        ],
+    )
+    def test_unknown_agg_or_tie_is_refused_before_any_item_is_read(
+        self, option, message, manifest, fixture_lexicon, wordlists, monkeypatch, caplog
+    ):
+        read = []
+        monkeypatch.setattr(evaluation, "read_utf8", lambda *args: read.append(args))
+        caplog.clear()
+        with pytest.raises(UsageError, match=message):
+            evaluate_configs(manifest, [RunConfig("SL-O", fixture_lexicon)], wordlists, **option)
+        assert read == []
+        assert not [r for r in caplog.records if r.getMessage().startswith("skipping")]
 
 
 class TestCompareConfigs:

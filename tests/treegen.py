@@ -1,4 +1,5 @@
-"""Deterministic and random generators of small dependency trees.
+"""Deterministic and random generators of small dependency trees, and the
+CoNLL-U text of a generated document.
 
 The fixture vocabulary holds six words: the four rule triggers plus one
 positive and one negative adjective, each with a fixed UPOS and the deprel it
@@ -92,6 +93,20 @@ def random_tree(rng: Random, max_nodes: int = 8) -> DepTree:
         heads[order[k] - 1] = order[rng.randrange(k)]
     words = [rng.randrange(len(VOCAB)) for _ in range(n)]
     return build_tree(heads, words)
+
+
+def serialize_document(doc: Document) -> str:
+    """A document as CoNLL-U text, its unmodeled columns as "_" and one
+    blank line after each sentence: what ``parse_document`` reads back as
+    the same document."""
+    chunks: list[str] = []
+    for tree in doc.sentences:
+        for tok in tree.tokens:
+            chunks.append(
+                f"{tok.id}\t{tok.form}\t{tok.lemma}\t{tok.upos}\t_\t_\t{tok.head}\t{tok.deprel}\t_\t_\n"
+            )
+        chunks.append("\n")
+    return "".join(chunks)
 
 
 def random_document(rng: Random, max_sentences: int = 4, max_nodes: int = 6) -> Document:
