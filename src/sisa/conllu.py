@@ -4,6 +4,15 @@ Only the columns the scoring engine consumes are modeled: FORM, LEMMA, UPOS,
 HEAD and DEPREL. The remaining columns (XPOS, FEATS, DEPS, MISC) are read
 past and not kept. Multiword-token ranges ("1-2") and empty nodes ("5.1") are
 dropped before tree building; the engine operates on basic trees only.
+
+Most lines are word lines whose id is the next id written plainly ("7", not
+"07"), with a head that parses and is not the id, and a FORM and a UPOS.
+:func:`iter_sentences` takes such a line on a short path: one split, the id
+compared as text and the head read from a table of 0-63 before any digit
+test. Every other line (blank, comment, range, empty node, malformed, or a
+word line that fails any of these tests) takes the full checks. These
+accept a short-path line the same way, so the short path changes no result
+and no error.
 """
 
 from __future__ import annotations
@@ -17,6 +26,8 @@ from .errors import ConlluParseError, TreeStructureError
 from .util import read_utf8, utf8_error
 
 _N_COLUMNS = 10
+# Plain decimal text -> value of the ids and heads of most sentences.
+_NUMBERS = {str(number): number for number in range(64)}
 
 
 class _TokenFields(NamedTuple):
@@ -68,13 +79,16 @@ class DepTree:
     """A single-rooted, acyclic dependency tree over an ordered token list.
 
     ``dependents[i]`` holds the ids of token i's dependents in surface order,
-    and ``dependents[0]`` is ``(root_id,)``. Walks over every node index it
-    directly; :meth:`children` is the checked lookup of one node.
+    and ``dependents[0]`` is ``(root_id,)``. ``postorder`` lists every id
+    once, each dependent before its head and siblings left to right. Walks
+    over every node index these directly; :meth:`children` is the checked
+    lookup of one node.
     """
 
     tokens: tuple[Token, ...]
     root_id: int = field(init=False, compare=False, repr=False)
     dependents: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    postorder: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         tokens = tuple(self.tokens)
@@ -87,33 +101,36 @@ class DepTree:
         # surface order. A bad head is reported only after the root count,
         # which takes precedence.
         bad_head = None
-        for expected, tok in enumerate(tokens, 1):
-            if tok.id != expected:
+        for expected, (token_id, _, _, _, head, _) in enumerate(tokens, 1):
+            if token_id != expected:
                 raise TreeStructureError(
-                    f"token ids are not sequential: expected {expected}, got {tok.id}"
+                    f"token ids are not sequential: expected {expected}, got {token_id}"
                 )
-            if 0 <= tok.head <= size:
-                children[tok.head].append(expected)
+            if 0 <= head <= size:
+                children[head].append(expected)
             elif bad_head is None:
-                bad_head = tok
+                bad_head = token_id, head
         roots = children[0]
         if len(roots) != 1:
             raise TreeStructureError(f"expected exactly one root, found {len(roots)}")
         if bad_head is not None:
-            raise TreeStructureError(
-                f"token {bad_head.id} points at nonexistent head {bad_head.head}"
-            )
+            token_id, head = bad_head
+            raise TreeStructureError(f"token {token_id} points at nonexistent head {head}")
         # Reachability from the root doubles as the cycle check: every token
-        # has exactly one head, so n reachable nodes means no cycles.
-        seen = 0
+        # has exactly one head, so n reachable nodes means no cycles. The
+        # walk is a right-to-left preorder; reversed, the postorder.
+        order = []
         stack = [roots[0]]
         while stack:
-            seen += 1
-            stack.extend(children[stack.pop()])
-        if seen != size:
+            node_id = stack.pop()
+            order.append(node_id)
+            stack.extend(children[node_id])
+        if len(order) != size:
             raise TreeStructureError("head relation contains a cycle")
+        order.reverse()
         object.__setattr__(self, "root_id", roots[0])
         object.__setattr__(self, "dependents", tuple(map(tuple, children)))
+        object.__setattr__(self, "postorder", tuple(order))
 
     def token(self, token_id: int) -> Token:
         if 0 < token_id <= len(self.tokens):
@@ -179,10 +196,28 @@ def iter_sentences(lines: Iterable[str]) -> Iterator[DepTree]:
     sentence_index = 1
     line_no = 0
     new_token = tuple.__new__
+    numbers = _NUMBERS
     lines = iter(lines)
     try:
         first = next(lines, "")
         for line_no, raw in enumerate(chain((first.removeprefix("\ufeff"),), lines), 1):
+            columns = raw.split("\t")
+            if len(columns) == _N_COLUMNS:
+                # The short path of a word line with the next id, written
+                # plainly, and a FORM and a UPOS. It makes the full checks'
+                # head test, in their order, and covers Token's own checks.
+                # MISC is dropped, so a trailing "\r\n" needs no stripping.
+                id_text, form, lemma, upos, _, _, head_text, deprel, _, _ = columns
+                token_id = len(pending) + 1
+                if (numbers.get(id_text) == token_id or id_text == str(token_id)) and form and upos:
+                    head = numbers.get(head_text)
+                    if head is None and head_text.isdecimal() and head_text.isascii():
+                        head = int(head_text)
+                    if head is not None and head != token_id:
+                        if not lemma or lemma == "_":
+                            lemma = form.lower()
+                        pending.append(new_token(Token, (token_id, form, lemma, upos, head, deprel)))
+                        continue
             line = raw.rstrip("\r\n")
             if not line.strip():
                 if pending:

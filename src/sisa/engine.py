@@ -485,15 +485,7 @@ def compute_so(
         lexicals: list[float] = [0.0] * size
         events: list[list[tuple] | None] = [None] * size
 
-    # Reversing a right-to-left preorder gives the left-to-right postorder.
-    order = []
-    stack = [root_id]
-    while stack:
-        node_id = stack.pop()
-        order.append(node_id)
-        stack.extend(children[node_id])
-
-    for node_id in reversed(order):
+    for node_id in tree.postorder:
         _, surface, lemma, upos, _, deprel = tokens[node_id - 1]
         lexical = lookup(surface, lemma, upos)
         if record:

@@ -143,21 +143,20 @@ def evaluate_configs(
     results: list[list[ItemResult]] = [[] for _ in configs]
     rules = [compile_rules(cfg.rules) for cfg in configs]
     for item_path, gold in manifest.items:
+        name = str(item_path)
         try:
-            doc = parse_document(
-                read_utf8(Path(item_path), ConlluParseError), source_id=Path(item_path).stem
-            )
+            doc = parse_document(read_utf8(item_path, ConlluParseError), source_id=item_path.stem)
             scored = [
                 classify_document(doc, cfg.lexicon, cfg_rules, lists, agg=agg, tie=tie)
                 for cfg, cfg_rules in zip(configs, rules)
             ]
         except (OSError, SisaError) as exc:
-            logger.warning("skipping %s: %s", item_path, exc)
+            logger.warning("skipping %s: %s", name, exc)
             for items in results:
-                items.append(ItemResult(str(item_path), gold, None, None, error=str(exc)))
+                items.append(ItemResult(name, gold, None, None, error=str(exc)))
             continue
         for items, result in zip(results, scored):
-            items.append(ItemResult(str(item_path), gold, result.label, result.so))
+            items.append(ItemResult(name, gold, result.label, result.so))
     return [_report(manifest, cfg, items) for cfg, items in zip(configs, results)]
 
 

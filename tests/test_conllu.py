@@ -1,4 +1,5 @@
 import io
+from dataclasses import fields
 from random import Random
 
 import pytest
@@ -13,7 +14,14 @@ from sisa import (
     parse_document,
     read_document,
 )
-from treegen import random_document, serialize_document
+from treegen import (
+    build_tree,
+    head_vectors,
+    random_document,
+    random_tree,
+    serialize_document,
+    shaped_tree,
+)
 
 NO_ES_BONITO = (
     "1\tno\tno\tADV\t_\t_\t3\tadvmod\t_\t_\n"
@@ -478,3 +486,56 @@ def test_iter_sentences_equals_parse_document(layout):
         streamed = tuple(iter_sentences(io.StringIO(text)))
         assert streamed == parsed.sentences
         assert tuple(iter_sentences(text.split("\n"))) == parsed.sentences
+
+
+def _recursive_postorder(tree, node_id):
+    """Each dependent's subtree, left to right, then the node itself."""
+    order = []
+    for child in tree.children(node_id):
+        order += _recursive_postorder(tree, child)
+    return order + [node_id]
+
+
+def _stack_walk_postorder(tree):
+    """The walk compute_so made before trees stored their postorder."""
+    order = []
+    stack = [tree.root_id]
+    while stack:
+        node_id = stack.pop()
+        order.append(node_id)
+        stack.extend(tree.children(node_id))
+    return tuple(reversed(order))
+
+
+def _generated_trees():
+    rng = Random(41)
+    yield from (random_tree(rng, max_nodes=12) for _ in range(300))
+    for n in (1, 2, 7, 300):
+        for shape in ("star", "chain"):
+            yield shaped_tree(rng, n, shape)
+    for heads in head_vectors(4):
+        yield build_tree(heads, [4] * 4)
+
+
+def test_postorder_visits_each_subtree_left_to_right_then_its_head():
+    for tree in _generated_trees():
+        order = tree.postorder
+        assert type(order) is tuple
+        assert sorted(order) == list(range(1, len(tree) + 1))
+        position = {node_id: k for k, node_id in enumerate(order)}
+        for tok in tree.tokens:
+            if tok.head:
+                assert position[tok.id] < position[tok.head]
+        assert list(order) == _recursive_postorder(tree, tree.root_id)
+        assert order == _stack_walk_postorder(tree)
+
+
+def test_postorder_is_not_part_of_tree_equality_or_repr():
+    stored = {f.name: f for f in fields(DepTree)}["postorder"]
+    assert (stored.init, stored.compare, stored.repr) == (False, False, False)
+    tree = parse_document(NO_ES_BONITO).sentences[0]
+    assert tree.postorder == (1, 2, 3)
+    twin = DepTree(tree.tokens)
+    object.__setattr__(twin, "postorder", ())
+    assert twin == tree and hash(twin) == hash(tree)
+    assert repr(twin) == repr(tree)
