@@ -6,13 +6,12 @@ past and not kept. Multiword-token ranges ("1-2") and empty nodes ("5.1") are
 dropped before tree building; the engine operates on basic trees only.
 
 Most lines are word lines whose id is the next id written plainly ("7", not
-"07"), with a head that parses and is not the id, and a FORM and a UPOS.
-:func:`iter_sentences` takes such a line on a short path: one split, the id
-compared as text and the head read from a table of 0-63 before any digit
-test. Every other line (blank, comment, range, empty node, malformed, or a
-word line that fails any of these tests) takes the full checks. These
-accept a short-path line the same way, so the short path changes no result
-and no error.
+"07"). :func:`iter_sentences` splits each line once and sends such a line
+straight to the word-line checks (head, FORM, UPOS), which read a head of
+0-63 from a small table before any digit test. Every other line (blank,
+comment, range, empty node, malformed, or an id written otherwise) first
+takes the full checks that tell the kinds of line apart; a word line among
+them then takes the same word-line checks.
 """
 
 from __future__ import annotations
@@ -201,55 +200,45 @@ def iter_sentences(lines: Iterable[str]) -> Iterator[DepTree]:
     try:
         first = next(lines, "")
         for line_no, raw in enumerate(chain((first.removeprefix("\ufeff"),), lines), 1):
+            # Trailing "\r" and "\n" change neither the column count nor any
+            # column but MISC, which is dropped, so the line is not stripped.
             columns = raw.split("\t")
-            if len(columns) == _N_COLUMNS:
-                # The short path of a word line with the next id, written
-                # plainly, and a FORM and a UPOS. It makes the full checks'
-                # head test, in their order, and covers Token's own checks.
-                # MISC is dropped, so a trailing "\r\n" needs no stripping.
-                id_text, form, lemma, upos, _, _, head_text, deprel, _, _ = columns
-                token_id = len(pending) + 1
-                if (numbers.get(id_text) == token_id or id_text == str(token_id)) and form and upos:
-                    head = numbers.get(head_text)
-                    if head is None and head_text.isdecimal() and head_text.isascii():
-                        head = int(head_text)
-                    if head is not None and head != token_id:
-                        if not lemma or lemma == "_":
-                            lemma = form.lower()
-                        pending.append(new_token(Token, (token_id, form, lemma, upos, head, deprel)))
-                        continue
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                if pending:
-                    yield _sentence(pending, sentence_index)
-                    pending.clear()
-                    sentence_index += 1
-                continue
-            if line.startswith("#"):
-                continue
-            columns = line.split("\t")
-            if len(columns) != _N_COLUMNS:
-                raise ConlluParseError(
-                    f"expected {_N_COLUMNS} tab-separated columns, got {len(columns)}", line_no
-                )
+            token_id = len(pending) + 1
             id_text = columns[0]
-            if id_text.isdecimal() and id_text.isascii():
-                token_id = int(id_text)
-            elif _is_number_pair(id_text, "-") or _is_number_pair(id_text, "."):
-                continue
-            else:
-                raise ConlluParseError(f"non-integer token id {id_text!r}", line_no)
-            if token_id != len(pending) + 1:
-                raise ConlluParseError(
-                    f"token id {token_id} out of sequence (expected {len(pending) + 1})", line_no
-                )
+            if len(columns) != _N_COLUMNS or (
+                numbers.get(id_text) != token_id and id_text != str(token_id)
+            ):
+                # Not a word line with the next id written plainly.
+                if not raw.strip():
+                    if pending:
+                        yield _sentence(pending, sentence_index)
+                        pending.clear()
+                        sentence_index += 1
+                    continue
+                if raw.startswith("#"):
+                    continue
+                if len(columns) != _N_COLUMNS:
+                    raise ConlluParseError(
+                        f"expected {_N_COLUMNS} tab-separated columns, got {len(columns)}", line_no
+                    )
+                if _is_number(id_text):
+                    if int(id_text) != token_id:
+                        raise ConlluParseError(
+                            f"token id {int(id_text)} out of sequence (expected {token_id})", line_no
+                        )
+                elif _is_number_pair(id_text, "-") or _is_number_pair(id_text, "."):
+                    continue
+                else:
+                    raise ConlluParseError(f"non-integer token id {id_text!r}", line_no)
             head_text = columns[6]
-            if head_text.isdecimal() and head_text.isascii():
-                head = int(head_text)
-            elif head_text[:1] == "-" and _is_number(head_text[1:]) and int(head_text):
-                raise ConlluParseError(f"negative head {int(head_text)}", line_no)
-            else:
-                raise ConlluParseError(f"non-integer head {head_text!r}", line_no)
+            head = numbers.get(head_text)
+            if head is None:
+                if head_text.isdecimal() and head_text.isascii():
+                    head = int(head_text)
+                elif head_text[:1] == "-" and _is_number(head_text[1:]) and int(head_text):
+                    raise ConlluParseError(f"negative head {int(head_text)}", line_no)
+                else:
+                    raise ConlluParseError(f"non-integer head {head_text!r}", line_no)
             if head == token_id:
                 raise TreeStructureError(
                     f"token {token_id} is its own head", sentence_index

@@ -143,9 +143,9 @@ def evaluate_configs(
     results: list[list[ItemResult]] = [[] for _ in configs]
     rules = [compile_rules(cfg.rules) for cfg in configs]
     for item_path, gold in manifest.items:
-        name = str(item_path)
+        path, name = Path(item_path), str(item_path)
         try:
-            doc = parse_document(read_utf8(item_path, ConlluParseError), source_id=item_path.stem)
+            doc = parse_document(read_utf8(path, ConlluParseError), source_id=path.stem)
             scored = [
                 classify_document(doc, cfg.lexicon, cfg_rules, lists, agg=agg, tie=tie)
                 for cfg, cfg_rules in zip(configs, rules)

@@ -107,6 +107,11 @@ ADVERSARIAL = {
     "CR in HEAD": ROOT + _line(2, "1\r"),
     "CRs at the end of MISC": _line(1, 0, misc="_\r\r") + "\r\n",
     "tab at the end of MISC": _line(1, 0, misc="_\t"),
+    "CR-only line between sentences": ROOT + "\r\n" + ROOT,
+    "CRs only between sentences": ROOT + "\r\r\r\n" + ROOT,
+    "comment ending in CR": "# text\r\n" + ROOT,
+    "nine columns ending in CR": "1\ta\ta\tX\t_\t_\t0\troot\t_\r\n",
+    "eleven columns ending in CR": ROOT.replace("\n", "\t_\r\n"),
     "empty LEMMA": _line(1, 0, form="Gran", lemma=""),
     "underscore LEMMA": _line(1, 0, form="Gran", lemma="_"),
     "empty FORM": _line(1, 0, form=""),

@@ -131,6 +131,11 @@ class TestEvaluate:
         with pytest.raises(UsageError):
             evaluate(manifest, RunConfig("SL-O", fixture_lexicon))
 
+    def test_str_item_paths(self, manifest, fixture_lexicon):
+        as_text = CorpusManifest(manifest.name, tuple((str(p), gold) for p, gold in manifest.items))
+        cfg = RunConfig("SL-O", fixture_lexicon)
+        assert evaluate(as_text, cfg) == evaluate(manifest, cfg)
+
     def test_deterministic(self, manifest, fixture_lexicon, default_rules, wordlists):
         cfg = RunConfig("SL+O", fixture_lexicon, tuple(default_rules))
         assert evaluate(manifest, cfg, wordlists) == evaluate(manifest, cfg, wordlists)
