@@ -222,9 +222,15 @@ def iter_sentences(lines: Iterable[str]) -> Iterator[DepTree]:
                         f"expected {_N_COLUMNS} tab-separated columns, got {len(columns)}", line_no
                     )
                 if _is_number(id_text):
-                    if int(id_text) != token_id:
+                    try:
+                        value = int(id_text)
+                    except ValueError:  # more digits than int() converts
                         raise ConlluParseError(
-                            f"token id {int(id_text)} out of sequence (expected {token_id})", line_no
+                            f"token id too long ({len(id_text)} characters)", line_no
+                        ) from None
+                    if value != token_id:
+                        raise ConlluParseError(
+                            f"token id {value} out of sequence (expected {token_id})", line_no
                         )
                 elif _is_number_pair(id_text, "-") or _is_number_pair(id_text, "."):
                     continue
@@ -233,12 +239,17 @@ def iter_sentences(lines: Iterable[str]) -> Iterator[DepTree]:
             head_text = columns[6]
             head = numbers.get(head_text)
             if head is None:
-                if head_text.isdecimal() and head_text.isascii():
-                    head = int(head_text)
-                elif head_text[:1] == "-" and _is_number(head_text[1:]) and int(head_text):
-                    raise ConlluParseError(f"negative head {int(head_text)}", line_no)
-                else:
-                    raise ConlluParseError(f"non-integer head {head_text!r}", line_no)
+                try:
+                    if head_text.isdecimal() and head_text.isascii():
+                        head = int(head_text)
+                    elif head_text[:1] == "-" and _is_number(head_text[1:]) and int(head_text):
+                        raise ConlluParseError(f"negative head {int(head_text)}", line_no)
+                    else:
+                        raise ConlluParseError(f"non-integer head {head_text!r}", line_no)
+                except ValueError:  # more digits than int() converts
+                    raise ConlluParseError(
+                        f"head too long ({len(head_text)} characters)", line_no
+                    ) from None
             if head == token_id:
                 raise TreeStructureError(
                     f"token {token_id} is its own head", sentence_index

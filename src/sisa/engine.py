@@ -10,7 +10,7 @@ there rather than dropped.
 A sentence costs time linear in its tokens plus its operations, for every
 tree shape, up to the binary search that places a subjr origin among a
 level's branches: each node's features (lowercased form and lemma, bare
-deprel) are computed once, and scope resolution walks per-level cursors
+deprel) are computed once, and the scope lookups walk per-level cursors
 that only move right instead of rescanning the branches of a wide level for
 every operation. The full trace of every trigger, application and discard is
 recorded only when asked for; without it the returned :class:`SoTrace`
@@ -37,6 +37,9 @@ A scorer does only the work its rules need:
   queue is not empty, and applies that queue as one batch; every other node
   sums its branches as an untouched level would. A batch of one operation is
   not sorted.
+- Finding an operation's scope and applying it are one step: the batch
+  walks each operation's scope list once and transforms what the first
+  match selects (the head score, one branch or the whole level).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import isfinite
 from operator import attrgetter
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .conllu import DepTree
 from .errors import NonFiniteScoreError
@@ -58,7 +61,6 @@ from .operations import (
     TARGET,
     WEIGHTING,
     OperationDefinition,
-    ScopeSpec,
     apply_shift,
     apply_weighting,
 )
@@ -89,7 +91,6 @@ class LevelState:
     cached branch sum of :meth:`total` current.
     """
 
-    head_id: int
     head_so: float
     branches: list[BranchState]
     adjustment: float = 0.0
@@ -162,47 +163,6 @@ class PendingOperation:
     origin_id: int
     forced: bool
     amount: float
-
-
-class ScopeSelection(NamedTuple):
-    """Outcome of scope resolution: which spec matched and, for branch-like
-    scopes, which branch it selected."""
-
-    spec: ScopeSpec
-    branch: BranchState | None = None
-
-
-def resolve_scope(
-    scopes: Sequence[ScopeSpec], level: LevelState, origin_id: int
-) -> ScopeSelection | None:
-    """Try scope specs in order and return the first match, or None.
-
-    ``origin_id`` is the surface position through which the operation entered
-    the level (the trigger itself when it triggered here). target requires a
-    nonzero head score; b(x) the leftmost branch with that deprel and nonzero
-    score; subjl/subjr the leftmost nonzero branch strictly left/right of the
-    origin; all always matches. A NaN score counts as nonzero.
-    """
-    for spec in scopes:
-        kind = spec.kind
-        if kind == TARGET:
-            if level.head_so != 0:
-                return ScopeSelection(spec)
-        elif kind == BRANCH:
-            branch = level._live_with(spec.deprel)
-            if branch is not None:
-                return ScopeSelection(spec, branch)
-        elif kind == SUBJL:
-            branch = level._live_from(0)
-            if branch is not None and branch.child_id < origin_id:
-                return ScopeSelection(spec, branch)
-        elif kind == SUBJR:
-            branch = level._live_from(bisect_right(level.branches, origin_id, key=_CHILD_ID))
-            if branch is not None:
-                return ScopeSelection(spec, branch)
-        elif kind == ALL:
-            return ScopeSelection(spec)
-    return None
 
 
 @dataclass
@@ -359,51 +319,67 @@ def _booster_value(
     return value, False
 
 
-def _transform(pending: PendingOperation, so: float) -> float:
-    if pending.definition.transform.kind == WEIGHTING:
-        return apply_weighting(pending.amount, so)
-    return apply_shift(pending.amount, so)
-
-
 def _apply_batch(
     batch: list[PendingOperation], level: LevelState, events: list[tuple] | None
 ) -> None:
     """Dequeue a level's operations: forced ones after the rest, then higher
-    priority first, then leftmost trigger. Transformed constituents stay
-    visible to later operations. Each application or discard is appended to
-    ``events``, as a :class:`SoTrace` event tuple, when a list is given."""
+    priority first, then leftmost trigger.
+
+    Each operation tries its scopes in order and transforms what the first
+    match selects: target the head score, if it is nonzero; b(x) the
+    leftmost nonzero branch with deprel x; subjl/subjr the leftmost nonzero
+    branch strictly left/right of the operation's origin; all, which always
+    matches, the whole level, through its adjustment. A NaN score counts as
+    nonzero. An operation that no scope matches is discarded. Transformed
+    constituents stay visible to later operations. Each application or
+    discard is appended to ``events``, as a :class:`SoTrace` event tuple,
+    when a list is given."""
     if len(batch) > 1:
         batch.sort(key=lambda p: (p.forced, -p.definition.priority, p.trigger_id))
     for pending in batch:
-        name = pending.definition.name
+        definition = pending.definition
+        name = definition.name
         forced = pending.forced
-        selection = resolve_scope(pending.definition.scopes, level, pending.origin_id)
-        if selection is None:
+        transform = apply_weighting if definition.transform.kind == WEIGHTING else apply_shift
+        for spec in definition.scopes:
+            kind = spec.kind
+            branch = None
+            if kind == TARGET:
+                before = level.head_so
+                if before == 0:
+                    continue
+            elif kind == ALL:
+                before = level.total()
+            else:
+                if kind == BRANCH:
+                    branch = level._live_with(spec.deprel)
+                elif kind == SUBJL:
+                    branch = level._live_from(0)
+                    if branch is not None and branch.child_id >= pending.origin_id:
+                        branch = None
+                else:
+                    branch = level._live_from(
+                        bisect_right(level.branches, pending.origin_id, key=_CHILD_ID)
+                    )
+                if branch is None:
+                    continue
+                before = branch.so
+            after = transform(pending.amount, before)
+            if branch is not None:
+                level.set_branch_so(branch, after)
+            elif kind == TARGET:
+                level.head_so = after
+            else:
+                level.adjustment += after - before
+            if events is not None:
+                scope = kind if branch is None else f"{spec}:{branch.child_id}"
+                events.append(
+                    (name, pending.trigger_id, scope, before, after, forced, False, kind == ALL)
+                )
+            break
+        else:
             if events is not None:
                 events.append((name, pending.trigger_id, "none", None, None, forced, True, False))
-            continue
-        kind = selection.spec.kind
-        if kind == TARGET:
-            before = level.head_so
-            after = _transform(pending, before)
-            level.head_so = after
-        elif kind == ALL:
-            before = level.total()
-            after = _transform(pending, before)
-            level.adjustment += after - before
-        else:
-            branch = selection.branch
-            before = branch.so
-            after = _transform(pending, before)
-            level.set_branch_so(branch, after)
-        if events is not None:
-            if kind == TARGET or kind == ALL:
-                scope_text = kind
-            else:
-                scope_text = f"{selection.spec}:{selection.branch.child_id}"
-            events.append(
-                (name, pending.trigger_id, scope_text, before, after, forced, False, kind == ALL)
-            )
 
 
 @dataclass(frozen=True)
@@ -539,7 +515,6 @@ def compute_so(
         batch = queues[node_id]
         if batch:
             level = LevelState(
-                node_id,
                 lexical,
                 [BranchState(c, tokens[c - 1].deprel.split(":", 1)[0], subtree[c]) for c in kids],
             )

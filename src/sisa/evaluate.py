@@ -38,14 +38,15 @@ class CorpusManifest:
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Load a ``relative/path.conllu<TAB>label`` manifest.
 
-    Relative paths resolve against the manifest's own directory.
+    Relative paths resolve against the manifest's own directory; a path
+    with a NUL byte, which no file system accepts, is a :class:`ManifestError`.
     """
     path = Path(path)
     base = path.parent
     items: list[tuple[Path, str]] = []
     lines = read_utf8(
         path, lambda message, line_no: ManifestError(message, str(path), line_no)
-    ).split("\n")
+    ).removeprefix("\ufeff").split("\n")
     for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -58,6 +59,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         item_path, label = columns
         if label not in GOLD_LABELS:
             raise ManifestError(f"unknown gold label {label!r}", str(path), line_no)
+        if "\0" in item_path:
+            raise ManifestError(f"NUL byte in item path {item_path!r}", str(path), line_no)
         resolved = Path(item_path)
         if not resolved.is_absolute():
             resolved = base / resolved

@@ -139,7 +139,7 @@ def load_lexicon(path: str | Path, scale: str | None = None) -> SentimentLexicon
     limit = 1.0 if rescale else 5.0
     lines = read_utf8(
         path, lambda message, line_no: LexiconParseError(message, str(path), line_no)
-    ).split("\n")
+    ).removeprefix("\ufeff").split("\n")
     for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -186,7 +186,8 @@ def sniff_scale(path: str | Path) -> str | None:
     with open(path, "rb") as lines:
         for line_no, raw in enumerate(lines, 1):
             try:
-                line = raw.decode("utf-8").strip()
+                # utf-8-sig drops the byte order mark that may open line 1.
+                line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8").strip()
             except UnicodeDecodeError as exc:
                 raise LexiconParseError(utf8_error(exc), str(path), line_no) from None
             if not line:
@@ -272,7 +273,7 @@ def load_wordlist(path: str | Path) -> WordList:
     wordlist = WordList(name=path.stem)
     lines = read_utf8(
         path, lambda message, line_no: WordListParseError(message, str(path), line_no)
-    ).split("\n")
+    ).removeprefix("\ufeff").split("\n")
     for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -249,4 +249,4 @@ def load_rules(path: str | Path, lists: Mapping[str, WordList]) -> list[Operatio
     """Load a rule configuration file; ``@name`` references resolve in ``lists``."""
     path = Path(path)
     text = read_utf8(path, lambda message, line_no: RuleConfigError(f"{path}:{line_no}: {message}"))
-    return parse_rules(text, lists, source=str(path))
+    return parse_rules(text.removeprefix("\ufeff"), lists, source=str(path))

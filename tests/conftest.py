@@ -10,6 +10,13 @@ DEFAULT_RULES = REPO / "rules" / "sisa_default.rules"
 LISTS_DIR = REPO / "lists"
 
 
+def bom_copy(path: Path, directory: Path) -> Path:
+    """Copy ``path`` into ``directory`` behind a UTF-8 byte order mark."""
+    copy = directory / path.name
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
 @pytest.fixture(scope="session")
 def fixtures() -> Path:
     return FIXTURES

@@ -358,22 +358,29 @@ class TestEvaluate:
     def test_golden_output(self, capsys, monkeypatch, tmp_path):
         # The README's command, run from the repository root.
         monkeypatch.chdir(REPO)
-        code, out, _ = run(
-            capsys,
-            "evaluate",
-            "--corpus", "tests/fixtures/corpus/manifest.tsv",
-            "--lexicon", "tests/fixtures/lexicon.tsv",
-            "--lexicon", "tests/fixtures/corpus/lexicon_ml.tsv",
-            "--rules", "rules/sisa_default.rules",
-            "--lists", "lists",
-            "--report", tmp_path / "summary.json",
-            "--verbose",
-        )
-        assert code == 0
-        golden = FIXTURES / "golden"
-        assert out.encode("utf-8") == (golden / "evaluate_corpus.txt").read_bytes()
-        report = (tmp_path / "summary.json").read_bytes()
-        assert report == (golden / "evaluate_corpus.json").read_bytes()
+        assert_readme_evaluate_golden(capsys, tmp_path / "summary.json")
+
+
+# The README's evaluate command, relative to the repository root, and its inputs.
+README_EVALUATE = (
+    "evaluate",
+    "--corpus", "tests/fixtures/corpus/manifest.tsv",
+    "--lexicon", "tests/fixtures/lexicon.tsv",
+    "--lexicon", "tests/fixtures/corpus/lexicon_ml.tsv",
+    "--rules", "rules/sisa_default.rules",
+    "--lists", "lists",
+)
+README_EVALUATE_INPUTS = (
+    "tests/fixtures/lexicon.tsv", "tests/fixtures/corpus/*", "lists/*", "rules/sisa_default.rules",
+)
+
+
+def assert_readme_evaluate_golden(capsys, report):
+    code, out, _ = run(capsys, *README_EVALUATE, "--report", report, "--verbose")
+    assert code == 0
+    golden = FIXTURES / "golden"
+    assert out.encode("utf-8") == (golden / "evaluate_corpus.txt").read_bytes()
+    assert report.read_bytes() == (golden / "evaluate_corpus.json").read_bytes()
 
 
 class TestInputLoading:
@@ -429,7 +436,7 @@ class TestInputLoading:
 
 
 class TestByteOrderMark:
-    """A UTF-8 byte order mark at the start of a CoNLL-U input is ignored."""
+    """A UTF-8 byte order mark at the start of an input file is ignored."""
 
     ENGINE = ("--lexicon", LEXICON, "--rules", DEFAULT_RULES, "--lists", LISTS_DIR)
 
@@ -464,6 +471,16 @@ class TestByteOrderMark:
         assert want[0] == 0
         got = run(capsys, "evaluate", "--corpus", marked / "manifest.tsv", "--lexicon", LEXICON, *argv)
         assert got == want
+
+    def test_readme_evaluate_with_every_input_marked_and_crlf(self, capsys, monkeypatch, tmp_path):
+        copy = tmp_path / "copy"
+        for pattern in README_EVALUATE_INPUTS:
+            for path in REPO.glob(pattern):
+                target = copy / path.relative_to(REPO)
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", b"\r\n"))
+        monkeypatch.chdir(copy)
+        assert_readme_evaluate_golden(capsys, tmp_path / "summary.json")
 
 
 class TestArgparseBehavior:
@@ -613,6 +630,42 @@ class TestStreamedInput:
         assert (code, out) == (3, "")
         reason = "not valid UTF-8: invalid start byte 0xff"
         assert err == f"sisa: ManifestError: {manifest}:2: {reason}\n"
+
+    def test_nul_byte_in_manifest_path_exits_3(self, capsys, tmp_path):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_bytes(b"a.conllu\tpositive\na\x00b.conllu\tnegative\n")
+        code, out, err = run(capsys, "evaluate", "--corpus", manifest, "--lexicon", LEXICON)
+        assert (code, out) == (3, "")
+        reason = "NUL byte in item path 'a\\x00b.conllu'"
+        assert err == f"sisa: ManifestError: {manifest}:2: {reason}\n"
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_head_too_long_for_int_exits_3(self, capsys, monkeypatch, tmp_path, source):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        data = f"1\tbueno\tbueno\tADJ\t_\t_\t{digits}\troot\t_\t_\n".encode("utf-8")
+        path = tmp_path / "long.conllu"
+        path.write_bytes(data)
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", bytes_stdin(data))
+            path = "-"
+        code, out, err = run(capsys, "classify", *ENGINE, "--input", path)
+        assert (code, out) == (3, "")
+        assert err == f"sisa: ConlluParseError: line 1: head too long ({len(digits)} characters)\n"
+
+    def test_id_too_long_for_int_is_errored_in_evaluate(self, capsys, tmp_path, caplog):
+        corpus = FIXTURES / "corpus"
+        for path in corpus.iterdir():
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        line = f"{digits}\tmalo\tmalo\tADJ\t_\t_\t0\troot\t_\t_\n"
+        (tmp_path / "malo.conllu").write_text(line, encoding="utf-8")
+        code, out, _ = run(capsys, "evaluate", "--corpus", tmp_path / "manifest.tsv", *ENGINE)
+        assert code == 0
+        assert out == "SL-O\t1\t3\t0.3333\nSL+O\t3\t3\t1.0000\n"
+        skipped = [r.getMessage() for r in caplog.records if r.getMessage().startswith("skipping")]
+        assert skipped == [
+            f"skipping {tmp_path / 'malo.conllu'}: line 1: token id too long ({len(digits)} characters)"
+        ]
 
     FIRST_TWO = (
         "1\tmuy\tmuy\tADV\t_\t_\t2\tadvmod\t_\t_\n2\tgrande\tgrande\tADJ\t_\t_\t0\troot\t_\t_\n\n"

@@ -1,4 +1,5 @@
 import io
+import sys
 from dataclasses import fields
 from random import Random
 
@@ -373,6 +374,24 @@ def test_invalid_utf8_at_the_end_of_the_input(read, tmp_path):
     data = NO_ES_BONITO.encode("utf-8") + b"\xc3"
     message = "line 4: not valid UTF-8: unexpected end of data 0xc3"
     assert_parse_error(lambda: read(data, tmp_path), ConlluParseError, message, 4)
+
+
+# More ASCII digits than int() converts (sys.get_int_max_str_digits).
+_LONG_DIGITS = "1" * (sys.get_int_max_str_digits() + 1)
+TOO_LONG = {
+    "id": (_line(_LONG_DIGITS, 1), f"token id too long ({len(_LONG_DIGITS)} characters)"),
+    "head": (_line(2, _LONG_DIGITS), f"head too long ({len(_LONG_DIGITS)} characters)"),
+    "negative head": (
+        _line(2, "-" + _LONG_DIGITS), f"head too long ({len(_LONG_DIGITS) + 1} characters)",
+    ),
+}
+
+
+@pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+@pytest.mark.parametrize("line, message", TOO_LONG.values(), ids=TOO_LONG.keys())
+def test_id_or_head_too_long_for_int_is_a_parse_error(read, line, message, tmp_path):
+    data = (_ROOT + line).encode("utf-8")
+    assert_parse_error(lambda: read(data, tmp_path), ConlluParseError, f"line 2: {message}", 2)
 
 
 def test_sentences_before_a_bad_one_are_yielded_first():

@@ -7,7 +7,7 @@ import pytest
 from conftest import DEFAULT_RULES
 from reference import reference_so
 from sisa import DepTree, Token, compute_so, engine, load_rules, read_document
-from sisa.engine import BranchState, LevelState, compile_rules, resolve_scope
+from sisa.engine import BranchState, LevelState, PendingOperation, compile_rules
 from sisa.lexicon import SentimentLexicon, WordList
 from sisa.operations import (
     ALL,
@@ -15,7 +15,11 @@ from sisa.operations import (
     SUBJL,
     SUBJR,
     TARGET,
+    WEIGHTING,
+    OperationDefinition,
     ScopeSpec,
+    Transformation,
+    TriggerPredicate,
     apply_weighting,
     parse_rules,
 )
@@ -26,9 +30,29 @@ def tree_from(fixtures, name):
     return read_document(fixtures / f"{name}.conllu").sentences[0]
 
 
+def probe(level, scopes, origin_id):
+    """Scope text a one-operation batch records at ``level``, such as
+    "target", "subjl:1" or "none". The operation is a weighting(0), so no
+    score changes, while the level's scope cursors move as for any other."""
+    definition = OperationDefinition(
+        "probe",
+        TriggerPredicate(pos=frozenset({"X"})),
+        Transformation(WEIGHTING, 0.0),
+        delta=0,
+        priority=0,
+        scopes=tuple(scopes),
+    )
+    events = []
+    engine._apply_batch(
+        [PendingOperation(definition, origin_id, origin_id, False, 0.0)], level, events
+    )
+    (event,) = events
+    return event[2]
+
+
 class TestResolveScope:
     def level(self, head_so=3.5, branches=()):
-        return LevelState(head_id=3, head_so=head_so, branches=list(branches))
+        return LevelState(head_so=head_so, branches=list(branches))
 
     def test_target_matches_nonzero_head(self, default_rules):
         negation = {d.name: d for d in default_rules}["negation"]
@@ -36,8 +60,7 @@ class TestResolveScope:
             head_so=3.5,
             branches=[BranchState(1, "advmod", 0.0), BranchState(2, "cop", 0.0)],
         )
-        selection = resolve_scope(negation.scopes, level, origin_id=1)
-        assert selection.spec.kind == TARGET
+        assert probe(level, negation.scopes, origin_id=1) == "target"
 
     def test_subjl_picks_leftmost_nonzero_left_of_origin(self, default_rules):
         adversative = {d.name: d for d in default_rules}["adversative"]
@@ -49,20 +72,17 @@ class TestResolveScope:
                 BranchState(4, "conj", -2.0),
             ],
         )
-        selection = resolve_scope(adversative.scopes, level, origin_id=2)
-        assert selection.spec.kind == SUBJL
-        assert selection.branch.child_id == 1
+        assert probe(level, adversative.scopes, origin_id=2) == "subjl:1"
 
     def test_no_match_without_all(self):
         scopes = (ScopeSpec(TARGET), ScopeSpec(BRANCH, "cop"))
         level = self.level(head_so=0.0, branches=[BranchState(1, "cop", 0.0)])
-        assert resolve_scope(scopes, level, origin_id=1) is None
+        assert probe(level, scopes, origin_id=1) == "none"
 
     def test_branch_requires_nonzero_so(self):
         scopes = (ScopeSpec(BRANCH, "cop"),)
         level = self.level(branches=[BranchState(1, "cop", 0.0), BranchState(2, "cop", 1.5)])
-        selection = resolve_scope(scopes, level, origin_id=9)
-        assert selection.branch.child_id == 2
+        assert probe(level, scopes, origin_id=9) == "b(cop):2"
 
     def test_subjr_picks_leftmost_right_of_origin(self):
         scopes = (ScopeSpec(SUBJR),)
@@ -74,18 +94,17 @@ class TestResolveScope:
                 BranchState(5, "obl", 3.0),
             ]
         )
-        selection = resolve_scope(scopes, level, origin_id=2)
-        assert selection.branch.child_id == 4
+        assert probe(level, scopes, origin_id=2) == "subjr:4"
 
     def test_all_is_unconditional(self):
         scopes = (ScopeSpec(TARGET), ScopeSpec(ALL))
         level = self.level(head_so=0.0, branches=[])
-        assert resolve_scope(scopes, level, origin_id=1).spec.kind == ALL
+        assert probe(level, scopes, origin_id=1) == "all"
 
     def test_order_respected(self):
         scopes = (ScopeSpec(BRANCH, "cop"), ScopeSpec(TARGET))
         level = self.level(head_so=1.0, branches=[BranchState(1, "cop", 2.0)])
-        assert resolve_scope(scopes, level, origin_id=1).spec.kind == BRANCH
+        assert probe(level, scopes, origin_id=1) == "b(cop):1"
 
 
 class TestComputeSo:
@@ -283,34 +302,32 @@ class TestScopeCursors:
     branch they would have picked."""
 
     def level(self, branches):
-        return LevelState(head_id=3, head_so=0.0, branches=list(branches))
+        return LevelState(head_so=0.0, branches=list(branches))
 
     def test_branch_moves_to_next_live_with_deprel(self):
         scopes = (ScopeSpec(BRANCH, "cop"),)
         level = self.level(
             [BranchState(1, "cop", 2.0), BranchState(2, "obj", 1.0), BranchState(4, "cop", 1.5)]
         )
-        first = resolve_scope(scopes, level, origin_id=3).branch
-        assert first.child_id == 1
+        assert probe(level, scopes, origin_id=3) == "b(cop):1"
+        first = level.branches[0]
         level.set_branch_so(first, apply_weighting(-1.0, first.so))
-        second = resolve_scope(scopes, level, origin_id=3).branch
-        assert second.child_id == 4
-        level.set_branch_so(second, 0.0)
-        assert resolve_scope(scopes, level, origin_id=3) is None
+        assert probe(level, scopes, origin_id=3) == "b(cop):4"
+        level.set_branch_so(level.branches[2], 0.0)
+        assert probe(level, scopes, origin_id=3) == "none"
 
     def test_subjl_moves_to_next_live_left_of_origin(self):
         scopes = (ScopeSpec(SUBJL),)
         level = self.level(
             [BranchState(1, "nsubj", 2.0), BranchState(2, "obj", 3.0), BranchState(5, "obl", 1.0)]
         )
-        first = resolve_scope(scopes, level, origin_id=4).branch
-        assert first.child_id == 1
-        level.set_branch_so(first, 0.0)
-        assert resolve_scope(scopes, level, origin_id=4).branch.child_id == 2
+        assert probe(level, scopes, origin_id=4) == "subjl:1"
+        level.set_branch_so(level.branches[0], 0.0)
+        assert probe(level, scopes, origin_id=4) == "subjl:2"
         level.set_branch_so(level.branches[1], 0.0)
         # The next live branch (5) lies right of the origin.
-        assert resolve_scope(scopes, level, origin_id=4) is None
-        assert resolve_scope(scopes, level, origin_id=6).branch.child_id == 5
+        assert probe(level, scopes, origin_id=4) == "none"
+        assert probe(level, scopes, origin_id=6) == "subjl:5"
 
     def test_subjr_moves_to_next_live_right_of_origin(self):
         scopes = (ScopeSpec(SUBJR),)
@@ -323,26 +340,25 @@ class TestScopeCursors:
                 BranchState(6, "obl", -1.0),
             ]
         )
-        first = resolve_scope(scopes, level, origin_id=1).branch
-        assert first.child_id == 2
-        level.set_branch_so(first, 0.0)
+        assert probe(level, scopes, origin_id=1) == "subjr:2"
+        level.set_branch_so(level.branches[1], 0.0)
         # Skips the branch that was 0 from the start and the one just zeroed.
-        assert resolve_scope(scopes, level, origin_id=1).branch.child_id == 5
-        assert resolve_scope(scopes, level, origin_id=0).branch.child_id == 1
+        assert probe(level, scopes, origin_id=1) == "subjr:5"
+        assert probe(level, scopes, origin_id=0) == "subjr:1"
         level.set_branch_so(level.branches[3], 0.0)
-        assert resolve_scope(scopes, level, origin_id=1).branch.child_id == 6
-        assert resolve_scope(scopes, level, origin_id=5).branch.child_id == 6
-        assert resolve_scope(scopes, level, origin_id=6) is None
+        assert probe(level, scopes, origin_id=1) == "subjr:6"
+        assert probe(level, scopes, origin_id=5) == "subjr:6"
+        assert probe(level, scopes, origin_id=6) == "none"
 
     def test_nan_branch_counts_as_live(self):
         nan = float("nan")
         level = self.level([BranchState(1, "nsubj", nan), BranchState(2, "nsubj", 1.0)])
-        assert resolve_scope((ScopeSpec(BRANCH, "nsubj"),), level, origin_id=3).branch.child_id == 1
-        assert resolve_scope((ScopeSpec(SUBJL),), level, origin_id=3).branch.child_id == 1
-        assert resolve_scope((ScopeSpec(SUBJR),), level, origin_id=0).branch.child_id == 1
+        assert probe(level, (ScopeSpec(BRANCH, "nsubj"),), origin_id=3) == "b(nsubj):1"
+        assert probe(level, (ScopeSpec(SUBJL),), origin_id=3) == "subjl:1"
+        assert probe(level, (ScopeSpec(SUBJR),), origin_id=0) == "subjr:1"
 
     def test_total_follows_branch_changes(self):
-        level = LevelState(head_id=3, head_so=1.0, branches=[BranchState(1, "obj", 2.0)])
+        level = LevelState(head_so=1.0, branches=[BranchState(1, "obj", 2.0)])
         assert level.total() == 3.0
         level.set_branch_so(level.branches[0], 0.5)
         level.adjustment = 0.25

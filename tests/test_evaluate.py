@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 import sisa.evaluate as evaluation
-from conftest import DEFAULT_RULES
+from conftest import DEFAULT_RULES, bom_copy
 from reference import reference_so
 from sisa import ManifestError, UsageError, load_lexicon, load_rules
 from sisa.evaluate import (
@@ -78,6 +78,21 @@ class TestManifest:
         bad.write_text("a.conllu\n", encoding="utf-8")
         with pytest.raises(ManifestError):
             load_manifest(bad)
+
+    def test_nul_byte_in_path_rejected(self, tmp_path):
+        bad = tmp_path / "m.tsv"
+        bad.write_text("a.conllu\tpositive\na\0b.conllu\tnegative\n", encoding="utf-8")
+        with pytest.raises(ManifestError) as info:
+            load_manifest(bad)
+        assert str(info.value) == f"{bad}:2: NUL byte in item path 'a\\x00b.conllu'"
+        assert info.value.line_no == 2
+
+    def test_byte_order_mark_ignored(self, manifest, corpus_dir, tmp_path):
+        marked = load_manifest(bom_copy(corpus_dir / "manifest.tsv", tmp_path))
+        assert marked.name == manifest.name
+        assert [(path.relative_to(tmp_path), gold) for path, gold in marked.items] == [
+            (path.relative_to(corpus_dir), gold) for path, gold in manifest.items
+        ]
 
 
 class TestEvaluate:

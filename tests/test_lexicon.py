@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from conftest import FIXTURES, LISTS_DIR, bom_copy
 from sisa import (
     LexiconParseError,
     LexiconRangeError,
@@ -317,6 +318,24 @@ class TestDumpAndSniff:
             load_lexicon(path)
         assert str(sniffed.value) == str(loaded.value)
         assert sniffed.value.line_no == 2
+
+
+class TestByteOrderMark:
+    """One leading UTF-8 byte order mark is ignored, as in CoNLL-U input."""
+
+    @pytest.mark.parametrize(
+        "name", ["lexicon.tsv", "senticon_ca.tsv", "sfu_ca.tsv", "corpus/lexicon_ml.tsv"]
+    )
+    def test_lexicon_and_its_scale_header(self, tmp_path, name):
+        plain = FIXTURES / name
+        marked = bom_copy(plain, tmp_path)
+        assert sniff_scale(marked) == sniff_scale(plain)
+        assert load_lexicon(marked) == load_lexicon(plain)
+
+    def test_word_lists(self, tmp_path):
+        for path in LISTS_DIR.iterdir():
+            bom_copy(path, tmp_path)
+        assert load_wordlists(tmp_path) == load_wordlists(LISTS_DIR)
 
 
 class TestWordList:

@@ -1,6 +1,7 @@
 import pytest
 
-from sisa import DepTree, RuleConfigError, Token, compute_so
+from conftest import DEFAULT_RULES, bom_copy
+from sisa import DepTree, RuleConfigError, Token, compute_so, load_rules
 from sisa.lexicon import SentimentLexicon, WordList
 from sisa.operations import (
     ALL,
@@ -150,6 +151,10 @@ class TestDefaultRules:
     def test_empty_rules_text(self):
         assert parse_rules("", {}) == []
         assert parse_rules("# only a comment\n", {}) == []
+
+    def test_byte_order_mark_ignored(self, tmp_path, wordlists):
+        marked = bom_copy(DEFAULT_RULES, tmp_path)
+        assert load_rules(marked, wordlists) == load_rules(DEFAULT_RULES, wordlists)
 
 
 RULE_TEMPLATE = """
