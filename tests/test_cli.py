@@ -361,7 +361,7 @@ class TestEvaluate:
         assert_readme_evaluate_golden(capsys, tmp_path / "summary.json")
 
 
-# The README's evaluate command, relative to the repository root, and its inputs.
+# The README's evaluate command, relative to the repository root.
 README_EVALUATE = (
     "evaluate",
     "--corpus", "tests/fixtures/corpus/manifest.tsv",
@@ -370,11 +370,6 @@ README_EVALUATE = (
     "--rules", "rules/sisa_default.rules",
     "--lists", "lists",
 )
-README_EVALUATE_INPUTS = (
-    "tests/fixtures/lexicon.tsv", "tests/fixtures/corpus/*", "lists/*", "rules/sisa_default.rules",
-)
-
-
 def assert_readme_evaluate_golden(capsys, report):
     code, out, _ = run(capsys, *README_EVALUATE, "--report", report, "--verbose")
     assert code == 0
@@ -474,7 +469,8 @@ class TestByteOrderMark:
 
     def test_readme_evaluate_with_every_input_marked_and_crlf(self, capsys, monkeypatch, tmp_path):
         copy = tmp_path / "copy"
-        for pattern in README_EVALUATE_INPUTS:
+        inputs = ("tests/fixtures/lexicon.tsv", "tests/fixtures/corpus/*", "lists/*", "rules/*")
+        for pattern in inputs:
             for path in REPO.glob(pattern):
                 target = copy / path.relative_to(REPO)
                 target.parent.mkdir(parents=True, exist_ok=True)
