@@ -29,14 +29,25 @@ A scorer does only the work its rules need:
   then is its deprel stripped of its subtype. Without rules (the -O
   configurations) no node tests the index at all. Callers that score many
   sentences compile once and pass the result wherever definitions go.
+- Each rule's plan is built once, with its
+  :class:`~sisa.operations.OperationDefinition`: its name, its transformation
+  function and its scopes as ``(kind, deprel, text)`` tuples.
+  :func:`compile_rules` only collects the plans, so compiling per document
+  or per call costs no per-scope work.
 - An operation is resolved once, when it triggers: its climb fixes the
   level it applies at, the node it enters that level through (its origin)
   and whether the root cut the climb short (it is forced). It is queued once,
   at that level, so no node handles an operation that only passes through.
-- A node builds a :class:`LevelState`, with its branch list, only when its
-  queue is not empty, and applies that queue as one batch; every other node
-  sums its branches as an untouched level would. A batch of one operation is
-  not sorted.
+  The queue entry is a ``(forced, -priority, trigger_id, rule_index,
+  origin_id, amount)`` tuple, so a batch sorts natively into dequeue order;
+  ``rule_index`` breaks ties in definition order, and ``(trigger_id,
+  rule_index)`` is unique at a level, so no sort compares further.
+- A node whose queue is not empty applies it as one batch over a flat
+  level: its ``dependents`` tuple and a list of branch scores, copied from
+  the subtree scores on the first branch or all scope. Bare deprels are read
+  on the first b(x) scope, the scope cursors are plain index lists, and a
+  subjr origin is placed with a binary search of the child ids. Every other
+  node sums its branches as an untouched level would.
 - Finding an operation's scope and applying it are one step: the batch
   walks each operation's scope list once and transforms what the first
   match selects (the head score, one branch or the whole level).
@@ -47,123 +58,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import isfinite
-from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .conllu import DepTree
 from .errors import NonFiniteScoreError
 from .lexicon import SentimentLexicon, WordList
-from .operations import (
-    ALL,
-    BRANCH,
-    SUBJL,
-    SUBJR,
-    TARGET,
-    WEIGHTING,
-    OperationDefinition,
-    apply_shift,
-    apply_weighting,
-)
+from .operations import ALL, BRANCH, SUBJL, TARGET, OperationDefinition
 from .util import format_so
-
-_CHILD_ID = attrgetter("child_id")
-
-
-@dataclass(slots=True)
-class BranchState:
-    """One child branch at a level: who heads it, its bare deprel, and the
-    accumulated (possibly already transformed) score of its subtree."""
-
-    child_id: int
-    deprel: str
-    so: float
-
-
-@dataclass(slots=True)
-class LevelState:
-    """Mutable scoring state of one node while operations apply at it.
-
-    ``branches`` are in surface order. A branch's score changes only when a
-    branch scope selects it, and branch scopes select only nonzero branches,
-    so a branch can drop to 0 but never come back. Scope lookups rely on
-    that: their cursors skip a branch for good once they have seen it at 0.
-    Change a branch's score through :meth:`set_branch_so`, which keeps the
-    cached branch sum of :meth:`total` current.
-    """
-
-    head_so: float
-    branches: list[BranchState]
-    adjustment: float = 0.0
-    _branch_sum: float | None = field(default=None, init=False, repr=False, compare=False)
-    # Skip table over branch indexes: every index in [i, _next[i]) is a
-    # zero branch; _next[i] == i means branch i was live when last seen.
-    _next: list[int] | None = field(default=None, init=False, repr=False, compare=False)
-    # Branches per deprel, rightmost first, so the leftmost is popped last.
-    _by_deprel: dict[str, list[BranchState]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def total(self) -> float:
-        if self._branch_sum is None:
-            self._branch_sum = sum(b.so for b in self.branches)
-        return self.head_so + self._branch_sum + self.adjustment
-
-    def set_branch_so(self, branch: BranchState, so: float) -> None:
-        branch.so = so
-        self._branch_sum = None
-
-    def _live_from(self, start: int) -> BranchState | None:
-        """Leftmost nonzero branch at index ``start`` or later."""
-        nxt = self._next
-        if nxt is None:
-            nxt = self._next = list(range(len(self.branches) + 1))
-        branches = self.branches
-        end = len(branches)
-        index = start
-        path = []
-        while index < end:
-            step = nxt[index]
-            if step == index:
-                if branches[index].so != 0:
-                    break
-                step = index + 1
-            path.append(index)
-            index = step
-        for seen in path:
-            nxt[seen] = index
-        return branches[index] if index < end else None
-
-    def _live_with(self, deprel: str) -> BranchState | None:
-        """Leftmost nonzero branch with the given bare deprel."""
-        by_deprel = self._by_deprel
-        if by_deprel is None:
-            by_deprel = self._by_deprel = {}
-            for branch in reversed(self.branches):
-                by_deprel.setdefault(branch.deprel, []).append(branch)
-        candidates = by_deprel.get(deprel)
-        while candidates:
-            if candidates[-1].so != 0:
-                return candidates[-1]
-            candidates.pop()
-        return None
-
-
-@dataclass(slots=True)
-class PendingOperation:
-    """A triggered operation, queued at the level where it applies.
-
-    ``origin_id`` is the node through which it entered that level (the
-    trigger itself when ``delta`` is 0), ``forced`` tells whether the root
-    cut its climb short, and ``amount`` is its weighting or shift amount:
-    the rule's own, or the booster value of the trigger word.
-    """
-
-    definition: OperationDefinition
-    trigger_id: int
-    origin_id: int
-    forced: bool
-    amount: float
-
 
 @dataclass
 class TriggerRecord:
@@ -320,82 +221,135 @@ def _booster_value(
 
 
 def _apply_batch(
-    batch: list[PendingOperation], level: LevelState, events: list[tuple] | None
-) -> None:
-    """Dequeue a level's operations: forced ones after the rest, then higher
-    priority first, then leftmost trigger.
+    batch: list[tuple],
+    plans: Sequence[tuple],
+    head: float,
+    kids: tuple[int, ...],
+    subtree: Sequence[float],
+    tokens: Sequence[tuple],
+    events: list[tuple] | None,
+) -> float:
+    """Dequeue the operations queued at one level and return its total.
+
+    ``batch`` holds ``(forced, -priority, trigger_id, rule_index, origin_id,
+    amount)`` tuples and is dequeued in their sort order: forced operations
+    after the rest, then higher priority first, then leftmost trigger, then
+    definition order. ``plans[rule_index]`` is the rule's plan. The level is
+    the head score ``head`` and one branch per child id in ``kids`` (surface
+    order), scored ``subtree[child_id]``, with the bare deprel of
+    ``tokens[child_id - 1]``.
 
     Each operation tries its scopes in order and transforms what the first
     match selects: target the head score, if it is nonzero; b(x) the
     leftmost nonzero branch with deprel x; subjl/subjr the leftmost nonzero
     branch strictly left/right of the operation's origin; all, which always
-    matches, the whole level, through its adjustment. A NaN score counts as
-    nonzero. An operation that no scope matches is discarded. Transformed
-    constituents stay visible to later operations. Each application or
-    discard is appended to ``events``, as a :class:`SoTrace` event tuple,
-    when a list is given."""
-    if len(batch) > 1:
-        batch.sort(key=lambda p: (p.forced, -p.definition.priority, p.trigger_id))
-    for pending in batch:
-        definition = pending.definition
-        name = definition.name
-        forced = pending.forced
-        transform = apply_weighting if definition.transform.kind == WEIGHTING else apply_shift
-        for spec in definition.scopes:
-            kind = spec.kind
-            branch = None
+    matches, the whole level, through an adjustment added to its total. A
+    NaN score counts as nonzero. An operation that no scope matches is
+    discarded. Transformed constituents stay visible to later operations.
+    Each application or discard is appended to ``events``, as a
+    :class:`SoTrace` event tuple, when a list is given.
+
+    The branch scores are copied into a list on the first branch or all
+    scope. Their sum is taken with ``sum`` over that list, again whenever it
+    is needed after a branch change, never kept as a running total, so the
+    total has the bits of an untouched level's sum. A branch changes only
+    when a scope selects it, and scopes select only nonzero branches, so a
+    branch can drop to 0 but never come back; the lookups rely on that and
+    skip a branch for good once they have seen it at 0.
+    """
+    batch.sort()
+    adjustment = 0.0
+    scores = None
+    branch_sum = None
+    # Skip table over branch indexes: every index in [i, skip[i]) is a zero
+    # branch; skip[i] == i means branch i was live when last seen.
+    skip = None
+    # Branch indexes per bare deprel, rightmost first, so the leftmost is
+    # popped last.
+    by_deprel = None
+    for forced, _, trigger_id, rule_index, origin_id, amount in batch:
+        name, transform, scopes = plans[rule_index]
+        for kind, deprel, text in scopes:
             if kind == TARGET:
-                before = level.head_so
+                before = head
                 if before == 0:
                     continue
+                head = after = transform(amount, before)
+                scope = kind
             elif kind == ALL:
-                before = level.total()
+                if branch_sum is None:
+                    if scores is None:
+                        scores = [subtree[c] for c in kids]
+                    branch_sum = sum(scores)
+                before = head + branch_sum + adjustment
+                after = transform(amount, before)
+                adjustment += after - before
+                scope = kind
             else:
+                if scores is None:
+                    scores = [subtree[c] for c in kids]
                 if kind == BRANCH:
-                    branch = level._live_with(spec.deprel)
-                elif kind == SUBJL:
-                    branch = level._live_from(0)
-                    if branch is not None and branch.child_id >= pending.origin_id:
-                        branch = None
+                    if by_deprel is None:
+                        by_deprel = {}
+                        for index in range(len(kids) - 1, -1, -1):
+                            bare = tokens[kids[index] - 1][5].split(":", 1)[0]
+                            by_deprel.setdefault(bare, []).append(index)
+                    candidates = by_deprel.get(deprel)
+                    while candidates and scores[candidates[-1]] == 0:
+                        candidates.pop()
+                    if not candidates:
+                        continue
+                    index = candidates[-1]
                 else:
-                    branch = level._live_from(
-                        bisect_right(level.branches, pending.origin_id, key=_CHILD_ID)
-                    )
-                if branch is None:
-                    continue
-                before = branch.so
-            after = transform(pending.amount, before)
-            if branch is not None:
-                level.set_branch_so(branch, after)
-            elif kind == TARGET:
-                level.head_so = after
-            else:
-                level.adjustment += after - before
+                    if skip is None:
+                        skip = list(range(len(kids) + 1))
+                    end = len(kids)
+                    index = 0 if kind == SUBJL else bisect_right(kids, origin_id)
+                    path = []
+                    while index < end:
+                        step = skip[index]
+                        if step == index:
+                            if scores[index] != 0:
+                                break
+                            step = index + 1
+                        path.append(index)
+                        index = step
+                    for seen in path:
+                        skip[seen] = index
+                    if index == end or (kind == SUBJL and kids[index] >= origin_id):
+                        continue
+                before = scores[index]
+                scores[index] = after = transform(amount, before)
+                branch_sum = None
+                scope = None if events is None else f"{text}:{kids[index]}"
             if events is not None:
-                scope = kind if branch is None else f"{spec}:{branch.child_id}"
-                events.append(
-                    (name, pending.trigger_id, scope, before, after, forced, False, kind == ALL)
-                )
+                events.append((name, trigger_id, scope, before, after, forced, False, kind == ALL))
             break
         else:
             if events is not None:
-                events.append((name, pending.trigger_id, "none", None, None, forced, True, False))
+                events.append((name, trigger_id, "none", None, None, forced, True, False))
+    if branch_sum is None:
+        branch_sum = sum(scores if scores is not None else [subtree[c] for c in kids])
+    return head + branch_sum + adjustment
 
 
 @dataclass(frozen=True)
 class CompiledRules:
     """A rule set prepared once for scoring many sentences.
 
-    ``triggers`` holds one ``(definition, forms, pos, deprels)`` tuple per
-    rule, in definition order, a word list's dict standing in for the list
-    so that membership tests skip a method call. ``words`` is the union of
-    every rule's trigger words and ``unindexed`` tells whether some rule has
-    no form constraint: a node whose lowercased form and lemma are both
-    outside ``words`` can fire only such a rule. Word lists are read when
-    the rules are compiled, so compile after the lists are final.
+    ``triggers`` holds one ``(definition, forms, pos, deprels, rule_index,
+    delta, -priority, amount, booster_source)`` tuple per rule, in
+    definition order, a word list's dict standing in for the list so that
+    membership tests skip a method call; ``plans[rule_index]`` is the
+    rule's :attr:`~sisa.operations.OperationDefinition.plan`. ``words`` is
+    the union of every rule's trigger words and ``unindexed`` tells whether
+    some rule has no form constraint: a node whose lowercased form and lemma
+    are both outside ``words`` can fire only such a rule. Word lists are
+    read when the rules are compiled, so compile after the lists are final.
     """
 
     triggers: tuple[tuple, ...]
+    plans: tuple[tuple, ...]
     words: frozenset[str]
     unindexed: bool
 
@@ -408,15 +362,29 @@ def compile_rules(defs: Sequence[OperationDefinition] | CompiledRules) -> Compil
     triggers = []
     words: set[str] = set()
     unindexed = False
-    for definition in defs:
+    for index, definition in enumerate(defs):
         trigger = definition.trigger
+        transform = definition.transform
         forms = trigger.forms.words if isinstance(trigger.forms, WordList) else trigger.forms
         if forms is None:
             unindexed = True
         else:
             words.update(forms)
-        triggers.append((definition, forms, trigger.pos, trigger.deprel))
-    return CompiledRules(tuple(triggers), frozenset(words), unindexed)
+        triggers.append(
+            (
+                definition,
+                forms,
+                trigger.pos,
+                trigger.deprel,
+                index,
+                definition.delta,
+                -definition.priority,
+                transform.param,
+                transform.booster_source,
+            )
+        )
+    plans = tuple(definition.plan for definition in defs)
+    return CompiledRules(tuple(triggers), plans, frozenset(words), unindexed)
 
 
 def compute_so(
@@ -433,10 +401,10 @@ def compute_so(
     the node are instantiated in definition order, each queued at the level
     ``delta`` head links up, or forced at the root if that comes first; the
     node's queue is then applied (forced operations last, higher priority
-    first, leftmost trigger on ties); the level total is the
-    possibly-transformed head score plus all branch scores. With
-    ``record=False`` the returned trace has no
-    nodes; its score and warnings are the same. ``defs`` may be plain
+    first, leftmost trigger on ties, then definition order); the level total
+    is the possibly-transformed head score plus all branch scores. With
+    ``record=False`` the returned trace has no nodes; its score and warnings
+    are the same. ``defs`` may be plain
     definitions or, to skip compiling them for every sentence, the result
     of :func:`compile_rules`. A sentence score that overflows to infinity or
     NaN raises :class:`NonFiniteScoreError`.
@@ -448,12 +416,13 @@ def compute_so(
     root_id = tree.root_id
     lookup = lex.lookup
     triggers = rules.triggers
+    plans = rules.plans
     words = rules.words
     unindexed = rules.unindexed
     size = len(tokens) + 1
     subtree: list[float] = [0.0] * size
-    # queues[h] holds the operations that apply at h.
-    queues: list[list[PendingOperation] | None] = [None] * size
+    # queues[h] holds the operations that apply at h, as _apply_batch takes them.
+    queues: list[list[tuple] | None] = [None] * size
     warnings: list[str] = []
     if record:
         # Flat records by node id; a node's event list exists only once it
@@ -473,16 +442,13 @@ def compute_so(
             if unindexed or form in words or lemma in words:
                 # Token.bare_deprel, inlined.
                 deprel = deprel.split(":", 1)[0]
-                for definition, forms, pos, deprels in triggers:
+                for definition, forms, pos, deprels, index, delta, rank, amount, source in triggers:
                     if forms is not None and form not in forms and lemma not in forms:
                         continue
                     if pos is not None and upos not in pos:
                         continue
                     if deprels is not None and deprel not in deprels:
                         continue
-                    delta = definition.delta
-                    amount = definition.transform.param
-                    source = definition.transform.booster_source
                     if source is not None:
                         amount, missing = _booster_value(source, form, lemma, lists)
                         if missing:
@@ -509,25 +475,20 @@ def compute_so(
                     queue = queues[target]
                     if queue is None:
                         queue = queues[target] = []
-                    queue.append(PendingOperation(definition, node_id, origin, climb > 0, amount))
+                    queue.append((climb > 0, rank, node_id, index, origin, amount))
 
         kids = children[node_id]
         batch = queues[node_id]
         if batch:
-            level = LevelState(
-                lexical,
-                [BranchState(c, tokens[c - 1].deprel.split(":", 1)[0], subtree[c]) for c in kids],
-            )
             node_events = None
             if record:
                 node_events = events[node_id]
                 if node_events is None:
                     node_events = events[node_id] = []
-            _apply_batch(batch, level, node_events)
-            subtree_so = level.total()
+            subtree_so = _apply_batch(batch, plans, lexical, kids, subtree, tokens, node_events)
         elif kids:
-            # Nothing applies here: total() of an untouched level, with the
-            # branch scores summed the same way and a zero adjustment.
+            # Nothing applies here: the total of an untouched level, with
+            # the branch scores summed the same way and a zero adjustment.
             subtree_so = lexical + sum([subtree[c] for c in kids]) + 0.0
         else:
             # A leaf: lookup never returns -0.0, so lexical + 0 + 0.0 is lexical.

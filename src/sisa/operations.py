@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -101,7 +101,11 @@ class OperationDefinition:
 
     ``delta`` is how many head links the triggered instance climbs before it
     is applied; higher ``priority`` applies first when several operations are
-    dequeued at the same level.
+    dequeued at the same level. ``plan``, built with the definition, is what
+    :func:`sisa.engine.compute_so` reads when it applies the operation: its
+    name, its transformation function (:func:`apply_weighting` or
+    :func:`apply_shift`) and its scopes as ``(kind, deprel, text)`` tuples,
+    ``text`` being the scope as a trace writes it.
     """
 
     name: str
@@ -110,12 +114,16 @@ class OperationDefinition:
     delta: int
     priority: int
     scopes: tuple[ScopeSpec, ...]
+    plan: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.delta < 0:
             raise RuleConfigError(f"rule {self.name!r}: delta must be >= 0")
         if not self.scopes:
             raise RuleConfigError(f"rule {self.name!r}: scope list must not be empty")
+        transform = apply_weighting if self.transform.kind == WEIGHTING else apply_shift
+        scopes = tuple((spec.kind, spec.deprel, str(spec)) for spec in self.scopes)
+        object.__setattr__(self, "plan", (self.name, transform, scopes))
 
 
 _TAU_RE = re.compile(r"^(weighting|shift)\((.+)\)$")
@@ -139,7 +147,10 @@ def _parse_scope(text: str, rule: str) -> ScopeSpec:
         return ScopeSpec(text)
     branch = _BRANCH_RE.match(text)
     if branch:
-        return ScopeSpec(BRANCH, branch.group(1).strip())
+        deprel = branch.group(1).strip()
+        if not deprel:
+            raise RuleConfigError(f"rule {rule!r}: branch scope {text!r} names no deprel")
+        return ScopeSpec(BRANCH, deprel)
     raise RuleConfigError(f"rule {rule!r}: unknown scope keyword {text!r}")
 
 
@@ -241,7 +252,10 @@ def parse_rules(
             raise RuleConfigError(f"{source}:{line_no}: expected 'key = value', got {line!r}")
         if block is None:
             raise RuleConfigError(f"{source}:{line_no}: key outside an [operation] block")
-        block[key.strip()] = value.strip()
+        key = key.strip()
+        if key in block:
+            raise RuleConfigError(f"{source}:{line_no}: duplicate key {key!r} in [operation] block")
+        block[key] = value.strip()
     return [_build_definition(b, lists) for b in blocks]
 
 

@@ -397,6 +397,28 @@ class TestInputLoading:
         assert (code, out) == (3, "")
         assert err == "sisa: RuleConfigError: rule 'neg': missing required key 'tau'\n"
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (
+                "[operation]\nname = neg\ntrigger.pos = ADV\ntau = shift(4)\nscope = target\nscope = all\n",
+                "{rules}:6: duplicate key 'scope' in [operation] block",
+            ),
+            (
+                "[operation]\nname = neg\ntrigger.pos = ADV\ntau = shift(4)\nscope = target,b( )\n",
+                "rule 'neg': branch scope 'b( )' names no deprel",
+            ),
+        ],
+        ids=["duplicate-key", "empty-branch"],
+    )
+    def test_broken_rule_exits_3(self, capsys, tmp_path, text, error):
+        rules = tmp_path / "broken.rules"
+        rules.write_text(text, encoding="utf-8")
+        argv = ("classify", "--lexicon", LEXICON, "--rules", rules)
+        code, out, err = run(capsys, *argv, "--input", FIXTURES / "muy_grande.conllu")
+        assert (code, out) == (3, "")
+        assert err == f"sisa: RuleConfigError: {error.format(rules=rules)}\n"
+
     def test_library_and_classify_agree_on_the_header_scale(self, capsys, tmp_path):
         lexicon = tmp_path / "raw.tsv"
         lexicon.write_text("# scale: senticon_raw\ngrande\tADJ\t0.5\n", encoding="utf-8")

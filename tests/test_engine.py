@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from random import Random
 
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from conftest import DEFAULT_RULES
 from reference import reference_so
 from sisa import DepTree, Token, compute_so, engine, load_rules, read_document
-from sisa.engine import BranchState, LevelState, PendingOperation, compile_rules
+from sisa.engine import compile_rules
 from sisa.lexicon import SentimentLexicon, WordList
 from sisa.operations import (
     ALL,
@@ -20,7 +20,6 @@ from sisa.operations import (
     ScopeSpec,
     Transformation,
     TriggerPredicate,
-    apply_weighting,
     parse_rules,
 )
 from treegen import VOCAB, build_tree, random_tree, vocab_lexicon, vocab_lists
@@ -30,81 +29,85 @@ def tree_from(fixtures, name):
     return read_document(fixtures / f"{name}.conllu").sentences[0]
 
 
-def probe(level, scopes, origin_id):
-    """Scope text a one-operation batch records at ``level``, such as
-    "target", "subjl:1" or "none". The operation is a weighting(0), so no
-    score changes, while the level's scope cursors move as for any other."""
-    definition = OperationDefinition(
-        "probe",
-        TriggerPredicate(pos=frozenset({"X"})),
-        Transformation(WEIGHTING, 0.0),
-        delta=0,
-        priority=0,
-        scopes=tuple(scopes),
-    )
+def run_level(head_so, branches, operations):
+    """Events of one batch that ``engine._apply_batch`` dequeues at a
+    hand-built level, and the level total it returns.
+
+    ``branches`` are ``(child_id, deprel, so)`` in surface order, and
+    ``operations`` are ``(scopes, beta, origin_id)``: one weighting by beta
+    each, dequeued in the order given. A weighting(0) moves the level's scope
+    cursors as any operation does but changes no score; a weighting(-1)
+    zeroes what it selects."""
+    size = max((child_id for child_id, _, _ in branches), default=0) + 1
+    subtree = [0.0] * size
+    tokens = [(i, "w", "w", "X", 0, "dep") for i in range(1, size)]
+    for child_id, deprel, so in branches:
+        subtree[child_id] = so
+        tokens[child_id - 1] = (child_id, "w", "w", "X", 0, deprel)
+    plans = []
+    batch = []
+    for index, (scopes, beta, origin_id) in enumerate(operations):
+        definition = OperationDefinition(
+            "probe",
+            TriggerPredicate(pos=frozenset({"X"})),
+            Transformation(WEIGHTING, beta),
+            delta=0,
+            priority=0,
+            scopes=tuple(scopes),
+        )
+        plans.append(definition.plan)
+        batch.append((False, 0, index + 1, index, origin_id, beta))
+    kids = tuple(child_id for child_id, _, _ in branches)
     events = []
-    engine._apply_batch(
-        [PendingOperation(definition, origin_id, origin_id, False, 0.0)], level, events
-    )
-    (event,) = events
-    return event[2]
+    total = engine._apply_batch(batch, plans, head_so, kids, subtree, tokens, events)
+    return events, total
+
+
+def scope_texts(head_so, branches, operations):
+    """The scope text each operation of the batch records, such as
+    "target", "subjl:1" or "none"."""
+    events, _ = run_level(head_so, branches, operations)
+    return [event[2] for event in events]
+
+
+def probe(head_so, branches, scopes, origin_id):
+    """Scope text of a one-operation weighting(0) batch."""
+    (text,) = scope_texts(head_so, branches, [(scopes, 0.0, origin_id)])
+    return text
 
 
 class TestResolveScope:
-    def level(self, head_so=3.5, branches=()):
-        return LevelState(head_so=head_so, branches=list(branches))
-
     def test_target_matches_nonzero_head(self, default_rules):
         negation = {d.name: d for d in default_rules}["negation"]
-        level = self.level(
-            head_so=3.5,
-            branches=[BranchState(1, "advmod", 0.0), BranchState(2, "cop", 0.0)],
-        )
-        assert probe(level, negation.scopes, origin_id=1) == "target"
+        branches = [(1, "advmod", 0.0), (2, "cop", 0.0)]
+        assert probe(3.5, branches, negation.scopes, origin_id=1) == "target"
 
     def test_subjl_picks_leftmost_nonzero_left_of_origin(self, default_rules):
         adversative = {d.name: d for d in default_rules}["adversative"]
-        level = self.level(
-            head_so=0.0,
-            branches=[
-                BranchState(1, "xcomp", 2.0),
-                BranchState(2, "cc", 0.0),
-                BranchState(4, "conj", -2.0),
-            ],
-        )
-        assert probe(level, adversative.scopes, origin_id=2) == "subjl:1"
+        branches = [(1, "xcomp", 2.0), (2, "cc", 0.0), (4, "conj", -2.0)]
+        assert probe(0.0, branches, adversative.scopes, origin_id=2) == "subjl:1"
 
     def test_no_match_without_all(self):
         scopes = (ScopeSpec(TARGET), ScopeSpec(BRANCH, "cop"))
-        level = self.level(head_so=0.0, branches=[BranchState(1, "cop", 0.0)])
-        assert probe(level, scopes, origin_id=1) == "none"
+        assert probe(0.0, [(1, "cop", 0.0)], scopes, origin_id=1) == "none"
 
     def test_branch_requires_nonzero_so(self):
         scopes = (ScopeSpec(BRANCH, "cop"),)
-        level = self.level(branches=[BranchState(1, "cop", 0.0), BranchState(2, "cop", 1.5)])
-        assert probe(level, scopes, origin_id=9) == "b(cop):2"
+        branches = [(1, "cop", 0.0), (2, "cop", 1.5)]
+        assert probe(3.5, branches, scopes, origin_id=9) == "b(cop):2"
 
     def test_subjr_picks_leftmost_right_of_origin(self):
         scopes = (ScopeSpec(SUBJR),)
-        level = self.level(
-            branches=[
-                BranchState(1, "nsubj", 2.0),
-                BranchState(2, "advmod", 0.0),
-                BranchState(4, "obj", -1.0),
-                BranchState(5, "obl", 3.0),
-            ]
-        )
-        assert probe(level, scopes, origin_id=2) == "subjr:4"
+        branches = [(1, "nsubj", 2.0), (2, "advmod", 0.0), (4, "obj", -1.0), (5, "obl", 3.0)]
+        assert probe(3.5, branches, scopes, origin_id=2) == "subjr:4"
 
     def test_all_is_unconditional(self):
         scopes = (ScopeSpec(TARGET), ScopeSpec(ALL))
-        level = self.level(head_so=0.0, branches=[])
-        assert probe(level, scopes, origin_id=1) == "all"
+        assert probe(0.0, [], scopes, origin_id=1) == "all"
 
     def test_order_respected(self):
         scopes = (ScopeSpec(BRANCH, "cop"), ScopeSpec(TARGET))
-        level = self.level(head_so=1.0, branches=[BranchState(1, "cop", 2.0)])
-        assert probe(level, scopes, origin_id=1) == "b(cop):1"
+        assert probe(1.0, [(1, "cop", 2.0)], scopes, origin_id=1) == "b(cop):1"
 
 
 class TestComputeSo:
@@ -301,72 +304,156 @@ scope = target
         assert first == second
 
 
-class TestScopeCursors:
-    """Scope lookups after an earlier operation at the same level zeroed the
-    branch they would have picked."""
+class TestDequeueOrder:
+    """Ties in priority and trigger fall back to definition order, and forced
+    operations come after the rest whatever their priority."""
 
-    def level(self, branches):
-        return LevelState(head_so=0.0, branches=list(branches))
+    RULES = """
+[operation]
+name = zeta
+trigger.forms = muy
+trigger.deprel = advmod
+tau = weighting(0.5)
+delta = 1
+priority = 1
+scope = target
 
-    def test_branch_moves_to_next_live_with_deprel(self):
-        scopes = (ScopeSpec(BRANCH, "cop"),)
-        level = self.level(
-            [BranchState(1, "cop", 2.0), BranchState(2, "obj", 1.0), BranchState(4, "cop", 1.5)]
-        )
-        assert probe(level, scopes, origin_id=3) == "b(cop):1"
-        first = level.branches[0]
-        level.set_branch_so(first, apply_weighting(-1.0, first.so))
-        assert probe(level, scopes, origin_id=3) == "b(cop):4"
-        level.set_branch_so(level.branches[2], 0.0)
-        assert probe(level, scopes, origin_id=3) == "none"
+[operation]
+name = alpha
+trigger.forms = muy
+trigger.deprel = advmod
+tau = weighting(1)
+delta = 1
+priority = 1
+scope = target
 
-    def test_subjl_moves_to_next_live_left_of_origin(self):
-        scopes = (ScopeSpec(SUBJL),)
-        level = self.level(
-            [BranchState(1, "nsubj", 2.0), BranchState(2, "obj", 3.0), BranchState(5, "obl", 1.0)]
-        )
-        assert probe(level, scopes, origin_id=4) == "subjl:1"
-        level.set_branch_so(level.branches[0], 0.0)
-        assert probe(level, scopes, origin_id=4) == "subjl:2"
-        level.set_branch_so(level.branches[1], 0.0)
-        # The next live branch (5) lies right of the origin.
-        assert probe(level, scopes, origin_id=4) == "none"
-        assert probe(level, scopes, origin_id=6) == "subjl:5"
+[operation]
+name = deep
+trigger.forms = no
+trigger.deprel = advmod
+tau = shift(4)
+delta = 2
+priority = 9
+scope = target
 
-    def test_subjr_moves_to_next_live_right_of_origin(self):
-        scopes = (ScopeSpec(SUBJR),)
-        level = self.level(
+[operation]
+name = late
+trigger.forms = no
+trigger.deprel = advmod
+tau = weighting(-0.5)
+delta = 1
+priority = 0
+scope = target
+"""
+
+    def test_equal_priority_rules_and_forced_batch_at_root(self, fixture_lexicon):
+        # no -> bueno(root) <- muy: 'muy' fires zeta and alpha, both priority
+        # 1; 'no' fires late (priority 0) and deep, whose two links the root
+        # cuts short, so it is forced there.
+        tree = chain_tree(
             [
-                BranchState(1, "nsubj", 2.0),
-                BranchState(2, "advmod", 1.0),
-                BranchState(4, "obj", 0.0),
-                BranchState(5, "obl", 3.0),
-                BranchState(6, "obl", -1.0),
+                ("no", "ADV", 3, "advmod"),
+                ("muy", "ADV", 3, "advmod"),
+                ("bueno", "ADJ", 0, "root"),
             ]
         )
-        assert probe(level, scopes, origin_id=1) == "subjr:2"
-        level.set_branch_so(level.branches[1], 0.0)
-        # Skips the branch that was 0 from the start and the one just zeroed.
-        assert probe(level, scopes, origin_id=1) == "subjr:5"
-        assert probe(level, scopes, origin_id=0) == "subjr:1"
-        level.set_branch_so(level.branches[3], 0.0)
-        assert probe(level, scopes, origin_id=1) == "subjr:6"
-        assert probe(level, scopes, origin_id=5) == "subjr:6"
-        assert probe(level, scopes, origin_id=6) == "none"
+        defs = parse_rules(self.RULES, {})
+        trace = compute_so(tree, fixture_lexicon, defs)
+        assert [astuple(app) for app in trace.nodes[2].applications] == [
+            ("zeta", 2, "target", 2.0, 3.0, False, False, False),
+            ("alpha", 2, "target", 3.0, 6.0, False, False, False),
+            ("late", 1, "target", 6.0, 3.0, False, False, False),
+            ("deep", 1, "target", 3.0, -1.0, True, False, False),
+        ]
+        assert trace.sentence_so == -1.0 == reference_so(tree, fixture_lexicon, defs)
+        assert compute_so(tree, fixture_lexicon, defs, record=False).sentence_so == -1.0
+
+
+class TestScopeCursors:
+    """Scope lookups after an earlier operation of the same batch zeroed the
+    branch they would have picked. Each zeroing is a weighting(-1), whose
+    own scope text shows the branch it zeroed."""
+
+    def test_branch_moves_to_next_live_with_deprel(self):
+        cop = (ScopeSpec(BRANCH, "cop"),)
+        branches = [(1, "cop", 2.0), (2, "obj", 1.0), (4, "cop", 1.5)]
+        probe, zero = (cop, 0.0, 3), (cop, -1.0, 3)
+        assert scope_texts(0.0, branches, [probe, zero, probe, zero, probe]) == [
+            "b(cop):1",
+            "b(cop):1",
+            "b(cop):4",
+            "b(cop):4",
+            "none",
+        ]
+
+    def test_subjl_moves_to_next_live_left_of_origin(self):
+        subjl = (ScopeSpec(SUBJL),)
+        branches = [(1, "nsubj", 2.0), (2, "obj", 3.0), (5, "obl", 1.0)]
+        probe, zero = (subjl, 0.0, 4), (subjl, -1.0, 4)
+        # After both zeroings the next live branch (5) lies right of origin 4.
+        assert scope_texts(0.0, branches, [probe, zero, probe, zero, probe, (subjl, 0.0, 6)]) == [
+            "subjl:1",
+            "subjl:1",
+            "subjl:2",
+            "subjl:2",
+            "none",
+            "subjl:5",
+        ]
+
+    def test_subjr_moves_to_next_live_right_of_origin(self):
+        subjr = (ScopeSpec(SUBJR),)
+        branches = [
+            (1, "nsubj", 2.0),
+            (2, "advmod", 1.0),
+            (4, "obj", 0.0),
+            (5, "obl", 3.0),
+            (6, "obl", -1.0),
+        ]
+        operations = [
+            (subjr, 0.0, 1),
+            (subjr, -1.0, 1),
+            # Skips the branch that was 0 from the start and the one just zeroed.
+            (subjr, 0.0, 1),
+            (subjr, 0.0, 0),
+            (subjr, -1.0, 4),
+            (subjr, 0.0, 1),
+            (subjr, 0.0, 5),
+            (subjr, 0.0, 6),
+        ]
+        assert scope_texts(0.0, branches, operations) == [
+            "subjr:2",
+            "subjr:2",
+            "subjr:5",
+            "subjr:1",
+            "subjr:5",
+            "subjr:6",
+            "subjr:6",
+            "none",
+        ]
 
     def test_nan_branch_counts_as_live(self):
         nan = float("nan")
-        level = self.level([BranchState(1, "nsubj", nan), BranchState(2, "nsubj", 1.0)])
-        assert probe(level, (ScopeSpec(BRANCH, "nsubj"),), origin_id=3) == "b(nsubj):1"
-        assert probe(level, (ScopeSpec(SUBJL),), origin_id=3) == "subjl:1"
-        assert probe(level, (ScopeSpec(SUBJR),), origin_id=0) == "subjr:1"
+        branches = [(1, "nsubj", nan), (2, "nsubj", 1.0)]
+        operations = [
+            ((ScopeSpec(BRANCH, "nsubj"),), 0.0, 3),
+            ((ScopeSpec(SUBJL),), 0.0, 3),
+            ((ScopeSpec(SUBJR),), 0.0, 0),
+        ]
+        assert scope_texts(0.0, branches, operations) == ["b(nsubj):1", "subjl:1", "subjr:1"]
 
     def test_total_follows_branch_changes(self):
-        level = LevelState(head_so=1.0, branches=[BranchState(1, "obj", 2.0)])
-        assert level.total() == 3.0
-        level.set_branch_so(level.branches[0], 0.5)
-        level.adjustment = 0.25
-        assert level.total() == 1.75
+        obj = (ScopeSpec(BRANCH, "obj"),)
+        _, total = run_level(1.0, [(1, "obj", 2.0)], [((ScopeSpec(TARGET),), 0.0, 1)])
+        assert total == 3.0
+        # 2 -> 0.5; all sees 1 + 0.5 and doubles it; 0.5 -> 1 after that.
+        operations = [(obj, -0.75, 1), ((ScopeSpec(ALL),), 1.0, 1), (obj, 1.0, 1)]
+        events, total = run_level(1.0, [(1, "obj", 2.0)], operations)
+        assert [event[2:5] for event in events] == [
+            ("b(obj):1", 2.0, 0.5),
+            ("all", 1.5, 3.0),
+            ("b(obj):1", 0.5, 1.0),
+        ]
+        assert total == 1.0 + 1.0 + 1.5
 
     def test_branch_change_after_all_backoff(self):
         # malo <- pero, no -> muy(root): negation backs off to all (-3 -> 1),

@@ -239,6 +239,24 @@ class TestRuleParsing:
         with pytest.raises(RuleConfigError):
             parse_rules(text, lists)
 
+    @pytest.mark.parametrize("scope", ["b( )", "target,b()", "target, b(\t)"])
+    def test_branch_scope_without_deprel_rejected(self, lists, scope):
+        text = RULE_TEMPLATE.format(tau="shift(4)", scope=scope)
+        with pytest.raises(RuleConfigError) as err:
+            parse_rules(text, lists)
+        assert "'demo'" in str(err.value)
+
+    def test_duplicate_key_rejected(self, lists):
+        # The second scope used to win silently.
+        text = RULE_TEMPLATE.format(tau="shift(4)", scope="target") + "scope = all\n"
+        with pytest.raises(RuleConfigError) as err:
+            parse_rules(text, lists, source="dup.rules")
+        assert str(err.value) == "dup.rules:11: duplicate key 'scope' in [operation] block"
+
+    def test_same_key_in_two_blocks_accepted(self, lists):
+        text = RULE_TEMPLATE.format(tau="shift(4)", scope="target") * 2
+        assert len(parse_rules(text, lists)) == 2
+
 
 class TestScopeSpec:
     def test_branch_requires_deprel(self):
