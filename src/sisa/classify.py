@@ -7,16 +7,13 @@ from math import fsum, isfinite, nan
 from typing import Iterable, Mapping, Sequence
 
 from .conllu import DepTree, Document
-from .engine import CompiledRules, SoTrace, compile_rules, compute_so
+from .engine import SoTrace, compute_so
 from .errors import NonFiniteScoreError, UsageError
 from .lexicon import SentimentLexicon, WordList
 from .operations import OperationDefinition
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
-
-SENTENCE = "sentence"
-DOCUMENT = "document"
 
 AGGREGATIONS = ("sum", "mean")
 TIE_RULES = ("pos", "neg")
@@ -28,7 +25,6 @@ class PolarityResult:
 
     so: float
     label: str
-    granularity: str
     traces: tuple[SoTrace, ...] | None = None
 
 
@@ -94,7 +90,7 @@ def document_so(scores: Iterable[float], source_id: str, agg: str = "sum") -> fl
 def classify_sentence(
     tree: DepTree,
     lex: SentimentLexicon,
-    defs: Sequence[OperationDefinition] | CompiledRules,
+    defs: Sequence[OperationDefinition],
     lists: Mapping[str, WordList] | None = None,
     *,
     tie: str = "pos",
@@ -105,7 +101,6 @@ def classify_sentence(
     return PolarityResult(
         so=trace.sentence_so,
         label=polarity_label(trace.sentence_so, tie),
-        granularity=SENTENCE,
         traces=(trace,) if with_trace else None,
     )
 
@@ -113,7 +108,7 @@ def classify_sentence(
 def classify_document(
     doc: Document,
     lex: SentimentLexicon,
-    defs: Sequence[OperationDefinition] | CompiledRules,
+    defs: Sequence[OperationDefinition],
     lists: Mapping[str, WordList] | None = None,
     *,
     agg: str = "sum",
@@ -121,13 +116,11 @@ def classify_document(
     with_trace: bool = False,
 ) -> PolarityResult:
     """Aggregate sentence scores into a document score and label it; see
-    :func:`document_so`. The rules are compiled once for all sentences."""
-    rules = compile_rules(defs)
-    traces = [compute_so(tree, lex, rules, lists, record=with_trace) for tree in doc.sentences]
+    :func:`document_so`."""
+    traces = [compute_so(tree, lex, defs, lists, record=with_trace) for tree in doc.sentences]
     so = document_so((trace.sentence_so for trace in traces), doc.source_id, agg)
     return PolarityResult(
         so=so,
         label=polarity_label(so, tie),
-        granularity=DOCUMENT,
         traces=tuple(traces) if with_trace else None,
     )

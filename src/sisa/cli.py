@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Results go to stdout as tab-separated lines, diagnostics to stderr. Exit
-codes: 0 success, 2 missing file, 3 unparseable input or a score that is not
+codes: 0 success, 1 stdout closed before all output was written (as by
+``| head``), 2 missing file, 3 unparseable input or a score that is not
 finite, 4 usage error (including scale mismatches). ``classify`` and
 ``trace`` read their input one sentence at a time, so per-sentence output
 before a malformed sentence has already been written when they exit 3.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -18,7 +20,7 @@ from typing import Iterator, TextIO
 
 from .classify import AGGREGATIONS, TIE_RULES, classify_sentence, document_so, polarity_label
 from .conllu import iter_sentences
-from .engine import compile_rules, compute_so
+from .engine import compute_so
 from .errors import PARSE_ERRORS, ScaleMismatchError, UsageError
 from .evaluate import (
     RunConfig,
@@ -43,6 +45,7 @@ from .operations import load_rules
 from .util import format_so
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_MISSING = 2
 EXIT_PARSE = 3
 EXIT_USAGE = 4
@@ -86,12 +89,12 @@ def _load_inputs(args) -> tuple:
 
 
 def _load_environment(args) -> tuple:
-    """The one lexicon, the rules compiled once for the whole run, and the
-    word lists of ``classify`` and ``trace``."""
+    """The one lexicon, the rules and the word lists of ``classify`` and
+    ``trace``."""
     if len(args.lexicon) > 1:
         raise UsageError(f"{args.subcommand} takes one --lexicon input, got {len(args.lexicon)}")
     lists, rules, (lexicon,) = _load_inputs(args)
-    return lexicon, compile_rules(rules), lists
+    return lexicon, rules, lists
 
 
 def _cmd_classify(args) -> int:
@@ -261,7 +264,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A closed stdout raises here rather than in the flush at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (`sisa trace ... | head`), which is no
+        # error to report. Python flushes stdout again at exit, so point it
+        # at devnull to keep that flush from failing too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except PARSE_ERRORS as exc:
         print(f"sisa: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -81,7 +81,8 @@ class DepTree:
     and ``dependents[0]`` is ``(root_id,)``. ``postorder`` lists every id
     once, each dependent before its head and siblings left to right. Walks
     over every node index these directly; :meth:`children` is the checked
-    lookup of one node.
+    lookup of one node. An entry of ``tokens`` that is not a :class:`Token`,
+    such as a plain tuple, is made one, so its fields are checked.
     """
 
     tokens: tuple[Token, ...]
@@ -91,7 +92,6 @@ class DepTree:
 
     def __post_init__(self) -> None:
         tokens = tuple(self.tokens)
-        object.__setattr__(self, "tokens", tokens)
         if not tokens:
             raise TreeStructureError("sentence has no tokens")
         size = len(tokens)
@@ -100,7 +100,13 @@ class DepTree:
         # surface order. A bad head is reported only after the root count,
         # which takes precedence.
         bad_head = None
-        for expected, (token_id, _, _, _, head, _) in enumerate(tokens, 1):
+        made = None
+        for expected, token in enumerate(tokens, 1):
+            if not isinstance(token, Token):
+                if made is None:
+                    made = list(tokens)
+                made[expected - 1] = token = Token(*token)
+            token_id, _, _, _, head, _ = token
             if token_id != expected:
                 raise TreeStructureError(
                     f"token ids are not sequential: expected {expected}, got {token_id}"
@@ -115,6 +121,7 @@ class DepTree:
         if bad_head is not None:
             token_id, head = bad_head
             raise TreeStructureError(f"token {token_id} points at nonexistent head {head}")
+        object.__setattr__(self, "tokens", tokens if made is None else tuple(made))
         # Reachability from the root doubles as the cycle check: every token
         # has exactly one head, so n reachable nodes means no cycles. The
         # walk is a right-to-left preorder; reversed, the postorder.

@@ -22,18 +22,19 @@ records from them only when it is first read.
 
 A scorer does only the work its rules need:
 
-- :func:`compile_rules` builds a rule set's trigger table once: each rule's
-  constraints, the union of all trigger words, and whether some rule has no
-  form constraint. A node runs the rule loop only when its lowercased form or
-  lemma is in that union (or such an unconstrained rule exists), and only
-  then is its deprel stripped of its subtype. Without rules (the -O
-  configurations) no node tests the index at all. Callers that score many
-  sentences compile once and pass the result wherever definitions go.
-- Each rule's plan is built once, with its
-  :class:`~sisa.operations.OperationDefinition`: its name, its transformation
-  function and its scopes as ``(kind, deprel, text)`` tuples.
-  :func:`compile_rules` only collects the plans, so compiling per document
-  or per call costs no per-scope work.
+- :func:`compute_so` compiles a rule set into a trigger table on its first
+  use and keeps the last non-empty one it compiled: a call with the same
+  definitions, the same objects in the same order, reuses the table, and an
+  empty rule set shares one empty table without replacing the kept one. The
+  table holds each rule's constraints, the union of all trigger words, and
+  whether some rule has no form constraint. A node runs the rule loop only
+  when its lowercased form or lemma is in that union (or such an
+  unconstrained rule exists), and only then is its deprel stripped of its
+  subtype. Without rules (the -O configurations) no node tests the index at
+  all.
+- The table also holds each rule's plan: its name, its transformation
+  function and its scopes as ``(kind, deprel, text)`` tuples, so applying an
+  operation reads no attribute chain.
 - An operation is resolved once, when it triggers: its climb fixes the
   level it applies at, the node it enters that level through (its origin)
   and whether the root cut the climb short (it is forced). It is queued once,
@@ -58,12 +59,22 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import isfinite
+from operator import is_
 from typing import Mapping, Sequence
 
 from .conllu import DepTree
 from .errors import NonFiniteScoreError
 from .lexicon import SentimentLexicon, WordList
-from .operations import ALL, BRANCH, SUBJL, TARGET, OperationDefinition
+from .operations import (
+    ALL,
+    BRANCH,
+    SUBJL,
+    TARGET,
+    WEIGHTING,
+    OperationDefinition,
+    apply_shift,
+    apply_weighting,
+)
 from .util import format_so
 
 @dataclass
@@ -335,17 +346,18 @@ def _apply_batch(
 
 @dataclass(frozen=True)
 class CompiledRules:
-    """A rule set prepared once for scoring many sentences.
+    """A rule set prepared for scoring many sentences.
 
     ``triggers`` holds one ``(definition, forms, pos, deprels, rule_index,
     delta, -priority, amount, booster_source)`` tuple per rule, in
     definition order, a word list's dict standing in for the list so that
-    membership tests skip a method call; ``plans[rule_index]`` is the
-    rule's :attr:`~sisa.operations.OperationDefinition.plan`. ``words`` is
-    the union of every rule's trigger words and ``unindexed`` tells whether
-    some rule has no form constraint: a node whose lowercased form and lemma
-    are both outside ``words`` can fire only such a rule. Word lists are
-    read when the rules are compiled, so compile after the lists are final.
+    membership tests skip a method call. ``plans[rule_index]`` is the
+    rule's name, its transformation function (:func:`apply_weighting` or
+    :func:`apply_shift`) and its scopes as ``(kind, deprel, text)`` tuples,
+    ``text`` being the scope as a trace writes it. ``words`` is the union of
+    every rule's trigger words and ``unindexed`` tells whether some rule has
+    no form constraint: a node whose lowercased form and lemma are both
+    outside ``words`` can fire only such a rule.
     """
 
     triggers: tuple[tuple, ...]
@@ -354,12 +366,11 @@ class CompiledRules:
     unindexed: bool
 
 
-def compile_rules(defs: Sequence[OperationDefinition] | CompiledRules) -> CompiledRules:
-    """Compile rule definitions for :func:`compute_so`; a compiled rule set
-    is returned as it is."""
-    if isinstance(defs, CompiledRules):
-        return defs
+def compile_rules(defs: Sequence[OperationDefinition]) -> CompiledRules:
+    """Compile rule definitions into the table :func:`compute_so` scores
+    with; word lists are read now."""
     triggers = []
+    plans = []
     words: set[str] = set()
     unindexed = False
     for index, definition in enumerate(defs):
@@ -383,14 +394,38 @@ def compile_rules(defs: Sequence[OperationDefinition] | CompiledRules) -> Compil
                 transform.booster_source,
             )
         )
-    plans = tuple(definition.plan for definition in defs)
-    return CompiledRules(tuple(triggers), plans, frozenset(words), unindexed)
+        apply = apply_weighting if transform.kind == WEIGHTING else apply_shift
+        scopes = tuple((spec.kind, spec.deprel, str(spec)) for spec in definition.scopes)
+        plans.append((definition.name, apply, scopes))
+    return CompiledRules(tuple(triggers), tuple(plans), frozenset(words), unindexed)
+
+
+_NO_RULES = compile_rules(())
+# The last non-empty rule set compute_so compiled, as a tuple, and its table.
+# It is replaced whole, so threads that race on it at worst compile twice.
+_last: tuple[tuple[OperationDefinition, ...], CompiledRules] = ((), _NO_RULES)
+
+
+def _compiled(defs: Sequence[OperationDefinition]) -> CompiledRules:
+    """The table of ``defs``, compiled only when they are not the objects,
+    in order, of the rule set compiled last."""
+    global _last
+    key, rules = _last
+    if defs is key:  # the tuple compiled last, which cannot have changed
+        return rules
+    if not defs:
+        return _NO_RULES
+    if len(key) != len(defs) or not all(map(is_, key, defs)):
+        key = tuple(defs)
+        rules = compile_rules(key)
+        _last = key, rules
+    return rules
 
 
 def compute_so(
     tree: DepTree,
     lex: SentimentLexicon,
-    defs: Sequence[OperationDefinition] | CompiledRules,
+    defs: Sequence[OperationDefinition],
     lists: Mapping[str, WordList] | None = None,
     *,
     record: bool = True,
@@ -404,12 +439,13 @@ def compute_so(
     first, leftmost trigger on ties, then definition order); the level total
     is the possibly-transformed head score plus all branch scores. With
     ``record=False`` the returned trace has no nodes; its score and warnings
-    are the same. ``defs`` may be plain
-    definitions or, to skip compiling them for every sentence, the result
-    of :func:`compile_rules`. A sentence score that overflows to infinity or
-    NaN raises :class:`NonFiniteScoreError`.
+    are the same. ``defs`` is compiled on its first use, and its word
+    lists are read then; it is compiled again only when a call with other
+    non-empty definitions came between, or when it gained, lost or replaced
+    a rule in place. A sentence score that overflows to infinity or NaN
+    raises :class:`NonFiniteScoreError`.
     """
-    rules = compile_rules(defs)
+    rules = _compiled(defs)
     lists = lists or {}
     tokens = tree.tokens
     children = tree.dependents

@@ -15,7 +15,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .classify import check_agg, check_tie, classify_document
 from .conllu import parse_document
-from .engine import compile_rules
 from .errors import ConlluParseError, ManifestError, SisaError, UsageError
 from .lexicon import SentimentLexicon, WordList
 from .operations import OperationDefinition
@@ -131,27 +130,28 @@ def evaluate_configs(
     agreement, one report per configuration in the given order.
 
     Each item is read and parsed once and scored under every configuration
-    before the next item is read, so one document is held at a time. Each
-    configuration's rules are compiled once for the whole manifest. An item
-    that cannot be read or parsed, or that fails to score under any one
-    configuration (a :class:`NonFiniteScoreError`, say), is logged once and
-    recorded as errored under every configuration, so all reports count the
-    same items and stay comparable in :func:`compare_configs`. Errored items
-    are excluded from the accuracy denominator; a manifest with no readable
+    before the next item is read, so one document is held at a time. A rule
+    set the +O configurations share is compiled once for the whole manifest,
+    on its first use: the -O configurations have no rules and do not make
+    :func:`~sisa.engine.compute_so` compile it again. An item that cannot be
+    read or parsed, or that fails to score under any one configuration (a
+    :class:`NonFiniteScoreError`, say), is logged once and recorded as
+    errored under every configuration, so all reports count the same items
+    and stay comparable in :func:`compare_configs`. Errored items are
+    excluded from the accuracy denominator; a manifest with no readable
     items at all is a usage error, as is an unknown ``agg`` or ``tie``,
     refused before the first item is read.
     """
     check_agg(agg)
     check_tie(tie)
     results: list[list[ItemResult]] = [[] for _ in configs]
-    rules = [compile_rules(cfg.rules) for cfg in configs]
     for item_path, gold in manifest.items:
         path, name = Path(item_path), str(item_path)
         try:
             doc = parse_document(read_utf8(path, ConlluParseError), source_id=path.stem)
             scored = [
-                classify_document(doc, cfg.lexicon, cfg_rules, lists, agg=agg, tie=tie)
-                for cfg, cfg_rules in zip(configs, rules)
+                classify_document(doc, cfg.lexicon, cfg.rules, lists, agg=agg, tie=tie)
+                for cfg in configs
             ]
         except (OSError, SisaError) as exc:
             logger.warning("skipping %s: %s", name, exc)

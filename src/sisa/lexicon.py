@@ -305,12 +305,19 @@ def load_wordlist(path: str | Path) -> WordList:
 
 
 def load_wordlists(directory: str | Path) -> dict[str, WordList]:
-    """Load every ``*.txt``/``*.tsv`` file in a directory, keyed by file stem."""
+    """Load every ``*.txt``/``*.tsv`` file in a directory, keyed by file stem.
+
+    Two files with one stem (``boosters.tsv`` and ``boosters.txt``) are a
+    :class:`UsageError` naming both."""
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"word list directory not found: {directory}")
-    lists: dict[str, WordList] = {}
+    paths: dict[str, Path] = {}
     for path in sorted(directory.glob("*")):
         if path.suffix in (".txt", ".tsv") and path.is_file():
-            lists[path.stem] = load_wordlist(path)
-    return lists
+            if path.stem in paths:
+                raise UsageError(
+                    f"word lists {paths[path.stem]} and {path} share the name {path.stem!r}"
+                )
+            paths[path.stem] = path
+    return {stem: load_wordlist(path) for stem, path in paths.items()}

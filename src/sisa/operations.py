@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -101,11 +101,7 @@ class OperationDefinition:
 
     ``delta`` is how many head links the triggered instance climbs before it
     is applied; higher ``priority`` applies first when several operations are
-    dequeued at the same level. ``plan``, built with the definition, is what
-    :func:`sisa.engine.compute_so` reads when it applies the operation: its
-    name, its transformation function (:func:`apply_weighting` or
-    :func:`apply_shift`) and its scopes as ``(kind, deprel, text)`` tuples,
-    ``text`` being the scope as a trace writes it.
+    dequeued at the same level.
     """
 
     name: str
@@ -114,16 +110,12 @@ class OperationDefinition:
     delta: int
     priority: int
     scopes: tuple[ScopeSpec, ...]
-    plan: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.delta < 0:
             raise RuleConfigError(f"rule {self.name!r}: delta must be >= 0")
         if not self.scopes:
             raise RuleConfigError(f"rule {self.name!r}: scope list must not be empty")
-        transform = apply_weighting if self.transform.kind == WEIGHTING else apply_shift
-        scopes = tuple((spec.kind, spec.deprel, str(spec)) for spec in self.scopes)
-        object.__setattr__(self, "plan", (self.name, transform, scopes))
 
 
 _TAU_RE = re.compile(r"^(weighting|shift)\((.+)\)$")

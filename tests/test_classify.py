@@ -38,7 +38,6 @@ class TestSentence:
         result = classify_sentence(tree, fixture_lexicon, default_rules, wordlists)
         assert result.so == pytest.approx(2.3375, abs=1e-12)
         assert result.label == "positive"
-        assert result.granularity == "sentence"
 
     def test_no_es_bonito_negative(self, fixture_lexicon, default_rules, wordlists):
         tree = parse_document(NO_ES_BONITO).sentences[0]
@@ -82,7 +81,6 @@ class TestDocument:
         result = classify_document(doc, fixture_lexicon, default_rules, wordlists)
         assert result.so == pytest.approx(2.3375 - 0.5, abs=1e-12)
         assert result.label == "positive"
-        assert result.granularity == "document"
 
     def test_negative_majority(self, fixture_lexicon):
         doc = doc_of(

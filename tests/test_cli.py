@@ -181,6 +181,41 @@ class TestTrace:
         assert code == 0
         assert "scope\tall\tbefore\t0\tafter\t-4\tbackoff" in out
 
+    def test_closed_stdout_exits_1_quietly(self, fixtures, tmp_path):
+        # Far more trace text than a pipe holds, read no further than its
+        # first line, as `sisa trace ... | head -n 1` does.
+        source = tmp_path / "many.conllu"
+        source.write_text(
+            (fixtures / "no_es_bonito.conllu").read_text(encoding="utf-8") * 3000, encoding="utf-8"
+        )
+        argv = ["trace", "--lexicon", LEXICON, "--rules", DEFAULT_RULES, "--lists", LISTS_DIR]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sisa.cli", *map(str, argv), "--input", str(source)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), first, err) == (1, b"# many sentence 1\n", b"")
+
+    def test_two_word_lists_with_one_name_exit_4(self, capsys, tmp_path):
+        for name in ("boosters.tsv", "boosters.txt"):
+            (tmp_path / name).write_text("muy\t0.25\n", encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "trace",
+            "--lexicon", LEXICON,
+            "--lists", tmp_path,
+            "--input", FIXTURES / "muy_grande.conllu",
+        )
+        assert (code, out) == (4, "")
+        assert err == (
+            f"sisa: word lists {tmp_path / 'boosters.tsv'} and {tmp_path / 'boosters.txt'} "
+            "share the name 'boosters'\n"
+        )
+
     def test_two_lexica_exit_4(self, capsys, fixtures):
         code, out, err = run(
             capsys,

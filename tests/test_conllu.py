@@ -11,10 +11,12 @@ from sisa import (
     Document,
     Token,
     TreeStructureError,
+    compute_so,
     iter_sentences,
     parse_document,
     read_document,
 )
+from sisa.lexicon import SentimentLexicon
 from treegen import (
     build_tree,
     head_vectors,
@@ -442,6 +444,23 @@ def test_token_rejects_invalid_field(fields, message):
     with pytest.raises(ValueError) as err:
         valid._replace(**dict(zip(Token._fields, fields)))
     assert str(err.value) == message
+
+
+def test_tree_makes_plain_tuples_tokens():
+    rows = ((1, "no", "no", "ADV", 3, "advmod"), (2, "es", "ser", "AUX", 3, "cop"))
+    parsed = parse_document(NO_ES_BONITO).sentences[0]
+    tree = DepTree(rows + (parsed.token(3),))
+    assert tree == parsed
+    assert [type(token) for token in tree.tokens] == [Token] * 3
+    assert tree.token(3) is parsed.token(3)
+    assert tree.token(2).bare_deprel == "cop"
+    lexicon = SentimentLexicon("bonito")
+    lexicon.add("bonito", "ADJ", 3.5)
+    trace = compute_so(tree, lexicon, ())
+    assert trace.render() == compute_so(parsed, lexicon, ()).render()
+    assert [node.form for node in trace.nodes] == ["no", "es", "bonito"]
+    with pytest.raises(ValueError, match="token 1 has an empty UPOS tag"):
+        DepTree(((1, "eso", "eso", "", 0, "root"),))
 
 
 def test_parsed_token_is_a_plain_value():

@@ -12,6 +12,7 @@ from sisa.lexicon import SentimentLexicon, WordList
 from sisa.operations import (
     ALL,
     BRANCH,
+    SHIFT,
     SUBJL,
     SUBJR,
     TARGET,
@@ -55,7 +56,7 @@ def run_level(head_so, branches, operations):
             priority=0,
             scopes=tuple(scopes),
         )
-        plans.append(definition.plan)
+        plans.append(compile_rules([definition]).plans[0])
         batch.append((False, 0, index + 1, index, origin_id, beta))
     kids = tuple(child_id for child_id, _, _ in branches)
     events = []
@@ -554,45 +555,115 @@ def neutralized_lexicon():
     return lex
 
 
+def count_compiles(monkeypatch):
+    """The rule sets ``engine.compile_rules`` is called with from now on."""
+    calls = []
+    compile_rules = engine.compile_rules
+
+    def counting(defs):
+        calls.append(defs)
+        return compile_rules(defs)
+
+    monkeypatch.setattr(engine, "compile_rules", counting)
+    return calls
+
+
+def copies(defs):
+    """Equal definitions that are new objects, so compute_so compiles them."""
+    return [replace(definition) for definition in defs]
+
+
 class TestCompiledRules:
-    """A rule set compiled once scores like the plain definitions it came
-    from, and a pass without a trace like the recorded pass."""
+    """A rule set is compiled once, on its first use, and the table it keeps
+    scores like a rule set compiled for one call; a pass without a trace
+    scores like the recorded pass."""
 
-    def same(self, tree, lex, defs, compiled, lists):
-        plain = compute_so(tree, lex, defs, lists)
-        once = compute_so(tree, lex, compiled, lists)
-        assert once.render() == plain.render()
-        assert once.sentence_so.hex() == plain.sentence_so.hex()
-        assert once.warnings == plain.warnings
-        quiet = compute_so(tree, lex, compiled, lists, record=False)
-        assert quiet.sentence_so.hex() == plain.sentence_so.hex()
+    def same(self, monkeypatch, trees, lex, defs, lists):
+        fresh = [compute_so(tree, lex, copies(defs), lists) for tree in trees]
+        calls = count_compiles(monkeypatch)
+        for tree, plain in zip(trees, fresh):
+            once = compute_so(tree, lex, defs, lists)
+            assert once.render() == plain.render()
+            assert once.sentence_so.hex() == plain.sentence_so.hex()
+            assert once.warnings == plain.warnings
+            quiet = compute_so(tree, lex, defs, lists, record=False)
+            assert quiet.sentence_so.hex() == plain.sentence_so.hex()
+        assert len(calls) == 1
 
-    def test_reused_across_random_trees(self):
+    def test_reused_across_random_trees(self, monkeypatch):
         lex = neutralized_lexicon()
         lists = vocab_lists()
         defs = load_rules(DEFAULT_RULES, lists)
-        compiled = compile_rules(defs)
         rng = Random(606)
-        for _ in range(400):
-            self.same(random_tree(rng, max_nodes=10), lex, defs, compiled, lists)
-        wide = build_tree(star_heads(rng, 300), [rng.randrange(len(VOCAB)) for _ in range(300)])
-        self.same(wide, lex, defs, compiled, lists)
-        self.same(build_tree(chain_heads(300), [1, 0] * 150), lex, defs, compiled, lists)
+        trees = [random_tree(rng, max_nodes=10) for _ in range(400)]
+        trees.append(build_tree(star_heads(rng, 300), [rng.randrange(len(VOCAB)) for _ in range(300)]))
+        trees.append(build_tree(chain_heads(300), [1, 0] * 150))
+        self.same(monkeypatch, trees, lex, defs, lists)
 
-    def test_reused_across_fixtures(self, fixtures, fixture_lexicon, default_rules, wordlists):
-        compiled = compile_rules(default_rules)
+    def test_reused_across_fixtures(
+        self, monkeypatch, fixtures, fixture_lexicon, default_rules, wordlists
+    ):
         trees = fixture_trees(fixtures)
         assert len(trees) >= 10
-        for tree in trees:
-            self.same(tree, fixture_lexicon, default_rules, compiled, wordlists)
+        self.same(monkeypatch, trees, fixture_lexicon, default_rules, wordlists)
 
-    def test_compiled_rules_pass_through(self, default_rules):
+    def test_compiled_table_follows_definition_order(self, default_rules):
         compiled = compile_rules(default_rules)
-        assert compile_rules(compiled) is compiled
         assert [rule[0] for rule in compiled.triggers] == default_rules
+        assert [rule[4] for rule in compiled.triggers] == list(range(len(default_rules)))
+        assert [plan[0] for plan in compiled.plans] == [d.name for d in default_rules]
         assert not compiled.unindexed
 
-    @pytest.mark.parametrize("rules", [(), compile_rules(())], ids=["plain", "compiled"])
+    def test_one_rule_set_compiles_once(self, monkeypatch, fixtures, fixture_lexicon, wordlists):
+        rules = tuple(load_rules(DEFAULT_RULES, wordlists))
+        calls = count_compiles(monkeypatch)
+        tree = tree_from(fixtures, "no_es_bonito")
+        for _ in range(50):
+            assert compute_so(tree, fixture_lexicon, rules, wordlists).sentence_so == -0.5
+        # A list holding the same definitions in the same order is the same rule set.
+        compute_so(tree, fixture_lexicon, list(rules), wordlists, record=False)
+        assert calls == [rules]
+
+    def test_no_rules_between_calls_keep_the_table(
+        self, monkeypatch, fixtures, fixture_lexicon, wordlists
+    ):
+        rules = tuple(load_rules(DEFAULT_RULES, wordlists))
+        calls = count_compiles(monkeypatch)
+        tree = tree_from(fixtures, "no_es_bonito")
+        for _ in range(20):
+            assert compute_so(tree, fixture_lexicon, (), wordlists).sentence_so == 3.5
+            assert compute_so(tree, fixture_lexicon, rules, wordlists).sentence_so == -0.5
+        assert calls == [rules]
+
+    def test_the_slot_holds_one_rule_set(self, monkeypatch, fixtures, fixture_lexicon, wordlists):
+        first = tuple(load_rules(DEFAULT_RULES, wordlists))
+        second = tuple(copies(first))
+        calls = count_compiles(monkeypatch)
+        tree = tree_from(fixtures, "no_es_bonito")
+        for rules in (first, second, first, first):
+            compute_so(tree, fixture_lexicon, rules, wordlists)
+        assert [rules is first for rules in calls] == [True, False, True]
+
+    def test_rules_changed_in_place_are_compiled_again(
+        self, monkeypatch, fixtures, fixture_lexicon, wordlists
+    ):
+        rules = load_rules(DEFAULT_RULES, wordlists)
+        (negation,) = [rule for rule in rules if rule.name == "negation"]
+        rules.remove(negation)
+        tree = tree_from(fixtures, "no_es_bonito")
+        calls = count_compiles(monkeypatch)
+        assert compute_so(tree, fixture_lexicon, rules, wordlists).sentence_so == 3.5
+        # The same list object gains a rule, which must fire.
+        rules.append(negation)
+        trace = compute_so(tree, fixture_lexicon, rules, wordlists)
+        assert trace.sentence_so == -0.5
+        assert [t.rule for node in trace.nodes for t in node.triggers] == ["negation"]
+        # A rule replaced by another at the same position must apply as the new one.
+        rules[-1] = replace(negation, transform=Transformation(SHIFT, 1.0))
+        assert compute_so(tree, fixture_lexicon, rules, wordlists).sentence_so == 2.5
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("rules", [(), []], ids=["tuple", "list"])
     def test_without_rules_the_quiet_pass_is_bit_equal_to_the_recorded_pass(self, rules):
         lex = neutralized_lexicon()
         rng = Random(77)
@@ -639,9 +710,8 @@ scope = target,subjr,all
         fired = set()
         for _ in range(300):
             tree = random_tree(rng, max_nodes=9)
-            trace = compute_so(tree, lex, compiled, lists)
+            trace = compute_so(tree, lex, defs, lists)
             fired.update(t.rule for node in trace.nodes for t in node.triggers)
-            assert trace.render() == compute_so(tree, lex, defs, lists).render()
             assert trace.sentence_so == pytest.approx(
                 reference_so(tree, lex, defs, lists), rel=1e-12, abs=1e-12
             )
@@ -652,7 +722,6 @@ scope = target,subjr,all
     def test_trigger_word_matches_by_lemma_and_case(self):
         lists = vocab_lists()
         defs = parse_rules(self.UNINDEXED, lists)[1:]
-        compiled = compile_rules(defs)
         lex = vocab_lexicon()
         for form, lemma in (("NO", "no"), ("Nunca", "nunca"), ("jamás", "NUNCA"), ("nop", "nop")):
             tree = DepTree(
@@ -661,7 +730,7 @@ scope = target,subjr,all
                     Token(2, "bueno", "bueno", "ADJ", 0, "root"),
                 )
             )
-            trace = compute_so(tree, lex, compiled, lists)
+            trace = compute_so(tree, lex, defs, lists)
             fires = [t.rule for t in trace.nodes[0].triggers]
             assert fires == ([] if form == "nop" else ["literal"])
             assert trace.sentence_so == reference_so(tree, lex, defs, lists)
@@ -820,7 +889,7 @@ class TestFlatRecords:
         rng = Random(1106)
         seen = {"forced": 0, "discarded": 0, "backoff": 0, "missing": 0}
         for deltas in self.DELTAS:
-            defs = compile_rules([replace(rule, delta=d) for rule, d in zip(rules, deltas)])
+            defs = [replace(rule, delta=d) for rule, d in zip(rules, deltas)]
             trees = [random_tree(rng, max_nodes=10) for _ in range(150)]
             trees.append(build_tree(star_heads(rng, 60), [rng.randrange(len(VOCAB)) for _ in range(60)]))
             for tree in trees:

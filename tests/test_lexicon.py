@@ -373,6 +373,13 @@ class TestWordList:
         lists = load_wordlists(tmp_path)
         assert set(lists) == {"negators", "boosters"}
 
+    def test_two_lists_with_one_name_rejected(self, tmp_path):
+        tsv = write(tmp_path, "boosters.tsv", "muy\t0.25\n")
+        txt = write(tmp_path, "boosters.txt", "muy\t0.9\n")
+        with pytest.raises(UsageError) as err:
+            load_wordlists(tmp_path)
+        assert str(err.value) == f"word lists {tsv} and {txt} share the name 'boosters'"
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_wordlists(tmp_path / "nope")
