@@ -23,7 +23,7 @@ from sisa.operations import (
     TriggerPredicate,
     parse_rules,
 )
-from treegen import VOCAB, build_tree, random_tree, vocab_lexicon, vocab_lists
+from treegen import VOCAB, build_tree, random_tree, shaped_tree, vocab_lexicon, vocab_lists
 
 
 def tree_from(fixtures, name):
@@ -499,6 +499,87 @@ class TestWideAndDeep:
             reference = reference_so(tree, lex, defs, lists)
             assert math.isfinite(engine)
             assert engine == pytest.approx(reference, rel=1e-9, abs=1e-9), (shape, seed, n)
+
+
+def cancelling_lexicon():
+    """Scores whose float sum shows the order and the algorithm it was taken
+    with: sum([1e16, 1.0, -1e16]) is 0.0 before Python 3.12 and 1.0 from
+    3.12 on, whose float sum is compensated."""
+    lex = SentimentLexicon(name="cancelling")
+    lex.add("bueno", "ADJ", 1e16)
+    lex.add("si", "*", 1.0)
+    lex.add("malo", "ADJ", -1e16)
+    return lex
+
+
+def pinned_trees():
+    """A star scored bueno, si, malo under a 0 root; a 60-token star and
+    chain; five random trees."""
+    word = {form: i for i, (form, _, _) in enumerate(VOCAB)}
+    rng = Random(1616)
+    trees = [build_tree([4, 4, 4, 0], [word["bueno"], word["si"], word["malo"], word["muy"]])]
+    trees.append(shaped_tree(rng, 60, "star"))
+    trees.append(shaped_tree(rng, 60, "chain"))
+    trees += [random_tree(rng, max_nodes=12) for _ in range(5)]
+    return trees
+
+
+class TestLevelSums:
+    """A level is summed by builtin ``sum`` over its branch scores in surface
+    order, so its total has the bits that sum gives on this Python."""
+
+    COMPENSATED = sum([1e16, 1.0, -1e16]) == 1.0
+    # Rule-free sentence scores of pinned_trees(), by float.hex: Python
+    # 3.10 and 3.11, then 3.12 and 3.13.
+    PINNED = {
+        False: [
+            "0x0.0p+0",
+            "0x1.aa535d3d0c000p+54",
+            "-0x1.aa535d3d0c000p+54",
+            "-0x1.1c37937e08000p+53",
+            "-0x1.1c37937e08000p+53",
+            "0x1.1c37937e08000p+54",
+            "0x1.0000000000000p+0",
+            "-0x1.1c37937e08000p+53",
+        ],
+        True: [
+            "0x1.0000000000000p+0",
+            "0x1.aa535d3d0c002p+54",
+            "-0x1.aa535d3d0c000p+54",
+            "-0x1.1c37937e08000p+53",
+            "-0x1.1c37937e08000p+53",
+            "0x1.1c37937e08000p+54",
+            "0x1.0000000000000p+0",
+            "-0x1.1c37937e08000p+53",
+        ],
+    }
+
+    def test_rule_free_scores_are_pinned(self):
+        lex = cancelling_lexicon()
+        for record in (True, False):
+            scores = [compute_so(tree, lex, (), record=record).sentence_so.hex() for tree in pinned_trees()]
+            assert scores == self.PINNED[self.COMPENSATED]
+
+    @pytest.mark.parametrize("ruled", [False, True], ids=["no-rules", "default-rules"])
+    def test_untouched_levels_sum_their_branches_with_sum(self, ruled):
+        lex = cancelling_lexicon()
+        lists = vocab_lists()
+        defs = load_rules(DEFAULT_RULES, lists) if ruled else ()
+        rng = Random(1717)
+        trees = pinned_trees() + [random_tree(rng, max_nodes=14) for _ in range(300)]
+        trees += [shaped_tree(rng, 200, shape) for shape in ("star", "chain")]
+        untouched = 0
+        for tree in trees:
+            nodes = compute_so(tree, lex, defs, lists).nodes
+            subtree = [0.0] + [node.subtree_so for node in nodes]
+            for node in nodes:
+                if node.applications:
+                    continue
+                kids = tree.dependents[node.token_id]
+                level = node.lexical_so + sum([subtree[c] for c in kids]) + 0.0
+                assert node.subtree_so.hex() == level.hex()
+                untouched += bool(kids)
+        assert untouched >= 300
 
 
 class TestRecordingSwitch:
