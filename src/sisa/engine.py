@@ -7,12 +7,16 @@ branch's accumulated score, or the whole accumulated level. An operation
 that reaches the root before it has climbed ``delta`` links is force-applied
 there rather than dropped.
 
-A sentence costs time linear in its tokens plus its operations, for every
-tree shape, up to the binary search that places a subjr origin among a
-level's branches: each node's features (lowercased form and lemma, bare
-deprel) are computed once, and the scope lookups walk per-level cursors
-that only move right instead of rescanning the branches of a wide level for
-every operation. The full trace of every trigger, application and discard is
+A sentence costs time linear in its tokens plus its operations, up to the
+binary searches that place a subj origin among a level's branches, with two
+exceptions that rule files the parser accepts can reach: a climb takes one
+step per head link, so a firing costs min(``delta``, depth), and an ``all``
+scope sums its level again after each branch change, so a batch that
+alternates branch and ``all`` operations at a level of k branches costs
+O(k^2). Each node's features (lowercased form and lemma, bare deprel) are
+computed once, and the scope lookups walk per-level cursors that only move
+right instead of rescanning the branches of a wide level for every
+operation. The full trace of every trigger, application and discard is
 recorded only when asked for; without it the returned :class:`SoTrace`
 carries the sentence score and the warnings alone. A recorded trace is kept
 flat: the lexical and subtree score of every node, indexed by token id, and
@@ -26,12 +30,13 @@ A scorer does only the work its rules need:
   use and keeps the last non-empty one it compiled: a call with the same
   definitions, the same objects in the same order, reuses the table, and an
   empty rule set shares one empty table without replacing the kept one. The
-  table holds each rule's constraints, the union of all trigger words, and
-  whether some rule has no form constraint. A node runs the rule loop only
-  when its lowercased form or lemma is in that union (or such an
-  unconstrained rule exists), and only then is its deprel stripped of its
-  subtype. Without rules (the -O configurations) no node tests the index at
-  all.
+  table maps each trigger word to the rules it can fire, in definition
+  order, with the rules that have no form constraint merged in. A node
+  tests only the rules its lowercased form or lemma can fire, or the
+  unconstrained ones if neither is a trigger word; a form and a lemma that
+  fire different rules have their two lists merged in definition order.
+  Only a node with rules to test strips its deprel of its subtype. Without
+  rules (the -O configurations) no node looks up the table at all.
 - The table also holds each rule's plan: its name, its transformation
   function and its scopes as ``(kind, deprel, text)`` tuples, so applying an
   operation reads no attribute chain.
@@ -45,10 +50,15 @@ A scorer does only the work its rules need:
   rule_index)`` is unique at a level, so no sort compares further.
 - A node whose queue is not empty applies it as one batch over a flat
   level: its ``dependents`` tuple and a list of branch scores, copied from
-  the subtree scores on the first branch or all scope. Bare deprels are read
-  on the first b(x) scope, the scope cursors are plain index lists, and a
-  subjr origin is placed with a binary search of the child ids. Every other
-  node sums its branches as an untouched level would.
+  the subtree scores only once a b(x) or subj scope has a branch to test.
+  An ``all`` scope sums the level without copying it. Bare deprels
+  are read on the first b(x) scope, the scope cursors are plain index
+  lists, and a subj scope places its origin with a binary search of the
+  child ids, so a level with no branch on that side is passed over at once.
+  Every other node sums its branches as an untouched level would: builtin
+  ``sum`` over its subtree scores, read through one bound getter, with no
+  list built per node. A level is never totalled by a running sum, which
+  would drop the compensation of ``sum`` over floats from Python 3.12 on.
 - Finding an operation's scope and applying it are one step: the batch
   walks each operation's scope list once and transforms what the first
   match selects (the head score, one branch or the whole level).
@@ -56,11 +66,11 @@ A scorer does only the work its rules need:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import isfinite
 from operator import is_
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .conllu import DepTree
 from .errors import NonFiniteScoreError
@@ -236,7 +246,7 @@ def _apply_batch(
     plans: Sequence[tuple],
     head: float,
     kids: tuple[int, ...],
-    subtree: Sequence[float],
+    score: Callable[[int], float],
     tokens: Sequence[tuple],
     events: list[tuple] | None,
 ) -> float:
@@ -247,7 +257,7 @@ def _apply_batch(
     after the rest, then higher priority first, then leftmost trigger, then
     definition order. ``plans[rule_index]`` is the rule's plan. The level is
     the head score ``head`` and one branch per child id in ``kids`` (surface
-    order), scored ``subtree[child_id]``, with the bare deprel of
+    order), scored ``score(child_id)``, with the bare deprel of
     ``tokens[child_id - 1]``.
 
     Each operation tries its scopes in order and transforms what the first
@@ -263,7 +273,8 @@ def _apply_batch(
     The branch scores are copied into a list on the first branch or all
     scope. Their sum is taken with ``sum`` over that list, again whenever it
     is needed after a branch change, never kept as a running total, so the
-    total has the bits of an untouched level's sum. A branch changes only
+    total has the bits of an untouched level's sum; a level no scope copied
+    is summed straight from ``score``. A branch changes only
     when a scope selects it, and scopes select only nonzero branches, so a
     branch can drop to 0 but never come back; the lookups rely on that and
     skip a branch for good once they have seen it at 0.
@@ -289,16 +300,12 @@ def _apply_batch(
                 scope = kind
             elif kind == ALL:
                 if branch_sum is None:
-                    if scores is None:
-                        scores = [subtree[c] for c in kids]
-                    branch_sum = sum(scores)
+                    branch_sum = sum(scores if scores is not None else map(score, kids))
                 before = head + branch_sum + adjustment
                 after = transform(amount, before)
                 adjustment += after - before
                 scope = kind
             else:
-                if scores is None:
-                    scores = [subtree[c] for c in kids]
                 if kind == BRANCH:
                     if by_deprel is None:
                         by_deprel = {}
@@ -306,16 +313,28 @@ def _apply_batch(
                             bare = tokens[kids[index] - 1][5].split(":", 1)[0]
                             by_deprel.setdefault(bare, []).append(index)
                     candidates = by_deprel.get(deprel)
+                    if not candidates:
+                        continue
+                    if scores is None:
+                        scores = list(map(score, kids))
                     while candidates and scores[candidates[-1]] == 0:
                         candidates.pop()
                     if not candidates:
                         continue
                     index = candidates[-1]
                 else:
+                    # The branches in [index, end) lie strictly left (subjl)
+                    # or right (subjr) of the origin.
+                    if kind == SUBJL:
+                        index, end = 0, bisect_left(kids, origin_id)
+                    else:
+                        index, end = bisect_right(kids, origin_id), len(kids)
+                    if index == end:
+                        continue
+                    if scores is None:
+                        scores = list(map(score, kids))
                     if skip is None:
-                        skip = list(range(len(kids) + 1))
-                    end = len(kids)
-                    index = 0 if kind == SUBJL else bisect_right(kids, origin_id)
+                        skip = list(range(len(kids)))
                     path = []
                     while index < end:
                         step = skip[index]
@@ -327,7 +346,8 @@ def _apply_batch(
                         index = step
                     for seen in path:
                         skip[seen] = index
-                    if index == end or (kind == SUBJL and kids[index] >= origin_id):
+                    # A skip can jump past a subjl end.
+                    if index >= end:
                         continue
                 before = scores[index]
                 scores[index] = after = transform(amount, before)
@@ -340,7 +360,7 @@ def _apply_batch(
             if events is not None:
                 events.append((name, trigger_id, "none", None, None, forced, True, False))
     if branch_sum is None:
-        branch_sum = sum(scores if scores is not None else [subtree[c] for c in kids])
+        branch_sum = sum(scores if scores is not None else map(score, kids))
     return head + branch_sum + adjustment
 
 
@@ -348,56 +368,55 @@ def _apply_batch(
 class CompiledRules:
     """A rule set prepared for scoring many sentences.
 
-    ``triggers`` holds one ``(definition, forms, pos, deprels, rule_index,
-    delta, -priority, amount, booster_source)`` tuple per rule, in
-    definition order, a word list's dict standing in for the list so that
-    membership tests skip a method call. ``plans[rule_index]`` is the
-    rule's name, its transformation function (:func:`apply_weighting` or
-    :func:`apply_shift`) and its scopes as ``(kind, deprel, text)`` tuples,
-    ``text`` being the scope as a trace writes it. ``words`` is the union of
-    every rule's trigger words and ``unindexed`` tells whether some rule has
-    no form constraint: a node whose lowercased form and lemma are both
-    outside ``words`` can fire only such a rule.
+    A rule is a ``(rule_index, name, pos, deprels, delta, -priority, amount,
+    booster_source)`` tuple. ``table`` maps each trigger word to the rules it
+    can fire, in definition order, with the rules that have no form
+    constraint merged in; ``always`` holds those unconstrained rules alone,
+    the ones a word in no rule's list can fire. Entries with the same rules
+    share one tuple. ``plans[rule_index]`` is the rule's name, its
+    transformation function (:func:`apply_weighting` or :func:`apply_shift`)
+    and its scopes as ``(kind, deprel, text)`` tuples, ``text`` being the
+    scope as a trace writes it.
     """
 
-    triggers: tuple[tuple, ...]
+    table: Mapping[str, tuple[tuple, ...]]
+    always: tuple[tuple, ...]
     plans: tuple[tuple, ...]
-    words: frozenset[str]
-    unindexed: bool
 
 
 def compile_rules(defs: Sequence[OperationDefinition]) -> CompiledRules:
     """Compile rule definitions into the table :func:`compute_so` scores
     with; word lists are read now."""
-    triggers = []
+    by_word: dict[str, list[tuple]] = {}
+    always: list[tuple] = []
     plans = []
-    words: set[str] = set()
-    unindexed = False
     for index, definition in enumerate(defs):
         trigger = definition.trigger
         transform = definition.transform
-        forms = trigger.forms.words if isinstance(trigger.forms, WordList) else trigger.forms
-        if forms is None:
-            unindexed = True
-        else:
-            words.update(forms)
-        triggers.append(
-            (
-                definition,
-                forms,
-                trigger.pos,
-                trigger.deprel,
-                index,
-                definition.delta,
-                -definition.priority,
-                transform.param,
-                transform.booster_source,
-            )
+        rule = (
+            index,
+            definition.name,
+            trigger.pos,
+            trigger.deprel,
+            definition.delta,
+            -definition.priority,
+            transform.param,
+            transform.booster_source,
         )
+        forms = trigger.forms
+        if forms is None:
+            always.append(rule)
+            for fired in by_word.values():
+                fired.append(rule)
+        else:
+            for word in forms.words if isinstance(forms, WordList) else forms:
+                by_word.setdefault(word, always.copy()).append(rule)
         apply = apply_weighting if transform.kind == WEIGHTING else apply_shift
         scopes = tuple((spec.kind, spec.deprel, str(spec)) for spec in definition.scopes)
         plans.append((definition.name, apply, scopes))
-    return CompiledRules(tuple(triggers), tuple(plans), frozenset(words), unindexed)
+    shared: dict[tuple, tuple] = {}
+    table = {word: shared.setdefault(tuple(fired), tuple(fired)) for word, fired in by_word.items()}
+    return CompiledRules(table, tuple(always), tuple(plans))
 
 
 _NO_RULES = compile_rules(())
@@ -432,12 +451,15 @@ def compute_so(
 ) -> SoTrace:
     """Score one sentence; with ``record`` (the default), trace every node.
 
-    Post-order over the tree: children are evaluated first; rules matching
-    the node are instantiated in definition order, each queued at the level
-    ``delta`` head links up, or forced at the root if that comes first; the
-    node's queue is then applied (forced operations last, higher priority
-    first, leftmost trigger on ties, then definition order); the level total
-    is the possibly-transformed head score plus all branch scores. With
+    Post-order over the tree: children are evaluated first; the rules the
+    node's lowercased form or lemma can fire, as the trigger table lists
+    them, are tested against its PoS and bare deprel, and those matching are
+    instantiated in definition order, each queued at the level ``delta``
+    head links up, or forced at the root if that comes first; the node's
+    queue is then applied (forced operations last, higher priority first,
+    leftmost trigger on ties, then definition order); the level total is the
+    possibly-transformed head score plus the builtin ``sum`` of its branch
+    scores in surface order. With
     ``record=False`` the returned trace has no nodes; its score and warnings
     are the same. ``defs`` is compiled on its first use, and its word
     lists are read then; it is compiled again only when a call with other
@@ -451,12 +473,12 @@ def compute_so(
     children = tree.dependents
     root_id = tree.root_id
     lookup = lex.lookup
-    triggers = rules.triggers
     plans = rules.plans
-    words = rules.words
-    unindexed = rules.unindexed
+    table = rules.table
+    always = rules.always
     size = len(tokens) + 1
     subtree: list[float] = [0.0] * size
+    score = subtree.__getitem__
     # queues[h] holds the operations that apply at h, as _apply_batch takes them.
     queues: list[list[tuple] | None] = [None] * size
     warnings: list[str] = []
@@ -472,15 +494,21 @@ def compute_so(
         if record:
             lexicals[node_id] = lexical
 
-        if triggers:
+        if plans:
             form = surface.lower()
             lemma = form if lemma == surface else lemma.lower()
-            if unindexed or form in words or lemma in words:
+            fired = table.get(form, always)
+            if lemma != form:
+                by_lemma = table.get(lemma, always)
+                if fired is always:
+                    fired = by_lemma
+                elif by_lemma is not always and by_lemma is not fired:
+                    # Both words fire rules: merge them by rule index.
+                    fired = sorted({*fired, *by_lemma})
+            if fired:
                 # Token.bare_deprel, inlined.
                 deprel = deprel.split(":", 1)[0]
-                for definition, forms, pos, deprels, index, delta, rank, amount, source in triggers:
-                    if forms is not None and form not in forms and lemma not in forms:
-                        continue
+                for index, name, pos, deprels, delta, rank, amount, source in fired:
                     if pos is not None and upos not in pos:
                         continue
                     if deprels is not None and deprel not in deprels:
@@ -489,7 +517,7 @@ def compute_so(
                         amount, missing = _booster_value(source, form, lemma, lists)
                         if missing:
                             warnings.append(
-                                f"rule {definition.name}: no booster value for trigger "
+                                f"rule {name}: no booster value for trigger "
                                 f"{surface!r} (token {node_id}); using 0"
                             )
                     if record:
@@ -497,9 +525,9 @@ def compute_so(
                         if node_events is None:
                             node_events = events[node_id] = []
                         if source is None:
-                            node_events.append((definition.name, delta, None, False))
+                            node_events.append((name, delta, None, False))
                         else:
-                            node_events.append((definition.name, delta, amount, missing))
+                            node_events.append((name, delta, amount, missing))
                     # Climb up to delta head links; a climb the root cuts
                     # short is forced there.
                     target = origin = node_id
@@ -521,11 +549,11 @@ def compute_so(
                 node_events = events[node_id]
                 if node_events is None:
                     node_events = events[node_id] = []
-            subtree_so = _apply_batch(batch, plans, lexical, kids, subtree, tokens, node_events)
+            subtree_so = _apply_batch(batch, plans, lexical, kids, score, tokens, node_events)
         elif kids:
             # Nothing applies here: the total of an untouched level, with
             # the branch scores summed the same way and a zero adjustment.
-            subtree_so = lexical + sum([subtree[c] for c in kids]) + 0.0
+            subtree_so = lexical + sum(map(score, kids)) + 0.0
         else:
             # A leaf: lookup never returns -0.0, so lexical + 0 + 0.0 is lexical.
             subtree_so = lexical

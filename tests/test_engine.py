@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from conftest import DEFAULT_RULES
-from reference import reference_so
+from reference import _materialize_jobs, reference_so
 from sisa import DepTree, Token, compute_so, engine, load_rules, read_document
 from sisa.engine import compile_rules
 from sisa.lexicon import SentimentLexicon, WordList
@@ -60,7 +60,7 @@ def run_level(head_so, branches, operations):
         batch.append((False, 0, index + 1, index, origin_id, beta))
     kids = tuple(child_id for child_id, _, _ in branches)
     events = []
-    total = engine._apply_batch(batch, plans, head_so, kids, subtree, tokens, events)
+    total = engine._apply_batch(batch, plans, head_so, kids, subtree.__getitem__, tokens, events)
     return events, total
 
 
@@ -432,6 +432,14 @@ class TestScopeCursors:
             "none",
         ]
 
+    def test_subjl_after_a_subjr_skip_past_its_end(self):
+        # The subjr scan from origin 0 skips the zero branches 1 and 2 on
+        # its way to 4; the subjl scan from origin 3 then jumps past its own
+        # end and finds nothing.
+        branches = [(1, "obj", 0.0), (2, "obj", 0.0), (4, "obj", 5.0)]
+        operations = [((ScopeSpec(SUBJR),), 0.0, 0), ((ScopeSpec(SUBJL),), 0.0, 3)]
+        assert scope_texts(0.0, branches, operations) == ["subjr:4", "none"]
+
     def test_nan_branch_counts_as_live(self):
         nan = float("nan")
         branches = [(1, "nsubj", nan), (2, "nsubj", 1.0)]
@@ -690,10 +698,16 @@ class TestCompiledRules:
 
     def test_compiled_table_follows_definition_order(self, default_rules):
         compiled = compile_rules(default_rules)
-        assert [rule[0] for rule in compiled.triggers] == default_rules
-        assert [rule[4] for rule in compiled.triggers] == list(range(len(default_rules)))
         assert [plan[0] for plan in compiled.plans] == [d.name for d in default_rules]
-        assert not compiled.unindexed
+        assert compiled.always == ()
+        fires = {}
+        for index, definition in enumerate(default_rules):
+            for word in definition.trigger.forms.words:
+                fires.setdefault(word, []).append((index, definition.name))
+        assert {word: [rule[:2] for rule in rules] for word, rules in compiled.table.items()} == fires
+        # Words that fire the same rules share one entry.
+        boosters = default_rules[0].trigger.forms.words
+        assert len({id(compiled.table[word]) for word in boosters}) == 1
 
     def test_one_rule_set_compiles_once(self, monkeypatch, fixtures, fixture_lexicon, wordlists):
         rules = tuple(load_rules(DEFAULT_RULES, wordlists))
@@ -783,9 +797,12 @@ scope = target,subjr,all
         lists = vocab_lists()
         defs = parse_rules(self.UNINDEXED, lists)
         compiled = compile_rules(defs)
-        assert compiled.unindexed
-        assert compiled.words == {"no", "nunca"}
-        assert not compile_rules(defs[1:]).unindexed
+        assert [rule[1] for rule in compiled.always] == ["adjectives"]
+        assert {word: [rule[1] for rule in rules] for word, rules in compiled.table.items()} == {
+            "no": ["adjectives", "literal"],
+            "nunca": ["adjectives", "literal"],
+        }
+        assert compile_rules(defs[1:]).always == ()
         lex = neutralized_lexicon()
         rng = Random(31)
         fired = set()
@@ -815,6 +832,106 @@ scope = target,subjr,all
             fires = [t.rule for t in trace.nodes[0].triggers]
             assert fires == ([] if form == "nop" else ["literal"])
             assert trace.sentence_so == reference_so(tree, lex, defs, lists)
+
+
+def reference_events(tree, defs, lists):
+    """The rules each token fires, and the (rule, trigger) pairs each level
+    dequeues, in the order ``tests/reference.py`` materializes and sorts
+    them: tokens in order, each firing its rules in definition order."""
+    jobs = _materialize_jobs(tree, defs, lists)
+    fired, dequeued = {}, {}
+    for job in jobs:
+        fired.setdefault(job.trigger_id, []).append(job.definition.name)
+    for job in sorted(jobs, key=lambda j: (j.forced, -j.definition.priority, j.trigger_id)):
+        dequeued.setdefault(job.target_id, []).append((job.definition.name, job.trigger_id))
+    return fired, dequeued
+
+
+class TestTriggerTable:
+    """A node tests only the rules its lowercased form or lemma can fire,
+    and fires them in definition order, the unconstrained rules included."""
+
+    LISTS = {"boosters": WordList("boosters", {"muy": 0.25})}
+    RULES = """
+[operation]
+name = by_lemma
+trigger.forms = bueno
+tau = weighting(@boosters)
+delta = 1
+priority = 1
+scope = target,all
+
+[operation]
+name = open
+trigger.pos = ADJ
+tau = shift(1)
+delta = 1
+priority = 1
+scope = target,all
+
+[operation]
+name = by_form
+trigger.forms = buenisimo,malo
+tau = weighting(@boosters)
+delta = 1
+priority = 1
+scope = all
+
+[operation]
+name = twin
+trigger.forms = malo
+tau = shift(2)
+delta = 1
+priority = 1
+scope = subjr,all
+"""
+
+    @pytest.fixture()
+    def traced(self):
+        # Buenisimo (lemma bueno), malo and grande on casa: every firing
+        # is queued at the root, with one priority.
+        tree = DepTree(
+            (
+                Token(1, "Buenisimo", "bueno", "ADJ", 4, "amod"),
+                Token(2, "malo", "malo", "ADJ", 4, "amod"),
+                Token(3, "grande", "grande", "ADJ", 4, "amod"),
+                Token(4, "casa", "casa", "NOUN", 0, "root"),
+            )
+        )
+        lex = SentimentLexicon(name="table")
+        lex.add("bueno", "ADJ", 2.0)
+        lex.add("malo", "ADJ", -3.0)
+        lex.add("grande", "ADJ", 1.0)
+        defs = parse_rules(self.RULES, self.LISTS)
+        trace = compute_so(tree, lex, defs, self.LISTS)
+        quiet = compute_so(tree, lex, defs, self.LISTS, record=False)
+        assert (quiet.sentence_so, quiet.warnings) == (trace.sentence_so, trace.warnings)
+        assert trace.sentence_so == reference_so(tree, lex, defs, self.LISTS)
+        fired, dequeued = reference_events(tree, defs, self.LISTS)
+        for node in trace.nodes:
+            assert [t.rule for t in node.triggers] == fired.get(node.token_id, [])
+            assert [(a.rule, a.trigger_id) for a in node.applications] == dequeued.get(node.token_id, [])
+        return trace
+
+    def test_lemma_rule_defined_first_fires_before_form_rule(self, traced):
+        assert [t.rule for t in traced.nodes[0].triggers] == ["by_lemma", "open", "by_form"]
+        first = [a.rule for a in traced.nodes[3].applications if a.trigger_id == 1]
+        assert first == ["by_lemma", "open", "by_form"]
+        # Neither word has a booster value: one warning per firing, in order.
+        assert [w.split(":")[0] for w in traced.warnings] == [
+            "rule by_lemma",
+            "rule by_form",
+            "rule by_form",
+        ]
+
+    def test_word_in_two_lists_fires_both_rules(self, traced):
+        assert [t.rule for t in traced.nodes[1].triggers] == ["open", "by_form", "twin"]
+
+    def test_unconstrained_rule_keeps_its_place(self, traced):
+        assert [t.rule for t in traced.nodes[2].triggers] == ["open"]
+        table = compile_rules(parse_rules(self.RULES, self.LISTS)).table
+        assert [rule[1] for rule in table["bueno"]] == ["by_lemma", "open"]
+        assert [rule[1] for rule in table["malo"]] == ["open", "by_form", "twin"]
 
 
 class TestRenderLines:
