@@ -186,7 +186,7 @@ def _cmd_evaluate(args) -> int:
     configs = []
     for lexicon, (without_ops, with_ops) in zip(lexica, (("SL-O", "SL+O"), ("ML-O", "ML+O"))):
         configs.append(RunConfig(without_ops, lexicon))
-        if rules:
+        if args.rules:  # a rule file that defines no operation still runs +O
             configs.append(RunConfig(with_ops, lexicon, rules))
 
     reports = evaluate_configs(manifest, configs, lists, agg=args.agg, tie=args.tie)

@@ -139,9 +139,11 @@ def evaluate_configs(
     errored under every configuration, so all reports count the same items
     and stay comparable in :func:`compare_configs`. Errored items are
     excluded from the accuracy denominator; a manifest with no readable
-    items at all is a usage error, as is an unknown ``agg`` or ``tie``,
-    refused before the first item is read.
+    items at all is a usage error, as are an empty ``configs`` and an
+    unknown ``agg`` or ``tie``, refused before the first item is read.
     """
+    if not configs:
+        raise UsageError("no configuration to evaluate")
     check_agg(agg)
     check_tie(tie)
     results: list[list[ItemResult]] = [[] for _ in configs]

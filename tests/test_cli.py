@@ -356,6 +356,30 @@ class TestEvaluate:
         assert summary["impact"]["o_effect_sl"] == 50.0
         assert len(summary["reports"]) == 4
 
+    def test_rule_file_without_operations_still_runs_plus_o(self, capsys, fixtures, tmp_path):
+        # --rules enables +O; a file that defines no operation scores +O as -O.
+        rules = tmp_path / "empty.rules"
+        rules.write_text("# no operation\n", encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "evaluate",
+            "--corpus", fixtures / "corpus" / "manifest.tsv",
+            "--lexicon", LEXICON,
+            "--lexicon", fixtures / "corpus" / "lexicon_ml.tsv",
+            "--rules", rules,
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "SL-O\t2\t4\t0.5000\n"
+            "SL+O\t2\t4\t0.5000\n"
+            "ML-O\t2\t4\t0.5000\n"
+            "ML+O\t2\t4\t0.5000\n"
+            "impact\to_effect_sl\t0\n"
+            "impact\to_effect_ml\t0\n"
+            "impact\tml_effect_no_ops\t0\n"
+            "impact\tml_effect_ops\t0\n"
+        )
+
     def test_verbose_items(self, capsys, fixtures):
         code, out, _ = run(
             capsys,

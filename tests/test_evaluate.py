@@ -232,6 +232,16 @@ class TestEvaluate:
         assert not [r for r in caplog.records if r.getMessage().startswith("skipping")]
 
 
+    def test_no_configuration_is_refused_before_any_item_is_read(
+        self, manifest, wordlists, monkeypatch
+    ):
+        read = []
+        monkeypatch.setattr(evaluation, "read_utf8", lambda *args: read.append(args))
+        with pytest.raises(UsageError, match="no configuration to evaluate"):
+            evaluate_configs(manifest, [], wordlists)
+        assert read == []
+
+
 class TestCompareConfigs:
     def test_es_row(self):
         impact = compare_configs(four_reports(6000, 7575, 6375, 7650))
