@@ -50,15 +50,15 @@ A scorer does only the work its rules need:
   rule_index)`` is unique at a level, so no sort compares further.
 - A node whose queue is not empty applies it as one batch over a flat
   level: its ``dependents`` tuple and a list of branch scores, copied from
-  the subtree scores only once a b(x) or subj scope has a branch to test.
-  An ``all`` scope sums the level without copying it. Bare deprels
-  are read on the first b(x) scope, the scope cursors are plain index
-  lists, and a subj scope places its origin with a binary search of the
-  child ids, so a level with no branch on that side is passed over at once.
-  Every other node sums its branches as an untouched level would: builtin
-  ``sum`` over its subtree scores, read through one bound getter, with no
-  list built per node. A level is never totalled by a running sum, which
-  would drop the compensation of ``sum`` over floats from Python 3.12 on.
+  the subtree scores only once a b(x) or subj scope has a branch to test;
+  an ``all`` scope sums the level without copying it. Bare deprels are read
+  on the first b(x) scope, the scope cursors are plain index lists, and a
+  subj scope places its origin with a binary search of the child ids, so a
+  level with no branch on that side is passed over at once. Every other
+  node sums its branches as an untouched level would: builtin ``sum`` over
+  its subtree scores, read through one bound getter, with no list built per
+  node. A level is never totalled by a running sum, which would drop the
+  compensation of ``sum`` over floats from Python 3.12 on.
 - Finding an operation's scope and applying it are one step: the batch
   walks each operation's scope list once and transforms what the first
   match selects (the head score, one branch or the whole level).
@@ -270,11 +270,11 @@ def _apply_batch(
     Each application or discard is appended to ``events``, as a
     :class:`SoTrace` event tuple, when a list is given.
 
-    The branch scores are copied into a list on the first branch or all
-    scope. Their sum is taken with ``sum`` over that list, again whenever it
-    is needed after a branch change, never kept as a running total, so the
-    total has the bits of an untouched level's sum; a level no scope copied
-    is summed straight from ``score``. A branch changes only
+    The branch scores are copied into a list only once a b(x) or subj scope
+    has a branch to test. The level's branches are summed with ``sum`` over
+    that list, or over ``score`` before any copy, again whenever the sum is
+    needed after a branch change, never kept as a running total, so the
+    total has the bits of an untouched level's sum. A branch changes only
     when a scope selects it, and scopes select only nonzero branches, so a
     branch can drop to 0 but never come back; the lookups rely on that and
     skip a branch for good once they have seen it at 0.
@@ -372,11 +372,10 @@ class CompiledRules:
     booster_source)`` tuple. ``table`` maps each trigger word to the rules it
     can fire, in definition order, with the rules that have no form
     constraint merged in; ``always`` holds those unconstrained rules alone,
-    the ones a word in no rule's list can fire. Entries with the same rules
-    share one tuple. ``plans[rule_index]`` is the rule's name, its
-    transformation function (:func:`apply_weighting` or :func:`apply_shift`)
-    and its scopes as ``(kind, deprel, text)`` tuples, ``text`` being the
-    scope as a trace writes it.
+    the ones a word in no rule's list can fire. ``plans[rule_index]`` is the
+    rule's name, its transformation function (:func:`apply_weighting` or
+    :func:`apply_shift`) and its scopes as ``(kind, deprel, text)`` tuples,
+    ``text`` being the scope as a trace writes it.
     """
 
     table: Mapping[str, tuple[tuple, ...]]
@@ -414,8 +413,7 @@ def compile_rules(defs: Sequence[OperationDefinition]) -> CompiledRules:
         apply = apply_weighting if transform.kind == WEIGHTING else apply_shift
         scopes = tuple((spec.kind, spec.deprel, str(spec)) for spec in definition.scopes)
         plans.append((definition.name, apply, scopes))
-    shared: dict[tuple, tuple] = {}
-    table = {word: shared.setdefault(tuple(fired), tuple(fired)) for word, fired in by_word.items()}
+    table = {word: tuple(fired) for word, fired in by_word.items()}
     return CompiledRules(table, tuple(always), tuple(plans))
 
 
@@ -502,9 +500,10 @@ def compute_so(
                 by_lemma = table.get(lemma, always)
                 if fired is always:
                     fired = by_lemma
-                elif by_lemma is not always and by_lemma is not fired:
-                    # Both words fire rules: merge them by rule index.
-                    fired = sorted({*fired, *by_lemma})
+                elif by_lemma is not always:
+                    # Both words fire rules: merge them by rule index, which
+                    # is unique, so no sort compares further.
+                    fired = sorted({rule[0]: rule for rule in (*fired, *by_lemma)}.values())
             if fired:
                 # Token.bare_deprel, inlined.
                 deprel = deprel.split(":", 1)[0]
