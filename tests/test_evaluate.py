@@ -8,6 +8,7 @@ import sisa.evaluate as evaluation
 from conftest import DEFAULT_RULES, bom_copy
 from reference import reference_so
 from sisa import ManifestError, UsageError, load_lexicon, load_rules
+from sisa.lexicon import SentimentLexicon
 from sisa.evaluate import (
     CorpusManifest,
     EvaluationReport,
@@ -212,6 +213,53 @@ class TestEvaluate:
         assert [report.errored for report in one_by_one] == [2, 2, 2, 2]
         # One warning per unreadable item, not one per configuration.
         assert len([r for r in caplog.records if r.getMessage().startswith("skipping")]) == 2
+
+    @pytest.mark.parametrize(
+        "sentences, order, message",
+        [
+            # SL fails at sentence 2, ML at sentence 1: the first
+            # configuration's failure is recorded, not the first sentence's.
+            (["bajo bajo", "alto alto"], "SL", "sentence score inf is not finite"),
+            (["bajo bajo", "alto alto"], "ML", "sentence score -inf is not finite"),
+            # SL's sentences are finite but their sum is not; ML fails at sentence 1.
+            (["bajo bajo", "alto", "alto"], "SL", "document 'mixed' score is not finite"),
+            (["bajo bajo", "alto", "alto"], "ML", "sentence score -inf is not finite"),
+        ],
+    )
+    def test_an_item_failing_under_two_configurations_records_the_first_configurations_error(
+        self, sentences, order, message, default_rules, wordlists, tmp_path, caplog
+    ):
+        single = SentimentLexicon("sl")
+        single.add("alto", "ADJ", 1e308)
+        merged = SentimentLexicon("ml")
+        merged.add("bajo", "ADJ", -1e308)
+        mixed = tmp_path / "mixed.conllu"
+        mixed.write_text(
+            "".join(
+                "".join(
+                    f"{i}\t{word}\t{word}\tADJ\t_\t_\t{0 if i == 1 else 1}\t{'root' if i == 1 else 'conj'}\t_\t_\n"
+                    for i, word in enumerate(sentence.split(), 1)
+                )
+                + "\n"
+                for sentence in sentences
+            ),
+            encoding="utf-8",
+        )
+        good = tmp_path / "good.conllu"
+        good.write_text("1\talto\talto\tADJ\t_\t_\t0\troot\t_\t_\n\n", encoding="utf-8")
+        manifest = CorpusManifest("m", ((good, "positive"), (mixed, "negative")))
+        rules = tuple(default_rules)
+        by_lexicon = {
+            "SL": [RunConfig("SL-O", single), RunConfig("SL+O", single, rules)],
+            "ML": [RunConfig("ML-O", merged), RunConfig("ML+O", merged, rules)],
+        }
+        configs = by_lexicon[order] + by_lexicon["ML" if order == "SL" else "SL"]
+        caplog.clear()
+        reports = evaluate_configs(manifest, configs, wordlists)
+        assert [report.items[1].error for report in reports] == [message] * 4
+        assert [report.errored for report in reports] == [1] * 4
+        skipped = [r.getMessage() for r in caplog.records if r.getMessage().startswith("skipping")]
+        assert skipped == [f"skipping {mixed}: {message}"]
 
     @pytest.mark.parametrize(
         "option, message",
