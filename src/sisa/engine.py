@@ -7,6 +7,27 @@ branch's accumulated score, or the whole accumulated level. An operation
 that reaches the root before it has climbed ``delta`` links is force-applied
 there rather than dropped.
 
+A sentence is scored in two phases:
+
+- The lexicon-free phase, run once per rule set, matches each node's rules
+  and climbs each firing to the level it applies at. It yields the queued
+  operations, the booster warnings and, when recorded, the trigger events.
+  Which rules fire, where an operation climbs to, its origin, whether it is
+  forced and its amount depend on the tree, the rules and the word lists
+  alone.
+- The per-lexicon phase looks up every token's lexical score, then totals
+  the levels in post-order, applying each level's queued operations.
+
+:func:`compute_so` runs both phases for one configuration, a lexicon and a
+rule set, and records the trace when asked. :func:`score_configs` scores
+sentences under several configurations at once, as ``sisa evaluate`` does:
+each sentence runs the lexicon-free phase once per distinct rule set and
+looks up its tokens once per distinct lexicon, so the four standard
+configurations (two lexica, each with and without the rules) cost one rule
+pass and two lookups per token, not two and four. Every configuration's
+totals are summed as its own :func:`compute_so` call would sum them, so its
+scores have the same bits.
+
 A sentence costs time linear in its tokens plus its operations, up to the
 binary searches that place a subj origin among a level's branches, with two
 exceptions that rule files the parser accepts can reach: a climb takes one
@@ -14,9 +35,9 @@ step per head link, so a firing costs min(``delta``, depth), and an ``all``
 scope sums its level again after each branch change, so a batch that
 alternates branch and ``all`` operations at a level of k branches costs
 O(k^2). Each node's features (lowercased form and lemma, bare deprel) are
-computed once, and the scope lookups walk per-level cursors that only move
-right instead of rescanning the branches of a wide level for every
-operation. The full trace of every trigger, application and discard is
+computed once per rule set, and the scope lookups walk per-level cursors
+that only move right instead of rescanning the branches of a wide level for
+every operation. The full trace of every trigger, application and discard is
 recorded only when asked for; without it the returned :class:`SoTrace`
 carries the sentence score and the warnings alone. A recorded trace is kept
 flat: the lexical and subtree score of every node, indexed by token id, and
@@ -26,17 +47,18 @@ records from them only when it is first read.
 
 A scorer does only the work its rules need:
 
-- :func:`compute_so` compiles a rule set into a trigger table on its first
-  use and keeps the last non-empty one it compiled: a call with the same
-  definitions, the same objects in the same order, reuses the table, and an
-  empty rule set shares one empty table without replacing the kept one. The
-  table maps each trigger word to the rules it can fire, in definition
-  order, with the rules that have no form constraint merged in. A node
-  tests only the rules its lowercased form or lemma can fire, or the
-  unconstrained ones if neither is a trigger word; a form and a lemma that
-  fire different rules have their two lists merged in definition order.
-  Only a node with rules to test strips its deprel of its subtype. Without
-  rules (the -O configurations) no node looks up the table at all.
+- A rule set is compiled into a trigger table on its first use. The rule
+  sets of the last call that compiled one are kept with their tables: a
+  call with the same definitions, the same objects in the same order,
+  reuses a table, and an empty rule set shares one empty table without
+  replacing the kept ones. The table maps each trigger word to the rules it
+  can fire, in definition order, with the rules that have no form
+  constraint merged in. A node tests only the rules its lowercased form or
+  lemma can fire, or the unconstrained ones if neither is a trigger word; a
+  form and a lemma that fire different rules have their two lists merged in
+  definition order. Only a node with rules to test strips its deprel of its
+  subtype. Without rules (the -O configurations) the lexicon-free phase
+  does not run.
 - The table also holds each rule's plan: its name, its transformation
   function and its scopes as ``(kind, deprel, text)`` tuples, so applying an
   operation reads no attribute chain.
@@ -47,18 +69,22 @@ A scorer does only the work its rules need:
   The queue entry is a ``(forced, -priority, trigger_id, rule_index,
   origin_id, amount)`` tuple, so a batch sorts natively into dequeue order;
   ``rule_index`` breaks ties in definition order, and ``(trigger_id,
-  rule_index)`` is unique at a level, so no sort compares further.
+  rule_index)`` is unique at a level, so no sort compares further. The
+  queues hold nothing from a lexicon, so every lexicon applies the same
+  ones.
 - A node whose queue is not empty applies it as one batch over a flat
   level: its ``dependents`` tuple and a list of branch scores, copied from
   the subtree scores only once a b(x) or subj scope has a branch to test;
   an ``all`` scope sums the level without copying it. Bare deprels are read
-  on the first b(x) scope, the scope cursors are plain index lists, and a
-  subj scope places its origin with a binary search of the child ids, so a
-  level with no branch on that side is passed over at once. Every other
-  node sums its branches as an untouched level would: builtin ``sum`` over
-  its subtree scores, read through one bound getter, with no list built per
-  node. A level is never totalled by a running sum, which would drop the
-  compensation of ``sum`` over floats from Python 3.12 on.
+  on the first b(x) scope, and a level with one branch tests that branch's
+  bare deprel directly; the scope cursors are plain index lists, and a subj
+  scope places its origin with a binary search of the child ids, so a level
+  with no branch on that side is passed over at once. Every other node sums
+  its branches as an untouched level would: builtin ``sum`` over its
+  subtree scores, read through one bound getter, with no list built per
+  node. A leaf keeps its lexical score. A level is never totalled by a
+  running sum, which would drop the compensation of ``sum`` over floats
+  from Python 3.12 on.
 - Finding an operation's scope and applying it are one step: the batch
   walks each operation's scope list once and transforms what the first
   match selects (the head score, one branch or the whole level).
@@ -69,8 +95,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import isfinite
-from operator import is_
-from typing import Callable, Mapping, Sequence
+from operator import is_, itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .conllu import DepTree
 from .errors import NonFiniteScoreError
@@ -287,8 +313,9 @@ def _apply_batch(
     # branch; skip[i] == i means branch i was live when last seen.
     skip = None
     # Branch indexes per bare deprel, rightmost first, so the leftmost is
-    # popped last.
+    # popped last; at a level with one branch, ``lone`` is its bare deprel.
     by_deprel = None
+    lone = None
     for forced, _, trigger_id, rule_index, origin_id, amount in batch:
         name, transform, scopes = plans[rule_index]
         for kind, deprel, text in scopes:
@@ -307,21 +334,33 @@ def _apply_batch(
                 scope = kind
             else:
                 if kind == BRANCH:
-                    if by_deprel is None:
-                        by_deprel = {}
-                        for index in range(len(kids) - 1, -1, -1):
-                            bare = tokens[kids[index] - 1][5].split(":", 1)[0]
-                            by_deprel.setdefault(bare, []).append(index)
-                    candidates = by_deprel.get(deprel)
-                    if not candidates:
-                        continue
-                    if scores is None:
-                        scores = list(map(score, kids))
-                    while candidates and scores[candidates[-1]] == 0:
-                        candidates.pop()
-                    if not candidates:
-                        continue
-                    index = candidates[-1]
+                    if len(kids) == 1:
+                        # One branch: its bare deprel is tested directly.
+                        if lone is None:
+                            lone = tokens[kids[0] - 1][5].split(":", 1)[0]
+                        if lone != deprel:
+                            continue
+                        if scores is None:
+                            scores = [score(kids[0])]
+                        if scores[0] == 0:
+                            continue
+                        index = 0
+                    else:
+                        if by_deprel is None:
+                            by_deprel = {}
+                            for index in range(len(kids) - 1, -1, -1):
+                                bare = tokens[kids[index] - 1][5].split(":", 1)[0]
+                                by_deprel.setdefault(bare, []).append(index)
+                        candidates = by_deprel.get(deprel)
+                        if not candidates:
+                            continue
+                        if scores is None:
+                            scores = list(map(score, kids))
+                        while candidates and scores[candidates[-1]] == 0:
+                            candidates.pop()
+                        if not candidates:
+                            continue
+                        index = candidates[-1]
                 else:
                     # The branches in [index, end) lie strictly left (subjl)
                     # or right (subjr) of the origin.
@@ -418,25 +457,231 @@ def compile_rules(defs: Sequence[OperationDefinition]) -> CompiledRules:
 
 
 _NO_RULES = compile_rules(())
-# The last non-empty rule set compute_so compiled, as a tuple, and its table.
-# It is replaced whole, so threads that race on it at worst compile twice.
-_last: tuple[tuple[OperationDefinition, ...], CompiledRules] = ((), _NO_RULES)
+# The non-empty rule sets, as tuples with their tables, of the last call that
+# compiled one. It is replaced whole, so threads that race on it at worst
+# compile twice.
+_kept: tuple[tuple[tuple[OperationDefinition, ...], CompiledRules], ...] = ()
 
 
-def _compiled(defs: Sequence[OperationDefinition]) -> CompiledRules:
-    """The table of ``defs``, compiled only when they are not the objects,
-    in order, of the rule set compiled last."""
-    global _last
-    key, rules = _last
-    if defs is key:  # the tuple compiled last, which cannot have changed
-        return rules
-    if not defs:
-        return _NO_RULES
-    if len(key) != len(defs) or not all(map(is_, key, defs)):
-        key = tuple(defs)
-        rules = compile_rules(key)
-        _last = key, rules
-    return rules
+def _compiled(rule_sets: Sequence[Sequence[OperationDefinition]]) -> list[CompiledRules]:
+    """The table of each rule set in ``rule_sets``, compiled only when it is
+    not the objects, in order, of a kept rule set or of one compiled earlier
+    in this call. A call that compiles keeps the rule sets it used; an empty
+    rule set shares one empty table."""
+    global _kept
+    pool = _kept
+    tables = []
+    for defs in rule_sets:
+        if not defs:
+            tables.append(_NO_RULES)
+            continue
+        for key, rules in pool:
+            # A key is a tuple, which cannot have changed; ``defs`` may be
+            # a list changed in place.
+            if defs is key or (len(key) == len(defs) and all(map(is_, key, defs))):
+                break
+        else:
+            key = tuple(defs)
+            rules = compile_rules(key)
+            pool += ((key, rules),)
+        tables.append(rules)
+    if pool is not _kept:
+        _kept = tuple(entry for entry in pool if any(entry[1] is rules for rules in tables))
+    return tables
+
+
+def check_finite(sentence_so: float) -> float:
+    """Return a sentence score, or raise :class:`NonFiniteScoreError` if it
+    is infinite or NaN."""
+    if not isfinite(sentence_so):
+        raise NonFiniteScoreError(f"sentence score {sentence_so} is not finite")
+    return sentence_so
+
+
+def _queue(
+    tree: DepTree,
+    rules: CompiledRules,
+    lists: Mapping[str, WordList],
+    events: list[list[tuple] | None] | None,
+    warnings: list[str] | None,
+) -> list[list[tuple] | None] | None:
+    """The lexicon-free phase of one rule set: match each node's rules and
+    queue each firing at the level its climb reaches.
+
+    Returns the queues by node id, as :func:`_apply_batch` takes them, or
+    None when no rule fired. A trigger event is appended to
+    ``events[node_id]`` when ``events`` is given, and the warnings of
+    missing booster values fill ``warnings``, an empty list, when it is
+    given.
+    """
+    tokens = tree.tokens
+    root_id = tree.root_id
+    table = rules.table
+    always = rules.always
+    queues: list[list[tuple] | None] | None = None
+    warned: list[int] | None = None  # the node id of each warning
+    # Token order: only the warnings depend on the order nodes are visited in.
+    for token in tokens:
+        surface = token[1]
+        form = surface.lower()
+        fired = table.get(form, always)
+        lemma = token[2]
+        lemma = form if lemma == surface else lemma.lower()
+        if lemma != form:
+            by_lemma = table.get(lemma, always)
+            if fired is always:
+                fired = by_lemma
+            elif by_lemma is not always:
+                # Both words fire rules: merge them by rule index, which
+                # is unique, so no sort compares further.
+                fired = sorted({rule[0]: rule for rule in (*fired, *by_lemma)}.values())
+        if not fired:
+            continue
+        node_id, _, _, upos, _, deprel = token
+        # Token.bare_deprel, inlined.
+        deprel = deprel.split(":", 1)[0]
+        for index, name, pos, deprels, delta, rank, amount, source in fired:
+            if pos is not None and upos not in pos:
+                continue
+            if deprels is not None and deprel not in deprels:
+                continue
+            if source is not None:
+                amount, missing = _booster_value(source, form, lemma, lists)
+                if missing and warnings is not None:
+                    warnings.append(
+                        f"rule {name}: no booster value for trigger "
+                        f"{surface!r} (token {node_id}); using 0"
+                    )
+                    if warned is None:
+                        warned = []
+                    warned.append(node_id)
+            if events is not None:
+                node_events = events[node_id]
+                if node_events is None:
+                    node_events = events[node_id] = []
+                if source is None:
+                    node_events.append((name, delta, None, False))
+                else:
+                    node_events.append((name, delta, amount, missing))
+            # Climb up to delta head links; a climb the root cuts short is
+            # forced there.
+            target = origin = node_id
+            climb = delta
+            while climb and target != root_id:
+                origin = target
+                target = tokens[target - 1][4]
+                climb -= 1
+            if queues is None:
+                queues = [None] * (len(tokens) + 1)
+            queue = queues[target]
+            if queue is None:
+                queue = queues[target] = []
+            queue.append((climb > 0, rank, node_id, index, origin, amount))
+    if warned is not None and len(warned) > 1:
+        # In post-order, as the levels are totalled; a stable sort keeps
+        # one node's warnings in definition order.
+        position = dict(zip(tree.postorder, range(len(tokens))))
+        ranked = sorted(zip(map(position.__getitem__, warned), warnings), key=itemgetter(0))
+        warnings[:] = [warning for _, warning in ranked]
+    return queues
+
+
+def _lexical(tokens: Sequence[tuple], lex: SentimentLexicon) -> list[float]:
+    """The lexical score of every token, by token id (index 0 holds 0.0)."""
+    lookup = lex.lookup
+    lexical = [lookup(form, lemma, upos) for _, form, lemma, upos, _, _ in tokens]
+    lexical.insert(0, 0.0)
+    return lexical
+
+
+def _totals(
+    tree: DepTree,
+    lexical: list[float],
+    queues: list[list[tuple] | None] | None,
+    plans: Sequence[tuple],
+    events: list[list[tuple] | None] | None,
+) -> list[float]:
+    """The per-lexicon phase: the subtree score of every node, by token id,
+    from the lexical scores and the queues of one rule set (None: nothing
+    is queued). An application or discard is appended to
+    ``events[node_id]`` when ``events`` is given."""
+    # A leaf keeps its lexical score: lookup never returns -0.0, so
+    # lexical + 0 + 0.0 is lexical.
+    subtree = lexical.copy()
+    score = subtree.__getitem__
+    children = tree.dependents
+    if queues is None:
+        for node_id in tree.postorder:
+            kids = children[node_id]
+            if kids:
+                subtree[node_id] = lexical[node_id] + sum(map(score, kids)) + 0.0
+        return subtree
+    tokens = tree.tokens
+    for node_id in tree.postorder:
+        kids = children[node_id]
+        batch = queues[node_id]
+        if batch:
+            node_events = None
+            if events is not None:
+                node_events = events[node_id]
+                if node_events is None:
+                    node_events = events[node_id] = []
+            subtree[node_id] = _apply_batch(
+                batch, plans, lexical[node_id], kids, score, tokens, node_events
+            )
+        elif kids:
+            # Nothing applies here: the total of an untouched level, with
+            # the branch scores summed the same way and a zero adjustment.
+            subtree[node_id] = lexical[node_id] + sum(map(score, kids)) + 0.0
+    return subtree
+
+
+def score_configs(
+    trees: Iterable[DepTree],
+    configs: Sequence[tuple[SentimentLexicon, Sequence[OperationDefinition]]],
+    lists: Mapping[str, WordList] | None = None,
+) -> list[list[float]]:
+    """Score sentences under each ``(lexicon, defs)`` configuration: one list
+    of sentence scores per configuration, in order.
+
+    A sentence runs the lexicon-free phase once per distinct rule set and
+    looks up its tokens once per distinct lexicon. Each score equals the
+    ``sentence_so`` of :func:`compute_so` with ``record=False``, bit for
+    bit, but a non-finite score is returned, not raised: :func:`check_finite`
+    refuses it. Booster warnings are dropped.
+    """
+    lists = lists or {}
+    # The index of each distinct lexicon and rule set, by id, in order of
+    # first use.
+    lexica: dict[int, int] = {}
+    rule_sets: dict[int, int] = {}
+    # Per configuration: its scores, then its lexicon and its rule set, each
+    # as an index into the per-sentence results and as the object itself
+    # where the configuration is the first to use it, then its plans.
+    plan = []
+    for (lex, _), rules in zip(configs, _compiled([defs for _, defs in configs])):
+        fresh = len(lexica)
+        lexicon = lexica.setdefault(id(lex), fresh)
+        first_lex = lex if lexicon == fresh else None
+        rule_set = first_rules = None
+        if rules.plans:
+            fresh = len(rule_sets)
+            rule_set = rule_sets.setdefault(id(rules), fresh)
+            first_rules = rules if rule_set == fresh else None
+        plan.append(([], lexicon, first_lex, rule_set, first_rules, rules.plans))
+    lexicals: list[list[float]] = [[]] * len(lexica)
+    queued: list[list | None] = [None] * len(rule_sets)
+    for tree in trees:
+        for scores, lexicon, lex, rule_set, rules, plans in plan:
+            if lex is not None:
+                lexicals[lexicon] = _lexical(tree.tokens, lex)
+            queues = None
+            if rule_set is not None:
+                if rules is not None:
+                    queued[rule_set] = _queue(tree, rules, lists, None, None)
+                queues = queued[rule_set]
+            scores.append(_totals(tree, lexicals[lexicon], queues, plans, None)[tree.root_id])
+    return [scores for scores, *_ in plan]
 
 
 def compute_so(
@@ -449,116 +694,36 @@ def compute_so(
 ) -> SoTrace:
     """Score one sentence; with ``record`` (the default), trace every node.
 
-    Post-order over the tree: children are evaluated first; the rules the
-    node's lowercased form or lemma can fire, as the trigger table lists
-    them, are tested against its PoS and bare deprel, and those matching are
-    instantiated in definition order, each queued at the level ``delta``
-    head links up, or forced at the root if that comes first; the node's
-    queue is then applied (forced operations last, higher priority first,
-    leftmost trigger on ties, then definition order); the level total is the
-    possibly-transformed head score plus the builtin ``sum`` of its branch
-    scores in surface order. With
-    ``record=False`` the returned trace has no nodes; its score and warnings
-    are the same. ``defs`` is compiled on its first use, and its word
-    lists are read then; it is compiled again only when a call with other
-    non-empty definitions came between, or when it gained, lost or replaced
-    a rule in place. A sentence score that overflows to infinity or NaN
-    raises :class:`NonFiniteScoreError`.
+    The lexicon-free phase visits the tokens: the rules a node's lowercased
+    form or lemma can fire, as the trigger table lists them, are tested
+    against its PoS and bare deprel, and those matching are instantiated in
+    definition order, each queued at the level ``delta`` head links up, or
+    forced at the root if that comes first; missing booster values are
+    warned of in post-order. The per-lexicon phase looks up every token,
+    then totals the levels in post-order: a node's queue is applied (forced
+    operations last, higher priority first, leftmost trigger on ties, then
+    definition order); the level total is the possibly-transformed head
+    score plus the builtin ``sum`` of its branch scores in surface order.
+    With ``record=False`` the returned trace has no nodes; its score and
+    warnings are the same. ``defs`` is compiled on its first use, and its
+    word lists are read then; it is compiled again only when a call that
+    compiled other non-empty definitions, and did not use these, came
+    between, or when it gained, lost or replaced a rule in place. A sentence
+    score that overflows to infinity or NaN raises
+    :class:`NonFiniteScoreError`.
     """
-    rules = _compiled(defs)
-    lists = lists or {}
+    kept = _kept
+    if kept and defs is kept[0][0]:  # a kept tuple, which cannot have changed
+        rules = kept[0][1]
+    else:
+        (rules,) = _compiled((defs,))
     tokens = tree.tokens
-    children = tree.dependents
-    root_id = tree.root_id
-    lookup = lex.lookup
-    plans = rules.plans
-    table = rules.table
-    always = rules.always
-    size = len(tokens) + 1
-    subtree: list[float] = [0.0] * size
-    score = subtree.__getitem__
-    # queues[h] holds the operations that apply at h, as _apply_batch takes them.
-    queues: list[list[tuple] | None] = [None] * size
+    events = [None] * (len(tokens) + 1) if record else None
     warnings: list[str] = []
-    if record:
-        # Flat records by node id; a node's event list exists only once it
-        # has an event.
-        lexicals: list[float] = [0.0] * size
-        events: list[list[tuple] | None] = [None] * size
-
-    for node_id in tree.postorder:
-        _, surface, lemma, upos, _, deprel = tokens[node_id - 1]
-        lexical = lookup(surface, lemma, upos)
-        if record:
-            lexicals[node_id] = lexical
-
-        if plans:
-            form = surface.lower()
-            lemma = form if lemma == surface else lemma.lower()
-            fired = table.get(form, always)
-            if lemma != form:
-                by_lemma = table.get(lemma, always)
-                if fired is always:
-                    fired = by_lemma
-                elif by_lemma is not always:
-                    # Both words fire rules: merge them by rule index, which
-                    # is unique, so no sort compares further.
-                    fired = sorted({rule[0]: rule for rule in (*fired, *by_lemma)}.values())
-            if fired:
-                # Token.bare_deprel, inlined.
-                deprel = deprel.split(":", 1)[0]
-                for index, name, pos, deprels, delta, rank, amount, source in fired:
-                    if pos is not None and upos not in pos:
-                        continue
-                    if deprels is not None and deprel not in deprels:
-                        continue
-                    if source is not None:
-                        amount, missing = _booster_value(source, form, lemma, lists)
-                        if missing:
-                            warnings.append(
-                                f"rule {name}: no booster value for trigger "
-                                f"{surface!r} (token {node_id}); using 0"
-                            )
-                    if record:
-                        node_events = events[node_id]
-                        if node_events is None:
-                            node_events = events[node_id] = []
-                        if source is None:
-                            node_events.append((name, delta, None, False))
-                        else:
-                            node_events.append((name, delta, amount, missing))
-                    # Climb up to delta head links; a climb the root cuts
-                    # short is forced there.
-                    target = origin = node_id
-                    climb = delta
-                    while climb and target != root_id:
-                        origin = target
-                        target = tokens[target - 1][4]
-                        climb -= 1
-                    queue = queues[target]
-                    if queue is None:
-                        queue = queues[target] = []
-                    queue.append((climb > 0, rank, node_id, index, origin, amount))
-
-        kids = children[node_id]
-        batch = queues[node_id]
-        if batch:
-            node_events = None
-            if record:
-                node_events = events[node_id]
-                if node_events is None:
-                    node_events = events[node_id] = []
-            subtree_so = _apply_batch(batch, plans, lexical, kids, score, tokens, node_events)
-        elif kids:
-            # Nothing applies here: the total of an untouched level, with
-            # the branch scores summed the same way and a zero adjustment.
-            subtree_so = lexical + sum(map(score, kids)) + 0.0
-        else:
-            # A leaf: lookup never returns -0.0, so lexical + 0 + 0.0 is lexical.
-            subtree_so = lexical
-        subtree[node_id] = subtree_so
-
-    sentence_so = subtree[root_id]
-    if not isfinite(sentence_so):
-        raise NonFiniteScoreError(f"sentence score {sentence_so} is not finite")
-    return SoTrace(sentence_so, warnings, (tokens, lexicals, subtree, events) if record else None)
+    queues = None
+    if rules.plans:
+        queues = _queue(tree, rules, lists or {}, events, warnings)
+    lexical = _lexical(tokens, lex)
+    subtree = _totals(tree, lexical, queues, rules.plans, events)
+    sentence_so = check_finite(subtree[tree.root_id])
+    return SoTrace(sentence_so, warnings, (tokens, lexical, subtree, events) if record else None)

@@ -13,8 +13,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .classify import check_agg, check_tie, classify_document
+from .classify import check_agg, check_tie, document_so, polarity_label
 from .conllu import parse_document
+from .engine import check_finite, score_configs
 from .errors import ConlluParseError, ManifestError, SisaError, UsageError
 from .lexicon import SentimentLexicon, WordList
 from .operations import OperationDefinition
@@ -130,38 +131,46 @@ def evaluate_configs(
     agreement, one report per configuration in the given order.
 
     Each item is read and parsed once and scored under every configuration
-    before the next item is read, so one document is held at a time. A rule
-    set the +O configurations share is compiled once for the whole manifest,
-    on its first use: the -O configurations have no rules and do not make
-    :func:`~sisa.engine.compute_so` compile it again. An item that cannot be
-    read or parsed, or that fails to score under any one configuration (a
+    before the next item is read, so one document is held at a time. Its
+    sentences are scored once for all configurations by
+    :func:`~sisa.engine.score_configs`: each sentence matches and climbs the
+    rules once per distinct rule set and looks up its tokens once per
+    distinct lexicon, so the four standard configurations look up each
+    token twice and run the shared rules once. A rule set is compiled once
+    for the whole manifest, on its first use. An item that cannot be read or
+    parsed, or that fails to score under any one configuration (a
     :class:`NonFiniteScoreError`, say), is logged once and recorded as
-    errored under every configuration, so all reports count the same items
-    and stay comparable in :func:`compare_configs`. Errored items are
-    excluded from the accuracy denominator; a manifest with no readable
-    items at all is a usage error, as are an empty ``configs`` and an
-    unknown ``agg`` or ``tie``, refused before the first item is read.
+    errored under every configuration, with the error that scoring the
+    configurations one at a time would raise first: the first failing
+    configuration's, at its first failing sentence. So all reports count
+    the same items and stay comparable in :func:`compare_configs`. Errored
+    items are excluded from the accuracy denominator; a manifest with no
+    readable items at all is a usage error, as are an empty ``configs`` and
+    an unknown ``agg`` or ``tie``, refused before the first item is read.
     """
     if not configs:
         raise UsageError("no configuration to evaluate")
     check_agg(agg)
     check_tie(tie)
+    pairs = [(cfg.lexicon, cfg.rules) for cfg in configs]
     results: list[list[ItemResult]] = [[] for _ in configs]
     for item_path, gold in manifest.items:
         path, name = Path(item_path), str(item_path)
         try:
             doc = parse_document(read_utf8(path, ConlluParseError), source_id=path.stem)
-            scored = [
-                classify_document(doc, cfg.lexicon, cfg.rules, lists, agg=agg, tie=tie)
-                for cfg in configs
+            # Checked config by config, each in sentence order, so the error
+            # is the one scoring one configuration at a time raises first.
+            scores = [
+                document_so(map(check_finite, column), doc.source_id, agg)
+                for column in score_configs(doc.sentences, pairs, lists)
             ]
         except (OSError, SisaError) as exc:
             logger.warning("skipping %s: %s", name, exc)
             for items in results:
                 items.append(ItemResult(name, gold, None, None, error=str(exc)))
             continue
-        for items, result in zip(results, scored):
-            items.append(ItemResult(name, gold, result.label, result.so))
+        for items, so in zip(results, scores):
+            items.append(ItemResult(name, gold, polarity_label(so, tie), so))
     return [_report(manifest, cfg, items) for cfg, items in zip(configs, results)]
 
 

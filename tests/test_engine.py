@@ -1,13 +1,14 @@
 import math
 from dataclasses import astuple, replace
+from itertools import permutations
 from random import Random
 
 import pytest
 
 from conftest import DEFAULT_RULES
 from reference import _materialize_jobs, reference_so
-from sisa import DepTree, Token, compute_so, engine, load_rules, read_document
-from sisa.engine import compile_rules
+from sisa import DepTree, NonFiniteScoreError, Token, compute_so, engine, load_rules, read_document
+from sisa.engine import check_finite, compile_rules, score_configs
 from sisa.lexicon import SentimentLexicon, WordList
 from sisa.operations import (
     ALL,
@@ -289,6 +290,34 @@ scope = target
         assert trace.sentence_so == 3.5
         assert trace.warnings and "bastante" in trace.warnings[0]
         assert trace.nodes[0].triggers[0].missing_booster
+
+    def test_missing_booster_warnings_follow_the_post_order(self, fixture_lexicon):
+        lists = {"boosters": WordList("boosters", {"muy": 0.25})}
+        rule = """
+[operation]
+name = {name}
+trigger.forms = bastante,demasiado
+tau = weighting(@boosters)
+delta = 1
+priority = 3
+scope = target
+"""
+        defs = parse_rules(rule.format(name="first") + rule.format(name="second"), lists)
+        # Token 2 hangs from token 1, so the post-order visits it first.
+        tree = chain_tree(
+            [
+                ("bastante", "ADV", 3, "advmod"),
+                ("demasiado", "ADV", 1, "advmod"),
+                ("bonito", "ADJ", 0, "root"),
+            ]
+        )
+        expected = [
+            f"rule {name}: no booster value for trigger {form!r} (token {token}); using 0"
+            for form, token in (("demasiado", 2), ("bastante", 1))
+            for name in ("first", "second")
+        ]
+        for record in (True, False):
+            assert compute_so(tree, fixture_lexicon, defs, lists, record=record).warnings == expected
 
     def test_deep_chain_does_not_blow_recursion(self, fixture_lexicon):
         n = 5000
@@ -588,6 +617,90 @@ class TestLevelSums:
                 assert node.subtree_so.hex() == level.hex()
                 untouched += bool(kids)
         assert untouched >= 300
+
+
+class TestScoreConfigs:
+    """score_configs gives each configuration the bits of its own
+    compute_so(..., record=False) call."""
+
+    @staticmethod
+    def configs(first, second, defs):
+        """The four standard configurations over two lexica, -O then +O."""
+        return [(first, ()), (first, defs), (second, ()), (second, defs)]
+
+    @staticmethod
+    def orders(four):
+        """Every order of one to four distinct configurations, and two that
+        repeat one."""
+        picks = [list(order) for k in range(1, 5) for order in permutations(four, k)]
+        return picks + [[four[1], four[1]], [four[0], four[3], four[0]]]
+
+    def same(self, trees, four, lists):
+        for picked in self.orders(four):
+            columns = score_configs(trees, picked, lists)
+            assert len(columns) == len(picked)
+            for (lex, defs), column in zip(picked, columns):
+                single = [compute_so(tree, lex, defs, lists, record=False) for tree in trees]
+                assert [so.hex() for so in column] == [trace.sentence_so.hex() for trace in single]
+
+    def test_random_trees(self):
+        lists = vocab_lists()
+        defs = tuple(load_rules(DEFAULT_RULES, lists))
+        merged = vocab_lexicon()
+        merged.add("malo", "ADJ", 3.0)  # neutralized
+        merged.add("muy", "*", 0.5)
+        merged.add("pero", "*", -1.0)
+        rng = Random(1718)
+        trees = [random_tree(rng, max_nodes=12) for _ in range(150)]
+        trees += [shaped_tree(rng, 80, shape) for shape in ("star", "chain")]
+        self.same(trees, self.configs(vocab_lexicon(), merged, defs), lists)
+
+    def test_pinned_level_sums(self):
+        lists = vocab_lists()
+        defs = tuple(load_rules(DEFAULT_RULES, lists))
+        self.same(pinned_trees(), self.configs(cancelling_lexicon(), vocab_lexicon(), defs), lists)
+
+    def test_a_tree_non_finite_under_one_lexicon_only(self):
+        lists = vocab_lists()
+        defs = tuple(load_rules(DEFAULT_RULES, lists))
+        huge = SentimentLexicon("huge")
+        huge.add("bueno", "ADJ", 1e308)
+        word = {form: i for i, (form, _, _) in enumerate(VOCAB)}
+        # no -> bueno <- bueno: inf under huge with or without the negation.
+        tree = build_tree([2, 0, 2], [word["no"], word["bueno"], word["bueno"]])
+        four = self.configs(huge, vocab_lexicon(), defs)
+        for picked in self.orders(four):
+            columns = score_configs([tree], picked, lists)
+            for (lex, config_defs), (so,) in zip(picked, columns):
+                if lex is huge:
+                    assert so == math.inf
+                    with pytest.raises(NonFiniteScoreError) as raised:
+                        compute_so(tree, lex, config_defs, lists, record=False)
+                    with pytest.raises(NonFiniteScoreError) as refused:
+                        check_finite(so)
+                    assert str(refused.value) == str(raised.value)
+                else:
+                    quiet = compute_so(tree, lex, config_defs, lists, record=False)
+                    assert check_finite(so).hex() == quiet.sentence_so.hex()
+
+    def test_each_rule_set_and_lexicon_runs_once_per_sentence(self, monkeypatch):
+        lists = vocab_lists()
+        defs = tuple(load_rules(DEFAULT_RULES, lists))
+        other = tuple(copies(defs))
+        rng = Random(1719)
+        trees = [random_tree(rng, max_nodes=10) for _ in range(40)]
+        first, second = vocab_lexicon(), vocab_lexicon()
+        queued = []
+        queue = engine._queue
+        monkeypatch.setattr(engine, "_queue", lambda tree, rules, *rest: queued.append(rules) or queue(tree, rules, *rest))
+        looked = []
+        lexical = engine._lexical
+        monkeypatch.setattr(engine, "_lexical", lambda tokens, lex: looked.append(lex) or lexical(tokens, lex))
+        configs = [(first, ()), (first, defs), (second, list(defs)), (second, other), (first, other)]
+        score_configs(trees, configs, lists)
+        assert len(queued) == 2 * len(trees)
+        assert len({id(rules) for rules in queued}) == 2
+        assert [lex is first for lex in looked] == [True, False] * len(trees)
 
 
 class TestRecordingSwitch:

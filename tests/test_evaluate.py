@@ -7,7 +7,7 @@ import pytest
 import sisa.evaluate as evaluation
 from conftest import DEFAULT_RULES, bom_copy
 from reference import reference_so
-from sisa import ManifestError, UsageError, load_lexicon, load_rules
+from sisa import ManifestError, UsageError, engine, load_lexicon, load_rules, read_document
 from sisa.lexicon import SentimentLexicon
 from sisa.evaluate import (
     CorpusManifest,
@@ -288,6 +288,72 @@ class TestEvaluate:
         with pytest.raises(UsageError, match="no configuration to evaluate"):
             evaluate_configs(manifest, [], wordlists)
         assert read == []
+
+
+class TestSharedPass:
+    """evaluate_configs scores each sentence once for all configurations:
+    one lookup per token and lexicon, one compile per rule set."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        """Counters of SentimentLexicon.lookup calls and rule compiles."""
+        counts = {"lookup": 0, "compile": 0}
+        lookup = SentimentLexicon.lookup
+        compile_rules = engine.compile_rules
+
+        def counting_lookup(self, *args):
+            counts["lookup"] += 1
+            return lookup(self, *args)
+
+        def counting_compile(defs):
+            counts["compile"] += 1
+            return compile_rules(defs)
+
+        monkeypatch.setattr(SentimentLexicon, "lookup", counting_lookup)
+        monkeypatch.setattr(engine, "compile_rules", counting_compile)
+        return counts
+
+    @staticmethod
+    def tokens(manifest):
+        return sum(len(tree) for path, _ in manifest.items for tree in read_document(path).sentences)
+
+    def test_four_configurations_look_up_each_token_once_per_lexicon(
+        self, manifest, fixture_lexicon, ml_lexicon, wordlists, counted
+    ):
+        rules = tuple(load_rules(DEFAULT_RULES, wordlists))  # new objects: not compiled yet
+        configs = [
+            RunConfig("SL-O", fixture_lexicon),
+            RunConfig("SL+O", fixture_lexicon, rules),
+            RunConfig("ML-O", ml_lexicon),
+            RunConfig("ML+O", ml_lexicon, rules),
+        ]
+        reports = evaluate_configs(manifest, configs, wordlists)
+        assert counted == {"lookup": 2 * self.tokens(manifest), "compile": 1}
+        assert [report.accuracy for report in reports] == [0.5, 1.0, 0.5, 1.0]
+
+    def test_one_configuration_looks_up_each_token_once(
+        self, manifest, fixture_lexicon, wordlists, counted
+    ):
+        rules = tuple(load_rules(DEFAULT_RULES, wordlists))
+        evaluate(manifest, RunConfig("SL+O", fixture_lexicon, rules), wordlists)
+        assert counted == {"lookup": self.tokens(manifest), "compile": 1}
+
+    def test_two_rule_sets_score_as_separate_calls(
+        self, manifest, fixture_lexicon, ml_lexicon, wordlists, counted
+    ):
+        rules = tuple(load_rules(DEFAULT_RULES, wordlists))
+        without_negation = tuple(rule for rule in rules if rule.name != "negation")
+        configs = [
+            RunConfig("SL-O", fixture_lexicon),
+            RunConfig("SL+O", fixture_lexicon, rules),
+            RunConfig("ML-O", ml_lexicon),
+            RunConfig("ML+O", ml_lexicon, without_negation),
+        ]
+        shared = evaluate_configs(manifest, configs, wordlists)
+        # Each rule set is compiled once for the whole manifest.
+        assert counted["compile"] == 2
+        assert shared == [evaluate(manifest, cfg, wordlists) for cfg in configs]
+        assert shared[1].items != shared[3].items
 
 
 class TestCompareConfigs:
