@@ -526,15 +526,18 @@ def _queue(
         form = surface.lower()
         fired = table.get(form, always)
         lemma = token[2]
-        lemma = form if lemma == surface else lemma.lower()
-        if lemma != form:
-            by_lemma = table.get(lemma, always)
-            if fired is always:
-                fired = by_lemma
-            elif by_lemma is not always:
-                # Both words fire rules: merge them by rule index, which
-                # is unique, so no sort compares further.
-                fired = sorted({rule[0]: rule for rule in (*fired, *by_lemma)}.values())
+        if lemma == surface:
+            lemma = form
+        else:
+            lemma = lemma.lower()
+            if lemma != form:
+                by_lemma = table.get(lemma, always)
+                if fired is always:
+                    fired = by_lemma
+                elif by_lemma is not always:
+                    # Both words fire rules: merge them by rule index, which
+                    # is unique, so no sort compares further.
+                    fired = sorted({rule[0]: rule for rule in (*fired, *by_lemma)}.values())
         if not fired:
             continue
         node_id, _, _, upos, _, deprel = token
@@ -596,26 +599,29 @@ def _lexical(tokens: Sequence[tuple], lex: SentimentLexicon) -> list[float]:
 
 def _totals(
     tree: DepTree,
-    lexical: list[float],
+    subtree: list[float],
     queues: list[list[tuple] | None] | None,
     plans: Sequence[tuple],
     events: list[list[tuple] | None] | None,
-) -> list[float]:
-    """The per-lexicon phase: the subtree score of every node, by token id,
-    from the lexical scores and the queues of one rule set (None: nothing
-    is queued). An application or discard is appended to
-    ``events[node_id]`` when ``events`` is given."""
-    # A leaf keeps its lexical score: lookup never returns -0.0, so
-    # lexical + 0 + 0.0 is lexical.
-    subtree = lexical.copy()
+) -> None:
+    """The per-lexicon phase, in place: turn ``subtree``, the lexical score
+    of every node by token id, into the subtree scores, applying the queues
+    of one rule set (None: nothing is queued). An application or discard is
+    appended to ``events[node_id]`` when ``events`` is given.
+
+    A node's entry is read as its lexical score only after all of its
+    descendants' entries, and written once, in post-order. A leaf keeps its
+    lexical score: lookup never returns -0.0, so lexical + 0 + 0.0 is
+    lexical.
+    """
     score = subtree.__getitem__
     children = tree.dependents
     if queues is None:
         for node_id in tree.postorder:
             kids = children[node_id]
             if kids:
-                subtree[node_id] = lexical[node_id] + sum(map(score, kids)) + 0.0
-        return subtree
+                subtree[node_id] = subtree[node_id] + sum(map(score, kids)) + 0.0
+        return
     tokens = tree.tokens
     for node_id in tree.postorder:
         kids = children[node_id]
@@ -627,13 +633,12 @@ def _totals(
                 if node_events is None:
                     node_events = events[node_id] = []
             subtree[node_id] = _apply_batch(
-                batch, plans, lexical[node_id], kids, score, tokens, node_events
+                batch, plans, subtree[node_id], kids, score, tokens, node_events
             )
         elif kids:
             # Nothing applies here: the total of an untouched level, with
             # the branch scores summed the same way and a zero adjustment.
-            subtree[node_id] = lexical[node_id] + sum(map(score, kids)) + 0.0
-    return subtree
+            subtree[node_id] = subtree[node_id] + sum(map(score, kids)) + 0.0
 
 
 def score_configs(
@@ -680,7 +685,9 @@ def score_configs(
                 if rules is not None:
                     queued[rule_set] = _queue(tree, rules, lists, None, None)
                 queues = queued[rule_set]
-            scores.append(_totals(tree, lexicals[lexicon], queues, plans, None)[tree.root_id])
+            subtree = lexicals[lexicon].copy()
+            _totals(tree, subtree, queues, plans, None)
+            scores.append(subtree[tree.root_id])
     return [scores for scores, *_ in plan]
 
 
@@ -724,6 +731,7 @@ def compute_so(
     if rules.plans:
         queues = _queue(tree, rules, lists or {}, events, warnings)
     lexical = _lexical(tokens, lex)
-    subtree = _totals(tree, lexical, queues, rules.plans, events)
+    subtree = lexical.copy() if record else lexical
+    _totals(tree, subtree, queues, rules.plans, events)
     sentence_so = check_finite(subtree[tree.root_id])
     return SoTrace(sentence_so, warnings, (tokens, lexical, subtree, events) if record else None)

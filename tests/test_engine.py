@@ -690,17 +690,21 @@ class TestScoreConfigs:
         rng = Random(1719)
         trees = [random_tree(rng, max_nodes=10) for _ in range(40)]
         first, second = vocab_lexicon(), vocab_lexicon()
-        queued = []
-        queue = engine._queue
-        monkeypatch.setattr(engine, "_queue", lambda tree, rules, *rest: queued.append(rules) or queue(tree, rules, *rest))
-        looked = []
-        lexical = engine._lexical
-        monkeypatch.setattr(engine, "_lexical", lambda tokens, lex: looked.append(lex) or lexical(tokens, lex))
+        # The second argument of each phase: the rule set, the lexicon.
+        seen = {"_queue": [], "_lexical": []}
+        for name, calls in seen.items():
+
+            def spy(*args, original=getattr(engine, name), calls=calls):
+                calls.append(args[1])
+                return original(*args)
+
+            monkeypatch.setattr(engine, name, spy)
+        # A list of the same definitions is the same rule set.
         configs = [(first, ()), (first, defs), (second, list(defs)), (second, other), (first, other)]
         score_configs(trees, configs, lists)
-        assert len(queued) == 2 * len(trees)
-        assert len({id(rules) for rules in queued}) == 2
-        assert [lex is first for lex in looked] == [True, False] * len(trees)
+        assert len(seen["_queue"]) == 2 * len(trees)
+        assert len({id(rules) for rules in seen["_queue"]}) == 2
+        assert [lex is first for lex in seen["_lexical"]] == [True, False] * len(trees)
 
 
 class TestRecordingSwitch:
