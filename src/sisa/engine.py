@@ -607,11 +607,8 @@ def _totals(
     """The per-lexicon phase, in place: turn ``subtree``, the lexical score
     of every node by token id, into the subtree scores, applying the queues
     of one rule set (None: nothing is queued). An application or discard is
-    appended to ``events[node_id]`` when ``events`` is given.
-
-    A node's entry is read as its lexical score only after all of its
-    descendants' entries, and written once, in post-order. A leaf keeps its
-    lexical score: lookup never returns -0.0, so lexical + 0 + 0.0 is
+    appended to ``events[node_id]`` when ``events`` is given. A leaf keeps
+    its lexical score: lookup never returns -0.0, so lexical + 0 + 0.0 is
     lexical.
     """
     score = subtree.__getitem__
@@ -699,25 +696,23 @@ def compute_so(
     *,
     record: bool = True,
 ) -> SoTrace:
-    """Score one sentence; with ``record`` (the default), trace every node.
+    """Score one sentence with both phases; with ``record`` (the default),
+    trace every node.
 
-    The lexicon-free phase visits the tokens: the rules a node's lowercased
-    form or lemma can fire, as the trigger table lists them, are tested
-    against its PoS and bare deprel, and those matching are instantiated in
+    The rules a node's lowercased form or lemma can fire are tested against
+    its PoS and bare deprel, and those matching are instantiated in
     definition order, each queued at the level ``delta`` head links up, or
-    forced at the root if that comes first; missing booster values are
-    warned of in post-order. The per-lexicon phase looks up every token,
-    then totals the levels in post-order: a node's queue is applied (forced
-    operations last, higher priority first, leftmost trigger on ties, then
-    definition order); the level total is the possibly-transformed head
-    score plus the builtin ``sum`` of its branch scores in surface order.
-    With ``record=False`` the returned trace has no nodes; its score and
-    warnings are the same. ``defs`` is compiled on its first use, and its
-    word lists are read then; it is compiled again only when a call that
-    compiled other non-empty definitions, and did not use these, came
-    between, or when it gained, lost or replaced a rule in place. A sentence
-    score that overflows to infinity or NaN raises
-    :class:`NonFiniteScoreError`.
+    forced at the root if that comes first. A level applies its queue
+    (forced operations last, higher priority first, leftmost trigger on
+    ties, then definition order); its total is the possibly-transformed
+    head score plus the builtin ``sum`` of its branch scores in surface
+    order. Warnings come in post-order. With ``record=False`` the returned
+    trace has no nodes; its score and warnings are the same. ``defs`` is
+    compiled on its first use, and its word lists are read then; it is
+    compiled again only when a call that compiled other definitions, and
+    did not use these, came between, or when it gained, lost or replaced a
+    rule in place. A sentence score that overflows to infinity or NaN
+    raises :class:`NonFiniteScoreError`.
     """
     kept = _kept
     if kept and defs is kept[0][0]:  # a kept tuple, which cannot have changed

@@ -90,15 +90,16 @@ class SentimentLexicon:
         keys are probed only when the lemma differs from the form.
         """
         scores = self.scores
-        form = form.lower()
-        so = scores.get((form, upos))
+        lowered = form.lower()
+        so = scores.get((lowered, upos))
         if so is None:
-            lemma = lemma.lower()
-            if lemma != form:
+            # A lemma spelled as its form lowercases as the form does.
+            lemma = lowered if lemma == form else lemma.lower()
+            if lemma != lowered:
                 so = scores.get((lemma, upos))
             if so is None:
-                so = scores.get((form, "*"))
-                if so is None and lemma != form:
+                so = scores.get((lowered, "*"))
+                if so is None and lemma != lowered:
                     so = scores.get((lemma, "*"))
                 if so is None:
                     return 0.0

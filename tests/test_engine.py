@@ -98,6 +98,19 @@ class TestResolveScope:
         branches = [(1, "cop", 0.0), (2, "cop", 1.5)]
         assert probe(3.5, branches, scopes, origin_id=9) == "b(cop):2"
 
+    @pytest.mark.parametrize(
+        "branches, text",
+        [
+            ([(1, "amod:emph", 2.0)], "b(amod):1"),
+            ([(1, "amod:emph", 0.0)], "none"),
+            ([(1, "nmod:poss", 2.0)], "none"),
+            ([(1, "nmod", 1.0), (2, "amod:emph", 2.0)], "b(amod):2"),
+        ],
+        ids=["one-branch", "one-zero-branch", "one-other-branch", "two-branches"],
+    )
+    def test_branch_matches_the_bare_deprel(self, branches, text):
+        assert probe(1.0, branches, (ScopeSpec(BRANCH, "amod"),), origin_id=9) == text
+
     def test_subjr_picks_leftmost_right_of_origin(self):
         scopes = (ScopeSpec(SUBJR),)
         branches = [(1, "nsubj", 2.0), (2, "advmod", 0.0), (4, "obj", -1.0), (5, "obl", 3.0)]
