@@ -47,13 +47,12 @@ records from them only when it is first read.
 
 A scorer does only the work its rules need:
 
-- A rule set is compiled into a trigger table on its first use. The rule
-  sets of the last call that compiled one are kept with their tables: a
-  call with the same definitions, the same objects in the same order,
-  reuses a table, and an empty rule set shares one empty table without
-  replacing the kept ones. The table maps each trigger word to the rules it
-  can fire, in definition order, with the rules that have no form
-  constraint merged in. A node tests only the rules its lowercased form or
+- A rule set is compiled into a trigger table on its first use, and the
+  last non-empty one compiled is kept: a configuration with the same
+  definitions, the same objects in the same order, reuses the table, and an
+  empty rule set shares one empty table without replacing the kept one.
+  The table maps each trigger word to the rules it can fire, in definition
+  order, with the rules that have no form constraint merged in. A node tests only the rules its lowercased form or
   lemma can fire, or the unconstrained ones if neither is a trigger word; a
   form and a lemma that fire different rules have their two lists merged in
   definition order. Only a node with rules to test strips its deprel of its
@@ -95,7 +94,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import isfinite
-from operator import is_, itemgetter
+from operator import is_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .conllu import DepTree
@@ -457,37 +456,25 @@ def compile_rules(defs: Sequence[OperationDefinition]) -> CompiledRules:
 
 
 _NO_RULES = compile_rules(())
-# The non-empty rule sets, as tuples with their tables, of the last call that
-# compiled one. It is replaced whole, so threads that race on it at worst
-# compile twice.
-_kept: tuple[tuple[tuple[OperationDefinition, ...], CompiledRules], ...] = ()
+# The last non-empty rule set compiled, as a tuple, and its table. It is
+# replaced whole, so threads that race on it at worst compile twice.
+_last: tuple[tuple[OperationDefinition, ...], CompiledRules] = ((), _NO_RULES)
 
 
-def _compiled(rule_sets: Sequence[Sequence[OperationDefinition]]) -> list[CompiledRules]:
-    """The table of each rule set in ``rule_sets``, compiled only when it is
-    not the objects, in order, of a kept rule set or of one compiled earlier
-    in this call. A call that compiles keeps the rule sets it used; an empty
-    rule set shares one empty table."""
-    global _kept
-    pool = _kept
-    tables = []
-    for defs in rule_sets:
-        if not defs:
-            tables.append(_NO_RULES)
-            continue
-        for key, rules in pool:
-            # A key is a tuple, which cannot have changed; ``defs`` may be
-            # a list changed in place.
-            if defs is key or (len(key) == len(defs) and all(map(is_, key, defs))):
-                break
-        else:
-            key = tuple(defs)
-            rules = compile_rules(key)
-            pool += ((key, rules),)
-        tables.append(rules)
-    if pool is not _kept:
-        _kept = tuple(entry for entry in pool if any(entry[1] is rules for rules in tables))
-    return tables
+def _compiled(defs: Sequence[OperationDefinition]) -> CompiledRules:
+    """The table of ``defs``, compiled only when they are not the objects,
+    in order, of the rule set compiled last."""
+    global _last
+    key, rules = _last
+    if defs is key:  # the tuple compiled last, which cannot have changed
+        return rules
+    if not defs:
+        return _NO_RULES
+    if len(key) != len(defs) or not all(map(is_, key, defs)):
+        key = tuple(defs)
+        rules = compile_rules(key)
+        _last = key, rules
+    return rules
 
 
 def check_finite(sentence_so: float) -> float:
@@ -503,44 +490,36 @@ def _queue(
     rules: CompiledRules,
     lists: Mapping[str, WordList],
     events: list[list[tuple] | None] | None,
-    warnings: list[str] | None,
-) -> list[list[tuple] | None] | None:
+    warnings: list[str],
+) -> list[list[tuple] | None]:
     """The lexicon-free phase of one rule set: match each node's rules and
     queue each firing at the level its climb reaches.
 
-    Returns the queues by node id, as :func:`_apply_batch` takes them, or
-    None when no rule fired. A trigger event is appended to
-    ``events[node_id]`` when ``events`` is given, and the warnings of
-    missing booster values fill ``warnings``, an empty list, when it is
-    given.
+    Returns the queues by node id, as :func:`_apply_batch` takes them. The
+    warnings of missing booster values are appended to ``warnings`` in
+    post-order, and a trigger event to ``events[node_id]`` when ``events``
+    is given.
     """
     tokens = tree.tokens
     root_id = tree.root_id
     table = rules.table
     always = rules.always
-    queues: list[list[tuple] | None] | None = None
-    warned: list[int] | None = None  # the node id of each warning
-    # Token order: only the warnings depend on the order nodes are visited in.
-    for token in tokens:
-        surface = token[1]
+    queues: list[list[tuple] | None] = [None] * (len(tokens) + 1)
+    for node_id in tree.postorder:
+        _, surface, lemma, upos, _, deprel = tokens[node_id - 1]
         form = surface.lower()
+        lemma = form if lemma == surface else lemma.lower()
         fired = table.get(form, always)
-        lemma = token[2]
-        if lemma == surface:
-            lemma = form
-        else:
-            lemma = lemma.lower()
-            if lemma != form:
-                by_lemma = table.get(lemma, always)
-                if fired is always:
-                    fired = by_lemma
-                elif by_lemma is not always:
-                    # Both words fire rules: merge them by rule index, which
-                    # is unique, so no sort compares further.
-                    fired = sorted({rule[0]: rule for rule in (*fired, *by_lemma)}.values())
+        if lemma != form:
+            by_lemma = table.get(lemma, always)
+            if fired is always:
+                fired = by_lemma
+            elif by_lemma is not always:
+                # Both words fire rules: merge them by rule index, which is
+                # unique, so no sort compares further.
+                fired = sorted({rule[0]: rule for rule in (*fired, *by_lemma)}.values())
         if not fired:
             continue
-        node_id, _, _, upos, _, deprel = token
         # Token.bare_deprel, inlined.
         deprel = deprel.split(":", 1)[0]
         for index, name, pos, deprels, delta, rank, amount, source in fired:
@@ -550,14 +529,11 @@ def _queue(
                 continue
             if source is not None:
                 amount, missing = _booster_value(source, form, lemma, lists)
-                if missing and warnings is not None:
+                if missing:
                     warnings.append(
                         f"rule {name}: no booster value for trigger "
                         f"{surface!r} (token {node_id}); using 0"
                     )
-                    if warned is None:
-                        warned = []
-                    warned.append(node_id)
             if events is not None:
                 node_events = events[node_id]
                 if node_events is None:
@@ -574,18 +550,10 @@ def _queue(
                 origin = target
                 target = tokens[target - 1][4]
                 climb -= 1
-            if queues is None:
-                queues = [None] * (len(tokens) + 1)
             queue = queues[target]
             if queue is None:
                 queue = queues[target] = []
             queue.append((climb > 0, rank, node_id, index, origin, amount))
-    if warned is not None and len(warned) > 1:
-        # In post-order, as the levels are totalled; a stable sort keeps
-        # one node's warnings in definition order.
-        position = dict(zip(tree.postorder, range(len(tokens))))
-        ranked = sorted(zip(map(position.__getitem__, warned), warnings), key=itemgetter(0))
-        warnings[:] = [warning for _, warning in ranked]
     return queues
 
 
@@ -611,14 +579,10 @@ def _totals(
     its lexical score: lookup never returns -0.0, so lexical + 0 + 0.0 is
     lexical.
     """
+    if queues is None:
+        queues = [None] * len(subtree)
     score = subtree.__getitem__
     children = tree.dependents
-    if queues is None:
-        for node_id in tree.postorder:
-            kids = children[node_id]
-            if kids:
-                subtree[node_id] = subtree[node_id] + sum(map(score, kids)) + 0.0
-        return
     tokens = tree.tokens
     for node_id in tree.postorder:
         kids = children[node_id]
@@ -661,7 +625,8 @@ def score_configs(
     # as an index into the per-sentence results and as the object itself
     # where the configuration is the first to use it, then its plans.
     plan = []
-    for (lex, _), rules in zip(configs, _compiled([defs for _, defs in configs])):
+    for lex, defs in configs:
+        rules = _compiled(defs)
         fresh = len(lexica)
         lexicon = lexica.setdefault(id(lex), fresh)
         first_lex = lex if lexicon == fresh else None
@@ -671,21 +636,27 @@ def score_configs(
             rule_set = rule_sets.setdefault(id(rules), fresh)
             first_rules = rules if rule_set == fresh else None
         plan.append(([], lexicon, first_lex, rule_set, first_rules, rules.plans))
+    # The last configuration to use a lexicon totals its lookups in place;
+    # an earlier one totals a copy.
+    last = {entry[1]: entry for entry in plan}
+    plan = [(*entry, entry is not last[entry[1]]) for entry in plan]
     lexicals: list[list[float]] = [[]] * len(lexica)
     queued: list[list | None] = [None] * len(rule_sets)
     for tree in trees:
-        for scores, lexicon, lex, rule_set, rules, plans in plan:
+        for scores, lexicon, lex, rule_set, rules, plans, copy in plan:
             if lex is not None:
                 lexicals[lexicon] = _lexical(tree.tokens, lex)
             queues = None
             if rule_set is not None:
                 if rules is not None:
-                    queued[rule_set] = _queue(tree, rules, lists, None, None)
+                    queued[rule_set] = _queue(tree, rules, lists, None, [])
                 queues = queued[rule_set]
-            subtree = lexicals[lexicon].copy()
+            subtree = lexicals[lexicon]
+            if copy:
+                subtree = subtree.copy()
             _totals(tree, subtree, queues, plans, None)
             scores.append(subtree[tree.root_id])
-    return [scores for scores, *_ in plan]
+    return [entry[0] for entry in plan]
 
 
 def compute_so(
@@ -709,16 +680,12 @@ def compute_so(
     order. Warnings come in post-order. With ``record=False`` the returned
     trace has no nodes; its score and warnings are the same. ``defs`` is
     compiled on its first use, and its word lists are read then; it is
-    compiled again only when a call that compiled other definitions, and
-    did not use these, came between, or when it gained, lost or replaced a
-    rule in place. A sentence score that overflows to infinity or NaN
-    raises :class:`NonFiniteScoreError`.
+    compiled again only when a call with other non-empty definitions came
+    between, or when it gained, lost or replaced a rule in place. A
+    sentence score that overflows to infinity or NaN raises
+    :class:`NonFiniteScoreError`.
     """
-    kept = _kept
-    if kept and defs is kept[0][0]:  # a kept tuple, which cannot have changed
-        rules = kept[0][1]
-    else:
-        (rules,) = _compiled((defs,))
+    rules = _compiled(defs)
     tokens = tree.tokens
     events = [None] * (len(tokens) + 1) if record else None
     warnings: list[str] = []

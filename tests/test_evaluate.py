@@ -339,7 +339,7 @@ class TestSharedPass:
         assert counted == {"lookup": self.tokens(manifest), "compile": 1}
 
     def test_two_rule_sets_score_as_separate_calls(
-        self, manifest, fixture_lexicon, ml_lexicon, wordlists, counted
+        self, manifest, fixture_lexicon, ml_lexicon, wordlists
     ):
         rules = tuple(load_rules(DEFAULT_RULES, wordlists))
         without_negation = tuple(rule for rule in rules if rule.name != "negation")
@@ -350,8 +350,6 @@ class TestSharedPass:
             RunConfig("ML+O", ml_lexicon, without_negation),
         ]
         shared = evaluate_configs(manifest, configs, wordlists)
-        # Each rule set is compiled once for the whole manifest.
-        assert counted["compile"] == 2
         assert shared == [evaluate(manifest, cfg, wordlists) for cfg in configs]
         assert shared[1].items != shared[3].items
 
