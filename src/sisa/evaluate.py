@@ -136,13 +136,14 @@ def evaluate_configs(
     :func:`~sisa.engine.score_configs`: each sentence matches and climbs the
     rules once per distinct rule set and looks up its tokens once per
     distinct lexicon, so the four standard configurations look up each
-    token twice and run the shared rules once. A rule set is compiled once
-    for the whole manifest, on its first use. An item that cannot be read or
-    parsed, or that fails to score under any one configuration (a
-    :class:`NonFiniteScoreError`, say), is logged once and recorded as
-    errored under every configuration, with the error that scoring the
-    configurations one at a time would raise first: the first failing
-    configuration's, at its first failing sentence. So all reports count
+    token twice and run the shared rules once. A rule set the +O
+    configurations share is compiled once for the whole manifest, on its
+    first use. An item that cannot be read or parsed, or that fails to
+    score under any one configuration (a :class:`NonFiniteScoreError`,
+    say), is logged once and recorded as errored under every
+    configuration, with the error that scoring the configurations one at
+    a time would raise first: the first failing configuration's, at its
+    first failing sentence. So all reports count
     the same items and stay comparable in :func:`compare_configs`. Errored
     items are excluded from the accuracy denominator; a manifest with no
     readable items at all is a usage error, as are an empty ``configs`` and
