@@ -52,12 +52,12 @@ A scorer does only the work its rules need:
   definitions, the same objects in the same order, reuses the table, and an
   empty rule set shares one empty table without replacing the kept one.
   The table maps each trigger word to the rules it can fire, in definition
-  order, with the rules that have no form constraint merged in. A node tests only the rules its lowercased form or
-  lemma can fire, or the unconstrained ones if neither is a trigger word; a
-  form and a lemma that fire different rules have their two lists merged in
-  definition order. Only a node with rules to test strips its deprel of its
-  subtype. Without rules (the -O configurations) the lexicon-free phase
-  does not run.
+  order, with the rules that have no form constraint merged in. A node
+  tests only the rules its lowercased form or lemma can fire, or the
+  unconstrained ones if neither is a trigger word; a form and a lemma that
+  fire different rules have their two lists merged in definition order.
+  Only a node with rules to test strips its deprel of its subtype. Without
+  rules (the -O configurations) the lexicon-free phase does not run.
 - The table also holds each rule's plan: its name, its transformation
   function and its scopes as ``(kind, deprel, text)`` tuples, so applying an
   operation reads no attribute chain.
@@ -505,8 +505,10 @@ def _queue(
     table = rules.table
     always = rules.always
     queues: list[list[tuple] | None] = [None] * (len(tokens) + 1)
-    for node_id in tree.postorder:
-        _, surface, lemma, upos, _, deprel = tokens[node_id - 1]
+    late: dict[int, list[str]] | None = None  # the warnings by node id
+    # Token order, which reads each token without indexing: only the
+    # warnings depend on the order, and they are put in post-order below.
+    for node_id, surface, lemma, upos, _, deprel in tokens:
         form = surface.lower()
         lemma = form if lemma == surface else lemma.lower()
         fired = table.get(form, always)
@@ -530,7 +532,9 @@ def _queue(
             if source is not None:
                 amount, missing = _booster_value(source, form, lemma, lists)
                 if missing:
-                    warnings.append(
+                    if late is None:
+                        late = {}
+                    late.setdefault(node_id, []).append(
                         f"rule {name}: no booster value for trigger "
                         f"{surface!r} (token {node_id}); using 0"
                     )
@@ -554,6 +558,9 @@ def _queue(
             if queue is None:
                 queue = queues[target] = []
             queue.append((climb > 0, rank, node_id, index, origin, amount))
+    if late is not None:
+        for node_id in tree.postorder:
+            warnings += late.get(node_id, ())
     return queues
 
 
