@@ -9,24 +9,23 @@ there rather than dropped.
 
 A sentence is scored in two phases:
 
-- The lexicon-free phase, run once per rule set, matches each node's rules
-  and climbs each firing to the level it applies at. It yields the queued
-  operations, the booster warnings and, when recorded, the trigger events.
-  Which rules fire, where an operation climbs to, its origin, whether it is
-  forced and its amount depend on the tree, the rules and the word lists
-  alone.
-- The per-lexicon phase looks up every token's lexical score, then totals
-  the levels in post-order, applying each level's queued operations.
+- The lexicon-free phase (:func:`_queue`), run once per rule set, matches
+  each node's rules and climbs each firing to the level it applies at, where
+  it is queued once. Which rules fire, where an operation applies, its
+  origin, whether it is forced and its amount depend on the tree, the rules
+  and the word lists alone, so every lexicon applies the same queues.
+- The per-lexicon phase looks up every token's lexical score
+  (:func:`_lexical`), then totals the levels in post-order
+  (:func:`_totals`), each level with a queue applying it as one batch
+  (:func:`_apply_batch`).
 
 :func:`compute_so` runs both phases for one configuration, a lexicon and a
 rule set, and records the trace when asked. :func:`score_configs` scores
 sentences under several configurations at once, as ``sisa evaluate`` does:
-each sentence runs the lexicon-free phase once per distinct rule set and
-looks up its tokens once per distinct lexicon, so the four standard
-configurations (two lexica, each with and without the rules) cost one rule
-pass and two lookups per token, not two and four. Every configuration's
-totals are summed as its own :func:`compute_so` call would sum them, so its
-scores have the same bits.
+the four standard configurations (two lexica, each with and without the
+rules) cost one rule pass and two lookups per token, not two and four. A
+rule set is compiled into a trigger table (:class:`CompiledRules`) on its
+first use.
 
 A sentence costs time linear in its tokens plus its operations, up to the
 binary searches that place a subj origin among a level's branches, with two
@@ -34,59 +33,7 @@ exceptions that rule files the parser accepts can reach: a climb takes one
 step per head link, so a firing costs min(``delta``, depth), and an ``all``
 scope sums its level again after each branch change, so a batch that
 alternates branch and ``all`` operations at a level of k branches costs
-O(k^2). Each node's features (lowercased form and lemma, bare deprel) are
-computed once per rule set, and the scope lookups walk per-level cursors
-that only move right instead of rescanning the branches of a wide level for
-every operation. The full trace of every trigger, application and discard is
-recorded only when asked for; without it the returned :class:`SoTrace`
-carries the sentence score and the warnings alone. A recorded trace is kept
-flat: the lexical and subtree score of every node, indexed by token id, and
-plain tuples for the events of the nodes that have any. :meth:`SoTrace.render`
-reads those directly; :attr:`SoTrace.nodes` builds :class:`NodeTrace`
-records from them only when it is first read.
-
-A scorer does only the work its rules need:
-
-- A rule set is compiled into a trigger table on its first use, and the
-  last non-empty one compiled is kept: a configuration with the same
-  definitions, the same objects in the same order, reuses the table, and an
-  empty rule set shares one empty table without replacing the kept one.
-  The table maps each trigger word to the rules it can fire, in definition
-  order, with the rules that have no form constraint merged in. A node
-  tests only the rules its lowercased form or lemma can fire, or the
-  unconstrained ones if neither is a trigger word; a form and a lemma that
-  fire different rules have their two lists merged in definition order.
-  Only a node with rules to test strips its deprel of its subtype. Without
-  rules (the -O configurations) the lexicon-free phase does not run.
-- The table also holds each rule's plan: its name, its transformation
-  function and its scopes as ``(kind, deprel, text)`` tuples, so applying an
-  operation reads no attribute chain.
-- An operation is resolved once, when it triggers: its climb fixes the
-  level it applies at, the node it enters that level through (its origin)
-  and whether the root cut the climb short (it is forced). It is queued once,
-  at that level, so no node handles an operation that only passes through.
-  The queue entry is a ``(forced, -priority, trigger_id, rule_index,
-  origin_id, amount)`` tuple, so a batch sorts natively into dequeue order;
-  ``rule_index`` breaks ties in definition order, and ``(trigger_id,
-  rule_index)`` is unique at a level, so no sort compares further. The
-  queues hold nothing from a lexicon, so every lexicon applies the same
-  ones.
-- A node whose queue is not empty applies it as one batch over a flat
-  level: its ``dependents`` tuple and a list of branch scores, copied from
-  the subtree scores only once a b(x) or subj scope has a branch to test;
-  an ``all`` scope sums the level without copying it. Bare deprels are read
-  on the first b(x) scope, and a level with one branch tests that branch's
-  bare deprel directly; the scope cursors are plain index lists, and a subj
-  scope places its origin with a binary search of the child ids, so a level
-  with no branch on that side is passed over at once. Every other node sums
-  its branches as an untouched level would: builtin ``sum`` over its
-  subtree scores, read through one bound getter, with no list built per
-  node. A leaf keeps its lexical score. A level is never totalled by a
-  running sum, which would drop the compensation of ``sum`` over floats
-  from Python 3.12 on.
-- Finding an operation's scope and applying it are one step: the batch
-  walks each operation's scope list once and transforms what the first
-  match selects (the head score, one branch or the whole level).
+O(k^2).
 """
 
 from __future__ import annotations
@@ -169,16 +116,6 @@ class SoTrace:
         self.warnings = warnings
         self._record = record
         self._nodes: list[NodeTrace] | None = None
-
-    def __eq__(self, other: object) -> bool:
-        """Equal score, warnings and node records."""
-        if not isinstance(other, SoTrace):
-            return NotImplemented
-        return (self.sentence_so, self.warnings, self.nodes) == (
-            other.sentence_so,
-            other.warnings,
-            other.nodes,
-        )
 
     @property
     def nodes(self) -> list[NodeTrace]:
@@ -280,9 +217,10 @@ def _apply_batch(
     ``batch`` holds ``(forced, -priority, trigger_id, rule_index, origin_id,
     amount)`` tuples and is dequeued in their sort order: forced operations
     after the rest, then higher priority first, then leftmost trigger, then
-    definition order. ``plans[rule_index]`` is the rule's plan. The level is
-    the head score ``head`` and one branch per child id in ``kids`` (surface
-    order), scored ``score(child_id)``, with the bare deprel of
+    definition order. ``(trigger_id, rule_index)`` is unique at a level, so
+    no sort compares further. ``plans[rule_index]`` is the rule's plan. The
+    level is the head score ``head`` and one branch per child id in ``kids``
+    (surface order), scored ``score(child_id)``, with the bare deprel of
     ``tokens[child_id - 1]``.
 
     Each operation tries its scopes in order and transforms what the first
@@ -299,10 +237,12 @@ def _apply_batch(
     has a branch to test. The level's branches are summed with ``sum`` over
     that list, or over ``score`` before any copy, again whenever the sum is
     needed after a branch change, never kept as a running total, so the
-    total has the bits of an untouched level's sum. A branch changes only
-    when a scope selects it, and scopes select only nonzero branches, so a
-    branch can drop to 0 but never come back; the lookups rely on that and
-    skip a branch for good once they have seen it at 0.
+    total has the bits of an untouched level's sum: from Python 3.12 on,
+    ``sum`` compensates float rounding and a running total would not. A
+    branch changes only when a scope selects it, and scopes select only
+    nonzero branches, so a branch can drop to 0 but never come back; the
+    lookups rely on that and skip a branch for good once they have seen it
+    at 0.
     """
     batch.sort()
     adjustment = 0.0
@@ -456,14 +396,21 @@ def compile_rules(defs: Sequence[OperationDefinition]) -> CompiledRules:
 
 
 _NO_RULES = compile_rules(())
-# The last non-empty rule set compiled, as a tuple, and its table. It is
-# replaced whole, so threads that race on it at worst compile twice.
+# The slot of :func:`_compiled`: the last non-empty rule set compiled, as a
+# tuple, and its table. It is replaced whole, so threads that race on it at
+# worst compile twice.
 _last: tuple[tuple[OperationDefinition, ...], CompiledRules] = ((), _NO_RULES)
 
 
 def _compiled(defs: Sequence[OperationDefinition]) -> CompiledRules:
     """The table of ``defs``, compiled only when they are not the objects,
-    in order, of the rule set compiled last."""
+    in order, of the rule set compiled last.
+
+    Keeping one slot (``_last``) lets scoring many sentences one call at a
+    time compile once. An empty rule set shares one empty table and leaves
+    the slot as it is; other non-empty definitions, or the kept list
+    gaining, losing or replacing a rule in place, compile again.
+    """
     global _last
     key, rules = _last
     if defs is key:  # the tuple compiled last, which cannot have changed
@@ -495,10 +442,14 @@ def _queue(
     """The lexicon-free phase of one rule set: match each node's rules and
     queue each firing at the level its climb reaches.
 
+    A node tests only the rules its lowercased form or lemma can fire, in
+    definition order, against its PoS and bare deprel. The lowercased words
+    and the bare deprel are computed here once per rule set; the lexicon
+    lowercases its own probes again, once per lexicon. A firing's level, origin and ``forced`` flag are fixed by its
+    climb, so no node handles an operation that only passes through.
     Returns the queues by node id, as :func:`_apply_batch` takes them. The
-    warnings of missing booster values are appended to ``warnings`` in
-    post-order, and a trigger event to ``events[node_id]`` when ``events``
-    is given.
+    warnings of missing booster values are appended to ``warnings``, and a
+    trigger event to ``events[node_id]`` when ``events`` is given.
     """
     tokens = tree.tokens
     root_id = tree.root_id
@@ -546,8 +497,6 @@ def _queue(
                     node_events.append((name, delta, None, False))
                 else:
                     node_events.append((name, delta, amount, missing))
-            # Climb up to delta head links; a climb the root cuts short is
-            # forced there.
             target = origin = node_id
             climb = delta
             while climb and target != root_id:
@@ -617,53 +566,36 @@ def score_configs(
     """Score sentences under each ``(lexicon, defs)`` configuration: one list
     of sentence scores per configuration, in order.
 
-    A sentence runs the lexicon-free phase once per distinct rule set and
-    looks up its tokens once per distinct lexicon. Each score equals the
-    ``sentence_so`` of :func:`compute_so` with ``record=False``, bit for
-    bit, but a non-finite score is returned, not raised: :func:`check_finite`
-    refuses it. Booster warnings are dropped.
+    A sentence is looked up once per lexicon object and runs the
+    lexicon-free phase once per rule-set table :func:`_compiled` returns.
+    Each score equals the ``sentence_so`` of :func:`compute_so` with
+    ``record=False``, bit for bit, but a non-finite score is returned, not
+    raised: :func:`check_finite` refuses it. Booster warnings are dropped.
+    ``trees`` is read once, so it may be a generator.
     """
     lists = lists or {}
-    # The index of each distinct lexicon and rule set, by id, in order of
-    # first use.
-    lexica: dict[int, int] = {}
-    rule_sets: dict[int, int] = {}
-    # Per configuration: its scores, then its lexicon and its rule set, each
-    # as an index into the per-sentence results and as the object itself
-    # where the configuration is the first to use it, then its plans.
-    plan = []
-    for lex, defs in configs:
-        rules = _compiled(defs)
-        fresh = len(lexica)
-        lexicon = lexica.setdefault(id(lex), fresh)
-        first_lex = lex if lexicon == fresh else None
-        rule_set = first_rules = None
-        if rules.plans:
-            fresh = len(rule_sets)
-            rule_set = rule_sets.setdefault(id(rules), fresh)
-            first_rules = rules if rule_set == fresh else None
-        plan.append(([], lexicon, first_lex, rule_set, first_rules, rules.plans))
+    configs = [(lex, _compiled(defs)) for lex, defs in configs]
     # The last configuration to use a lexicon totals its lookups in place;
     # an earlier one totals a copy.
-    last = {entry[1]: entry for entry in plan}
-    plan = [(*entry, entry is not last[entry[1]]) for entry in plan]
-    lexicals: list[list[float]] = [[]] * len(lexica)
-    queued: list[list | None] = [None] * len(rule_sets)
+    last = {id(lex): index for index, (lex, _) in enumerate(configs)}
+    columns: list[list[float]] = [[] for _ in configs]
     for tree in trees:
-        for scores, lexicon, lex, rule_set, rules, plans, copy in plan:
-            if lex is not None:
-                lexicals[lexicon] = _lexical(tree.tokens, lex)
-            queues = None
-            if rule_set is not None:
-                if rules is not None:
-                    queued[rule_set] = _queue(tree, rules, lists, None, [])
-                queues = queued[rule_set]
-            subtree = lexicals[lexicon]
-            if copy:
+        lexicals: dict[int, list[float]] = {}
+        queued: dict[int, list] = {}
+        for index, (lex, rules) in enumerate(configs):
+            subtree = lexicals.get(id(lex))
+            if subtree is None:
+                subtree = lexicals[id(lex)] = _lexical(tree.tokens, lex)
+            if last[id(lex)] != index:
                 subtree = subtree.copy()
-            _totals(tree, subtree, queues, plans, None)
-            scores.append(subtree[tree.root_id])
-    return [entry[0] for entry in plan]
+            queues = None
+            if rules.plans:
+                queues = queued.get(id(rules))
+                if queues is None:
+                    queues = queued[id(rules)] = _queue(tree, rules, lists, None, [])
+            _totals(tree, subtree, queues, rules.plans, None)
+            columns[index].append(subtree[tree.root_id])
+    return columns
 
 
 def compute_so(
@@ -677,19 +609,10 @@ def compute_so(
     """Score one sentence with both phases; with ``record`` (the default),
     trace every node.
 
-    The rules a node's lowercased form or lemma can fire are tested against
-    its PoS and bare deprel, and those matching are instantiated in
-    definition order, each queued at the level ``delta`` head links up, or
-    forced at the root if that comes first. A level applies its queue
-    (forced operations last, higher priority first, leftmost trigger on
-    ties, then definition order); its total is the possibly-transformed
-    head score plus the builtin ``sum`` of its branch scores in surface
-    order. Warnings come in post-order. With ``record=False`` the returned
-    trace has no nodes; its score and warnings are the same. ``defs`` is
-    compiled on its first use, and its word lists are read then; it is
-    compiled again only when a call with other non-empty definitions came
-    between, or when it gained, lost or replaced a rule in place. A
-    sentence score that overflows to infinity or NaN raises
+    Warnings come in post-order. With ``record=False`` the returned trace
+    has no nodes; its score and warnings are the same. ``defs`` is compiled
+    on its first use (see :func:`_compiled`), and its word lists are read
+    then. A sentence score that overflows to infinity or NaN raises
     :class:`NonFiniteScoreError`.
     """
     rules = _compiled(defs)

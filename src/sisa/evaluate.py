@@ -131,19 +131,14 @@ def evaluate_configs(
     agreement, one report per configuration in the given order.
 
     Each item is read and parsed once and scored under every configuration
-    before the next item is read, so one document is held at a time. Its
-    sentences are scored once for all configurations by
-    :func:`~sisa.engine.score_configs`: each sentence matches and climbs the
-    rules once per distinct rule set and looks up its tokens once per
-    distinct lexicon, so the four standard configurations look up each
-    token twice and run the shared rules once. A rule set the +O
-    configurations share is compiled once for the whole manifest, on its
-    first use. An item that cannot be read or parsed, or that fails to
-    score under any one configuration (a :class:`NonFiniteScoreError`,
-    say), is logged once and recorded as errored under every
-    configuration, with the error that scoring the configurations one at
-    a time would raise first: the first failing configuration's, at its
-    first failing sentence. So all reports count
+    before the next item is read, so one document is held at a time; its
+    sentences are scored for all configurations in one pass by
+    :func:`~sisa.engine.score_configs`. An item that cannot be read or
+    parsed, or that fails to score under any one configuration (a
+    :class:`NonFiniteScoreError`, say), is logged once and recorded as
+    errored under every configuration, with the error that scoring the
+    configurations one at a time would raise first: the first failing
+    configuration's, at its first failing sentence. So all reports count
     the same items and stay comparable in :func:`compare_configs`. Errored
     items are excluded from the accuracy denominator; a manifest with no
     readable items at all is a usage error, as are an empty ``configs`` and

@@ -146,10 +146,14 @@ def _parse_scope(text: str, rule: str) -> ScopeSpec:
     raise RuleConfigError(f"rule {rule!r}: unknown scope keyword {text!r}")
 
 
-def _parse_set(value: str) -> frozenset[str] | None:
+def _parse_set(value: str, rule: str, key: str) -> frozenset[str] | None:
     if value == "*":
         return None
-    return frozenset(item.strip() for item in value.split(",") if item.strip())
+    items = frozenset(item.strip() for item in value.split(",") if item.strip())
+    if not items:
+        # A set naming nothing would make a rule that never fires.
+        raise RuleConfigError(f"rule {rule!r}: {key} names nothing; use * for any")
+    return items
 
 
 def _list_name(reference: str, rule: str, lists: Mapping[str, WordList]) -> str:
@@ -167,7 +171,7 @@ def _parse_forms(
         return None
     if value.startswith("@"):
         return lists[_list_name(value, rule, lists)]
-    return frozenset(item.strip().lower() for item in value.split(",") if item.strip())
+    return frozenset(word.lower() for word in _parse_set(value, rule, "trigger.forms"))
 
 
 def _parse_tau(value: str, rule: str, lists: Mapping[str, WordList]) -> Transformation:
@@ -202,8 +206,8 @@ def _build_definition(block: dict[str, str], lists: Mapping[str, WordList]) -> O
             raise RuleConfigError(f"rule {name!r}: missing required key {key!r}")
     trigger = TriggerPredicate(
         forms=_parse_forms(block.get("trigger.forms", "*"), name, lists),
-        pos=_parse_set(block.get("trigger.pos", "*")),
-        deprel=_parse_set(block.get("trigger.deprel", "*")),
+        pos=_parse_set(block.get("trigger.pos", "*"), name, "trigger.pos"),
+        deprel=_parse_set(block.get("trigger.deprel", "*"), name, "trigger.deprel"),
     )
     try:
         delta = int(block.get("delta", "0"))

@@ -673,6 +673,26 @@ class TestScoreConfigs:
         defs = tuple(load_rules(DEFAULT_RULES, lists))
         self.same(pinned_trees(), self.configs(cancelling_lexicon(), vocab_lexicon(), defs), lists)
 
+    def test_one_shot_iterator(self):
+        lists = vocab_lists()
+        defs = tuple(load_rules(DEFAULT_RULES, lists))
+        rng = Random(1720)
+        trees = [random_tree(rng, max_nodes=12) for _ in range(60)]
+        four = self.configs(cancelling_lexicon(), vocab_lexicon(), defs)
+        pulled = []
+
+        def one_shot():
+            for tree in trees:
+                pulled.append(tree)
+                yield tree
+
+        streamed = score_configs(one_shot(), four, lists)
+        assert [id(tree) for tree in pulled] == [id(tree) for tree in trees]
+        listed = score_configs(trees, four, lists)
+        assert [[so.hex() for so in column] for column in streamed] == [
+            [so.hex() for so in column] for column in listed
+        ]
+
     def test_a_tree_non_finite_under_one_lexicon_only(self):
         lists = vocab_lists()
         defs = tuple(load_rules(DEFAULT_RULES, lists))

@@ -246,6 +246,20 @@ class TestRuleParsing:
             parse_rules(text, lists)
         assert "'demo'" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["", ","])
+    @pytest.mark.parametrize("key", ["trigger.forms", "trigger.pos", "trigger.deprel"])
+    def test_trigger_set_naming_nothing_rejected(self, lists, key, value):
+        # Such a rule used to parse and never fire.
+        template = RULE_TEMPLATE.format(tau="shift(4)", scope="target")
+        text = "".join(line for line in template.splitlines(True) if not line.startswith(key))
+        with pytest.raises(RuleConfigError) as err:
+            parse_rules(text + f"{key} = {value}\n", lists)
+        assert str(err.value) == f"rule 'demo': {key} names nothing; use * for any"
+        # "*" and a missing key stay wildcards.
+        for wildcard in ("", f"{key} = *\n"):
+            (defn,) = parse_rules(text + wildcard, lists)
+            assert getattr(defn.trigger, key.removeprefix("trigger.")) is None
+
     def test_duplicate_key_rejected(self, lists):
         # The second scope used to win silently.
         text = RULE_TEMPLATE.format(tau="shift(4)", scope="target") + "scope = all\n"

@@ -31,11 +31,13 @@ LEX = vocab_lexicon()
 LISTS = vocab_lists()
 
 
+@settings(deadline=None)
 @given(beta=finite, scale=finite, so=finite)
 def test_weighting_is_linear_in_so(beta, scale, so):
     check_weighting_linear(beta, scale, so)
 
 
+@settings(deadline=None)
 @given(alpha=st.floats(min_value=0, max_value=50, allow_nan=False), so=nonzero)
 def test_shift_is_odd_away_from_zero(alpha, so):
     check_shift_odd(alpha, so)
@@ -112,6 +114,7 @@ def test_engine_rendering_is_deterministic(tree):
     check_rendering_deterministic(tree, LEX, load_rules(DEFAULT_RULES, LISTS), LISTS)
 
 
+@settings(deadline=None)
 @given(beta=finite)
 def test_weighting_of_zero_is_zero(beta):
     assert apply_weighting(beta, 0.0) == 0.0
