@@ -21,8 +21,9 @@ from typing import Iterator, TextIO
 from .classify import AGGREGATIONS, TIE_RULES, classify_sentence, document_so, polarity_label
 from .conllu import iter_sentences
 from .engine import compute_so
-from .errors import PARSE_ERRORS, ScaleMismatchError, UsageError
+from .errors import ScaleMismatchError, SisaError, UsageError
 from .evaluate import (
+    CONFIG_IDS,
     RunConfig,
     compare_configs,
     evaluate_configs,
@@ -184,7 +185,7 @@ def _cmd_evaluate(args) -> int:
     manifest = load_manifest(args.corpus)
 
     configs = []
-    for lexicon, (without_ops, with_ops) in zip(lexica, (("SL-O", "SL+O"), ("ML-O", "ML+O"))):
+    for lexicon, without_ops, with_ops in zip(lexica, CONFIG_IDS[::2], CONFIG_IDS[1::2]):
         configs.append(RunConfig(without_ops, lexicon))
         if args.rules:  # a rule file that defines no operation still runs +O
             configs.append(RunConfig(with_ops, lexicon, rules))
@@ -274,12 +275,12 @@ def main(argv: list[str] | None = None) -> int:
         # at devnull to keep that flush from failing too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except PARSE_ERRORS as exc:
-        print(f"sisa: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except UsageError as exc:
         print(f"sisa: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SisaError as exc:
+        print(f"sisa: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except OSError as exc:
         print(f"sisa: missing file: {exc}", file=sys.stderr)
         return EXIT_MISSING

@@ -65,15 +65,3 @@ class UsageError(SisaError):
 class ScaleMismatchError(UsageError):
     """Lexica on different value scales were combined without rescaling."""
 
-
-#: Errors that mean "the input could not be understood or scored" (CLI exit 3).
-PARSE_ERRORS = (
-    ConlluParseError,
-    TreeStructureError,
-    LexiconParseError,
-    LexiconRangeError,
-    WordListParseError,
-    RuleConfigError,
-    ManifestError,
-    NonFiniteScoreError,
-)

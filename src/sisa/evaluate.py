@@ -13,10 +13,10 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .classify import check_agg, check_tie, document_so, polarity_label
-from .conllu import parse_document
+from .classify import NEGATIVE, POSITIVE, check_agg, check_tie, document_so, polarity_label
+from .conllu import read_document
 from .engine import check_finite, score_configs
-from .errors import ConlluParseError, ManifestError, SisaError, UsageError
+from .errors import ManifestError, SisaError, UsageError
 from .lexicon import SentimentLexicon, WordList
 from .operations import OperationDefinition
 from .util import format_so, read_utf8
@@ -24,7 +24,7 @@ from .util import format_so, read_utf8
 logger = logging.getLogger(__name__)
 
 CONFIG_IDS = ("SL-O", "SL+O", "ML-O", "ML+O")
-GOLD_LABELS = ("positive", "negative")
+GOLD_LABELS = (POSITIVE, NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -151,9 +151,9 @@ def evaluate_configs(
     pairs = [(cfg.lexicon, cfg.rules) for cfg in configs]
     results: list[list[ItemResult]] = [[] for _ in configs]
     for item_path, gold in manifest.items:
-        path, name = Path(item_path), str(item_path)
+        name = str(item_path)
         try:
-            doc = parse_document(read_utf8(path, ConlluParseError), source_id=path.stem)
+            doc = read_document(item_path)
             # Checked config by config, each in sentence order, so the error
             # is the one scoring one configuration at a time raises first.
             scores = [
@@ -252,26 +252,15 @@ def render_impact(impact: ImpactTable) -> str:
 def summary_dict(
     reports: Sequence[EvaluationReport], impact: ImpactTable | None
 ) -> dict:
-    """JSON-ready structured summary of an evaluation run."""
+    """JSON-ready structured summary of an evaluation run: every field of
+    each report and item, with the manifest name given once. Each item entry
+    is the item's own ``vars``, to be read, not changed."""
     return {
         "manifest": reports[0].manifest_name if reports else None,
         "reports": [
             {
-                "config_id": report.config_id,
-                "correct": report.correct,
-                "total": report.total,
-                "accuracy": report.accuracy,
-                "errored": report.errored,
-                "items": [
-                    {
-                        "path": item.path,
-                        "gold": item.gold,
-                        "predicted": item.predicted,
-                        "so": item.so,
-                        "error": item.error,
-                    }
-                    for item in report.items
-                ],
+                **{key: value for key, value in vars(report).items() if key != "manifest_name"},
+                "items": [vars(item) for item in report.items],
             }
             for report in reports
         ],

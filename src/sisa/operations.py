@@ -133,6 +133,13 @@ _KNOWN_KEYS = {
 }
 
 
+def _check_bare(deprel: str, rule: str) -> None:
+    if ":" in deprel:
+        raise RuleConfigError(
+            f"rule {rule!r}: deprel {deprel!r} has a :subtype; rules match the bare deprel"
+        )
+
+
 def _parse_scope(text: str, rule: str) -> ScopeSpec:
     text = text.strip()
     if text in (TARGET, SUBJL, SUBJR, ALL):
@@ -142,6 +149,7 @@ def _parse_scope(text: str, rule: str) -> ScopeSpec:
         deprel = branch.group(1).strip()
         if not deprel:
             raise RuleConfigError(f"rule {rule!r}: branch scope {text!r} names no deprel")
+        _check_bare(deprel, rule)
         return ScopeSpec(BRANCH, deprel)
     raise RuleConfigError(f"rule {rule!r}: unknown scope keyword {text!r}")
 
@@ -204,11 +212,15 @@ def _build_definition(block: dict[str, str], lists: Mapping[str, WordList]) -> O
     for key in ("tau", "scope"):
         if key not in block:
             raise RuleConfigError(f"rule {name!r}: missing required key {key!r}")
-    trigger = TriggerPredicate(
-        forms=_parse_forms(block.get("trigger.forms", "*"), name, lists),
-        pos=_parse_set(block.get("trigger.pos", "*"), name, "trigger.pos"),
-        deprel=_parse_set(block.get("trigger.deprel", "*"), name, "trigger.deprel"),
-    )
+    forms = _parse_forms(block.get("trigger.forms", "*"), name, lists)
+    pos = _parse_set(block.get("trigger.pos", "*"), name, "trigger.pos")
+    deprel = _parse_set(block.get("trigger.deprel", "*"), name, "trigger.deprel")
+    for value in sorted(deprel or ()):
+        _check_bare(value, name)
+    try:
+        trigger = TriggerPredicate(forms, pos, deprel)
+    except RuleConfigError as exc:
+        raise RuleConfigError(f"rule {name!r}: {exc}") from None
     try:
         delta = int(block.get("delta", "0"))
         priority = int(block.get("priority", "0"))

@@ -10,6 +10,8 @@ import pytest
 
 from conftest import DEFAULT_RULES, FIXTURES, LISTS_DIR, REPO
 from sisa import (
+    SisaError,
+    UsageError,
     classify_document,
     load_lexicon,
     load_rules,
@@ -17,6 +19,7 @@ from sisa import (
     parse_document,
     read_document,
 )
+from sisa import cli
 from sisa.cli import main
 from sisa.util import format_so
 from test_conllu import NO_ES_BONITO, PARSE_ERRORS
@@ -584,6 +587,36 @@ class TestArgparseBehavior:
         )
         assert proc.returncode == 0
         assert proc.stdout == "muy_grande\t2.3375\tpositive\n"
+
+
+def _error_classes(cls=SisaError):
+    """``cls`` and every subclass of it, at any depth."""
+    return [cls, *(sub for child in cls.__subclasses__() for sub in _error_classes(child))]
+
+
+class TestExitCodeForEveryErrorClass:
+    """The exit code follows the class tree: the UsageError family exits 4,
+    every other SisaError 3."""
+
+    def test_the_walk_reaches_every_family(self):
+        names = {cls.__name__ for cls in _error_classes()}
+        assert {"ScaleMismatchError", "ManifestError", "NonFiniteScoreError"} <= names
+
+    @pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+    def test_exit_code(self, capsys, monkeypatch, cls):
+        exc = cls.__new__(cls)  # skips the constructors, whose arguments differ
+        Exception.__init__(exc, "boom")
+
+        def command(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_scale_senticon", command)
+        code, out, err = run(capsys, "scale-senticon", "--input", "unused.tsv")
+        if issubclass(cls, UsageError):
+            assert (code, err) == (4, "sisa: boom\n")
+        else:
+            assert (code, err) == (3, f"sisa: {cls.__name__}: boom\n")
+        assert out == ""
 
 
 ENGINE = ("--lexicon", LEXICON, "--rules", DEFAULT_RULES, "--lists", LISTS_DIR)

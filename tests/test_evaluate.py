@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import sisa.conllu as conllu
 import sisa.evaluate as evaluation
 from conftest import DEFAULT_RULES, bom_copy
 from reference import reference_so
@@ -205,8 +206,8 @@ class TestEvaluate:
             parsed.append(kwargs.get("source_id"))
             return original(*args, **kwargs)
 
-        original = evaluation.parse_document
-        monkeypatch.setattr(evaluation, "parse_document", counting_parse)
+        original = conllu.parse_document
+        monkeypatch.setattr(conllu, "parse_document", counting_parse)
         caplog.clear()
         assert evaluate_configs(manifest, configs, wordlists) == one_by_one
         assert len(parsed) == len(manifest.items) - 1  # the missing file is never parsed
@@ -272,7 +273,7 @@ class TestEvaluate:
         self, option, message, manifest, fixture_lexicon, wordlists, monkeypatch, caplog
     ):
         read = []
-        monkeypatch.setattr(evaluation, "read_utf8", lambda *args: read.append(args))
+        monkeypatch.setattr(evaluation, "read_document", lambda *args: read.append(args))
         caplog.clear()
         with pytest.raises(UsageError, match=message):
             evaluate_configs(manifest, [RunConfig("SL-O", fixture_lexicon)], wordlists, **option)
@@ -284,7 +285,7 @@ class TestEvaluate:
         self, manifest, wordlists, monkeypatch
     ):
         read = []
-        monkeypatch.setattr(evaluation, "read_utf8", lambda *args: read.append(args))
+        monkeypatch.setattr(evaluation, "read_document", lambda *args: read.append(args))
         with pytest.raises(UsageError, match="no configuration to evaluate"):
             evaluate_configs(manifest, [], wordlists)
         assert read == []

@@ -260,6 +260,37 @@ class TestRuleParsing:
             (defn,) = parse_rules(text + wildcard, lists)
             assert getattr(defn.trigger, key.removeprefix("trigger.")) is None
 
+    @pytest.mark.parametrize(
+        "deprel, scope",
+        [
+            ("neg,advmod:emph", "target"),
+            ("advmod:emph,advmod:neg", "target"),
+            ("neg,advmod", "target,b(advmod:emph)"),
+            ("neg,advmod", "b( advmod:emph ),all"),
+        ],
+    )
+    def test_subtyped_deprel_rejected(self, lists, deprel, scope):
+        # Rules match the bare deprel, so such a trigger never fired and
+        # such a branch scope always discarded.
+        text = RULE_TEMPLATE.format(tau="shift(4)", scope=scope).replace(
+            "trigger.deprel = neg,advmod", f"trigger.deprel = {deprel}"
+        )
+        with pytest.raises(RuleConfigError) as err:
+            parse_rules(text, lists)
+        assert str(err.value) == (
+            "rule 'demo': deprel 'advmod:emph' has a :subtype; rules match the bare deprel"
+        )
+
+    def test_trigger_constraining_nothing_names_the_rule(self, lists):
+        text = "".join(
+            line
+            for line in RULE_TEMPLATE.format(tau="shift(4)", scope="target").splitlines(True)
+            if not line.startswith("trigger.")
+        )
+        with pytest.raises(RuleConfigError) as err:
+            parse_rules(text, lists)
+        assert str(err.value) == "rule 'demo': trigger predicate must constrain at least one field"
+
     def test_duplicate_key_rejected(self, lists):
         # The second scope used to win silently.
         text = RULE_TEMPLATE.format(tau="shift(4)", scope="target") + "scope = all\n"
