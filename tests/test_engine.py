@@ -304,6 +304,22 @@ scope = target
         assert trace.warnings and "bastante" in trace.warnings[0]
         assert trace.nodes[0].triggers[0].missing_booster
 
+    def test_booster_list_absent_from_lists(self, fixtures, fixture_lexicon, default_rules):
+        # The trigger's word list was bound at load, so the rule still fires
+        # when no lists are passed; its booster list is then missing.
+        tree = tree_from(fixtures, "muy_grande")
+        trace = compute_so(tree, fixture_lexicon, default_rules)
+        assert trace.render() == (
+            "node\t1\tmuy\tlexical\t0\n"
+            "\ttrigger\tintensification\tdelta\t1\tbeta\t0\tmissing-booster\n"
+            "\tsubtree\t0\n"
+            "node\t2\tgrande\tlexical\t1.87\n"
+            "\tapply\tintensification\ttrigger\t1\tscope\ttarget\tbefore\t1.87\tafter\t1.87\n"
+            "\tsubtree\t1.87\n"
+            "warn\trule intensification: no booster value for trigger 'muy' (token 1); using 0\n"
+            "sentence\t1.87\n"
+        )
+
     def test_missing_booster_warnings_follow_the_post_order(self, fixture_lexicon):
         lists = {"boosters": WordList("boosters", {"muy": 0.25})}
         rule = """

@@ -299,6 +299,9 @@ class TestDumpAndSniff:
         assert sniff_scale(path) == "senticon_raw"
         assert sniff_scale(write(tmp_path, "m.tsv", "raro\tADJ\t1\n")) is None
 
+    def test_sniff_scale_of_a_file_of_comments_is_none(self, tmp_path):
+        assert sniff_scale(write(tmp_path, "c.tsv", "# a lexicon\n\n# with no entry\n")) is None
+
     def test_sniff_scale_stops_at_the_first_entry(self, tmp_path):
         path = tmp_path / "l.tsv"
         path.write_bytes(b"# comment\n\n# scale: sfu\nraro\tADJ\t1\nmal\xffo\tADJ\t-1\n")
@@ -357,6 +360,12 @@ class TestWordList:
     def test_non_numeric_value_rejected(self, tmp_path):
         with pytest.raises(WordListParseError):
             load_wordlist(write(tmp_path, "b.tsv", "muy\tmucho\n"))
+
+    def test_three_fields_rejected(self, tmp_path):
+        path = write(tmp_path, "b.tsv", "muy\t0.25\nmuy\t0.5\tADV\n")
+        with pytest.raises(WordListParseError) as err:
+            load_wordlist(path)
+        assert str(err.value) == f"{path}:2: expected at most 2 tab-separated fields, got 3"
 
     def test_non_finite_value_rejected(self, tmp_path):
         with pytest.raises(WordListParseError):

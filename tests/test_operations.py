@@ -302,6 +302,34 @@ class TestRuleParsing:
         text = RULE_TEMPLATE.format(tau="shift(4)", scope="target") * 2
         assert len(parse_rules(text, lists)) == 2
 
+    def test_non_numeric_tau_amount(self, lists):
+        text = RULE_TEMPLATE.format(tau="shift(abc)", scope="target")
+        with pytest.raises(RuleConfigError) as err:
+            parse_rules(text, lists)
+        assert str(err.value) == "rule 'demo': non-numeric transformation amount 'abc'"
+
+    def test_block_without_a_name_rejected(self, lists):
+        text = RULE_TEMPLATE.format(tau="shift(4)", scope="target").replace("name = demo\n", "")
+        with pytest.raises(RuleConfigError) as err:
+            parse_rules(text, lists)
+        assert str(err.value) == "[operation] block without a name"
+
+    @pytest.mark.parametrize("line, value", [("delta = 1", "1.5"), ("priority = 2", "x")])
+    def test_non_integer_delta_or_priority_rejected(self, lists, line, value):
+        key = line.split(" = ")[0]
+        text = RULE_TEMPLATE.format(tau="shift(4)", scope="target").replace(
+            line, f"{key} = {value}"
+        )
+        with pytest.raises(RuleConfigError) as err:
+            parse_rules(text, lists)
+        assert str(err.value) == f"rule 'demo': invalid literal for int() with base 10: {value!r}"
+
+    def test_line_without_equals_rejected(self, lists):
+        text = RULE_TEMPLATE.format(tau="shift(4)", scope="target") + "speed 9\n"
+        with pytest.raises(RuleConfigError) as err:
+            parse_rules(text, lists, source="eq.rules")
+        assert str(err.value) == "eq.rules:11: expected 'key = value', got 'speed 9'"
+
 
 class TestScopeSpec:
     def test_branch_requires_deprel(self):
