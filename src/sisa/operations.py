@@ -28,6 +28,17 @@ SUBJR = "subjr"
 ALL = "all"
 
 
+# Universal Dependencies v2's 17 UPOS tags, plus v1's CONJ.
+_UPOS = frozenset(
+    "ADJ ADP ADV AUX CCONJ CONJ DET INTJ NOUN NUM PART PRON PROPN PUNCT SCONJ SYM VERB X".split()
+)
+
+
+def _check_bare(deprel: str) -> None:
+    if ":" in deprel:
+        raise RuleConfigError(f"deprel {deprel!r} has a :subtype; rules match the bare deprel")
+
+
 def apply_weighting(beta: float, so: float) -> float:
     """Scale a score by (1 + beta); beta = 0.25 turns 1.87 into 2.3375."""
     return so * (1.0 + beta)
@@ -41,7 +52,9 @@ def apply_shift(alpha: float, so: float) -> float:
 @dataclass(frozen=True)
 class Transformation:
     """Score transformation: a fixed weighting/shift amount, or a weighting
-    whose amount is read per trigger word from a booster word list."""
+    whose amount is read per trigger word from a booster word list. Refuses
+    an unknown kind, a booster source on a shift, neither or both of an
+    amount and a booster source, and an infinite or NaN amount."""
 
     kind: str
     param: float | None = None
@@ -54,14 +67,18 @@ class Transformation:
             raise RuleConfigError("booster-driven amounts are only legal for weighting")
         if (self.param is None) == (self.booster_source is None):
             raise RuleConfigError("transformation needs a numeric amount or a booster source")
+        if self.param is not None and not math.isfinite(self.param):
+            raise RuleConfigError(f"non-finite transformation amount {self.param!r}")
 
 
 @dataclass(frozen=True)
 class TriggerPredicate:
     """Conjunction of constraints on form (or lemma), UPOS and deprel.
 
-    ``None`` means wildcard; at least one constraint must be concrete. Form
-    sets may be shared :class:`WordList` objects or literal frozensets.
+    ``None`` means wildcard. Refuses a predicate of wildcards only, and
+    what would make a rule that never fires: a literal set naming nothing, a
+    PoS tag outside UD's UPOS tags, a deprel with a ``:subtype``. Form sets
+    may be shared :class:`WordList` objects or literal frozensets.
     :func:`sisa.engine.compute_so` tests the predicate against each node: the
     lowercased form or lemma must be in the form set, the UPOS in the PoS
     set, and the deprel without its ``:subtype`` suffix in the deprel set.
@@ -74,13 +91,22 @@ class TriggerPredicate:
     def __post_init__(self) -> None:
         if self.forms is None and self.pos is None and self.deprel is None:
             raise RuleConfigError("trigger predicate must constrain at least one field")
+        for key, value in (("forms", self.forms), ("pos", self.pos), ("deprel", self.deprel)):
+            if value is not None and not value and not isinstance(value, WordList):
+                raise RuleConfigError(f"trigger.{key} names nothing; use * for any")
+        for tag in sorted(self.pos or ()):
+            if tag not in _UPOS:
+                raise RuleConfigError(f"trigger.pos {tag!r} is not a UD UPOS tag")
+        for deprel in sorted(self.deprel or ()):
+            _check_bare(deprel)
 
 
 @dataclass(frozen=True)
 class ScopeSpec:
     """One scope selector: the target node itself, the first branch with a
     given deprel, the first subjective branch left/right of the trigger's
-    origin, or the whole accumulated level."""
+    origin, or the whole accumulated level. Refuses an unknown kind, a branch
+    without a deprel or with a ``:subtype``, and a deprel on any other kind."""
 
     kind: str
     deprel: str | None = None
@@ -90,6 +116,8 @@ class ScopeSpec:
             raise RuleConfigError(f"unknown scope kind {self.kind!r}")
         if (self.kind == BRANCH) != (self.deprel is not None):
             raise RuleConfigError("branch scopes take a deprel, other scopes do not")
+        if self.deprel is not None:
+            _check_bare(self.deprel)
 
     def __str__(self) -> str:
         return f"b({self.deprel})" if self.kind == BRANCH else self.kind
@@ -133,14 +161,7 @@ _KNOWN_KEYS = {
 }
 
 
-def _check_bare(deprel: str, rule: str) -> None:
-    if ":" in deprel:
-        raise RuleConfigError(
-            f"rule {rule!r}: deprel {deprel!r} has a :subtype; rules match the bare deprel"
-        )
-
-
-def _parse_scope(text: str, rule: str) -> ScopeSpec:
+def _parse_scope(text: str) -> ScopeSpec:
     text = text.strip()
     if text in (TARGET, SUBJL, SUBJR, ALL):
         return ScopeSpec(text)
@@ -148,58 +169,43 @@ def _parse_scope(text: str, rule: str) -> ScopeSpec:
     if branch:
         deprel = branch.group(1).strip()
         if not deprel:
-            raise RuleConfigError(f"rule {rule!r}: branch scope {text!r} names no deprel")
-        _check_bare(deprel, rule)
+            raise RuleConfigError(f"branch scope {text!r} names no deprel")
         return ScopeSpec(BRANCH, deprel)
-    raise RuleConfigError(f"rule {rule!r}: unknown scope keyword {text!r}")
+    raise RuleConfigError(f"unknown scope keyword {text!r}")
 
 
-def _parse_set(value: str, rule: str, key: str) -> frozenset[str] | None:
+def _parse_set(value: str) -> frozenset[str] | None:
     if value == "*":
         return None
-    items = frozenset(item.strip() for item in value.split(",") if item.strip())
-    if not items:
-        # A set naming nothing would make a rule that never fires.
-        raise RuleConfigError(f"rule {rule!r}: {key} names nothing; use * for any")
-    return items
+    return frozenset(item.strip() for item in value.split(",") if item.strip())
 
 
-def _list_name(reference: str, rule: str, lists: Mapping[str, WordList]) -> str:
+def _list_name(reference: str, lists: Mapping[str, WordList]) -> str:
     """The name of the word list an ``@name`` reference points to."""
     name = reference[1:]
     if name not in lists:
-        raise RuleConfigError(f"rule {rule!r}: missing word list @{name}")
+        raise RuleConfigError(f"missing word list @{name}")
     return name
 
 
-def _parse_forms(
-    value: str, rule: str, lists: Mapping[str, WordList]
-) -> WordList | frozenset[str] | None:
-    if value == "*":
-        return None
+def _parse_forms(value: str, lists: Mapping[str, WordList]) -> WordList | frozenset[str] | None:
     if value.startswith("@"):
-        return lists[_list_name(value, rule, lists)]
-    return frozenset(word.lower() for word in _parse_set(value, rule, "trigger.forms"))
+        return lists[_list_name(value, lists)]
+    return _parse_set(value.lower())
 
 
-def _parse_tau(value: str, rule: str, lists: Mapping[str, WordList]) -> Transformation:
+def _parse_tau(value: str, lists: Mapping[str, WordList]) -> Transformation:
     match = _TAU_RE.match(value)
     if not match:
-        raise RuleConfigError(f"rule {rule!r}: cannot parse transformation {value!r}")
+        raise RuleConfigError(f"cannot parse transformation {value!r}")
     kind, arg = match.group(1), match.group(2).strip()
     if arg.startswith("@"):
-        if kind != WEIGHTING:
-            raise RuleConfigError(f"rule {rule!r}: shift requires a numeric amount")
-        return Transformation(kind=WEIGHTING, booster_source=_list_name(arg, rule, lists))
+        return Transformation(kind, booster_source=_list_name(arg, lists))
     try:
         param = float(arg)
     except ValueError:
-        raise RuleConfigError(
-            f"rule {rule!r}: non-numeric transformation amount {arg!r}"
-        ) from None
-    if not math.isfinite(param):
-        raise RuleConfigError(f"rule {rule!r}: non-finite transformation amount {arg!r}")
-    return Transformation(kind=kind, param=param)
+        raise RuleConfigError(f"non-numeric transformation amount {arg!r}") from None
+    return Transformation(kind, param)
 
 
 def _build_definition(block: dict[str, str], lists: Mapping[str, WordList]) -> OperationDefinition:
@@ -209,34 +215,22 @@ def _build_definition(block: dict[str, str], lists: Mapping[str, WordList]) -> O
     name = block.get("name")
     if not name:
         raise RuleConfigError("[operation] block without a name")
-    for key in ("tau", "scope"):
-        if key not in block:
-            raise RuleConfigError(f"rule {name!r}: missing required key {key!r}")
-    forms = _parse_forms(block.get("trigger.forms", "*"), name, lists)
-    pos = _parse_set(block.get("trigger.pos", "*"), name, "trigger.pos")
-    deprel = _parse_set(block.get("trigger.deprel", "*"), name, "trigger.deprel")
-    for value in sorted(deprel or ()):
-        _check_bare(value, name)
     try:
-        trigger = TriggerPredicate(forms, pos, deprel)
-    except RuleConfigError as exc:
-        raise RuleConfigError(f"rule {name!r}: {exc}") from None
-    try:
+        for key in ("tau", "scope"):
+            if key not in block:
+                raise RuleConfigError(f"missing required key {key!r}")
+        trigger = TriggerPredicate(
+            _parse_forms(block.get("trigger.forms", "*"), lists),
+            _parse_set(block.get("trigger.pos", "*")),
+            _parse_set(block.get("trigger.deprel", "*")),
+        )
         delta = int(block.get("delta", "0"))
         priority = int(block.get("priority", "0"))
-    except ValueError as exc:
+        scopes = tuple(_parse_scope(item) for item in block["scope"].split(",") if item.strip())
+        transform = _parse_tau(block["tau"], lists)
+    except (RuleConfigError, ValueError) as exc:
         raise RuleConfigError(f"rule {name!r}: {exc}") from None
-    scopes = tuple(
-        _parse_scope(item, name) for item in block["scope"].split(",") if item.strip()
-    )
-    return OperationDefinition(
-        name=name,
-        trigger=trigger,
-        transform=_parse_tau(block["tau"], name, lists),
-        delta=delta,
-        priority=priority,
-        scopes=scopes,
-    )
+    return OperationDefinition(name, trigger, transform, delta, priority, scopes)
 
 
 def parse_rules(

@@ -481,6 +481,20 @@ class TestInputLoading:
         assert (code, out) == (3, "")
         assert err == f"sisa: RuleConfigError: {error.format(rules=rules)}\n"
 
+    def test_lower_case_trigger_pos_exits_3(self, capsys, tmp_path):
+        rules = tmp_path / "lower.rules"
+        rules.write_text(
+            "[operation]\nname = intensify\ntrigger.pos = adv\ntau = weighting(0.5)\n"
+            "delta = 1\nscope = target\n",
+            encoding="utf-8",
+        )
+        argv = ("trace", "--lexicon", LEXICON, "--rules", rules)
+        code, out, err = run(capsys, *argv, "--input", FIXTURES / "muy_grande.conllu")
+        assert (code, out) == (3, "")
+        assert err == (
+            "sisa: RuleConfigError: rule 'intensify': trigger.pos 'adv' is not a UD UPOS tag\n"
+        )
+
     def test_library_and_classify_agree_on_the_header_scale(self, capsys, tmp_path):
         lexicon = tmp_path / "raw.tsv"
         lexicon.write_text("# scale: senticon_raw\ngrande\tADJ\t0.5\n", encoding="utf-8")

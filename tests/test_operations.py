@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import DEFAULT_RULES, bom_copy
@@ -329,6 +331,91 @@ class TestRuleParsing:
         with pytest.raises(RuleConfigError) as err:
             parse_rules(text, lists, source="eq.rules")
         assert str(err.value) == "eq.rules:11: expected 'key = value', got 'speed 9'"
+
+
+class TestRuleTypesRefuseWhatRuleFilesRefuse:
+    """Each rule fault is refused by the type that holds the value, so a rule
+    built in code fails as the same rule read from a file does."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: TriggerPredicate(pos=frozenset()), "trigger.pos names nothing; use * for any"),
+            (
+                lambda: TriggerPredicate(forms=frozenset(), pos=frozenset({"ADV"})),
+                "trigger.forms names nothing; use * for any",
+            ),
+            (
+                lambda: TriggerPredicate(deprel=frozenset({"advmod:emph"})),
+                "deprel 'advmod:emph' has a :subtype; rules match the bare deprel",
+            ),
+            (
+                lambda: ScopeSpec(BRANCH, "advmod:emph"),
+                "deprel 'advmod:emph' has a :subtype; rules match the bare deprel",
+            ),
+            (lambda: Transformation(SHIFT, math.inf), "non-finite transformation amount inf"),
+            (lambda: Transformation(WEIGHTING, math.nan), "non-finite transformation amount nan"),
+            (
+                lambda: Transformation(SHIFT, booster_source="boosters"),
+                "booster-driven amounts are only legal for weighting",
+            ),
+        ],
+        ids=[
+            "empty-pos",
+            "empty-forms",
+            "subtyped-trigger-deprel",
+            "subtyped-branch",
+            "infinite-shift",
+            "nan-weighting",
+            "shift-by-booster",
+        ],
+    )
+    def test_built_in_code(self, build, message):
+        with pytest.raises(RuleConfigError) as err:
+            build()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "tau, message",
+        [
+            ("shift(inf)", "non-finite transformation amount inf"),
+            ("weighting(1e999)", "non-finite transformation amount inf"),
+            ("weighting(nan)", "non-finite transformation amount nan"),
+            ("shift(@boosters)", "booster-driven amounts are only legal for weighting"),
+        ],
+        ids=["inf", "overflow", "nan", "shift-by-booster"],
+    )
+    def test_read_from_a_file(self, tau, message):
+        lists = {"boosters": WordList("boosters", {"muy": 0.25})}
+        text = RULE_TEMPLATE.format(tau=tau, scope="target").replace("@negators", "@boosters")
+        with pytest.raises(RuleConfigError) as err:
+            parse_rules(text, lists)
+        assert str(err.value) == f"rule 'demo': {message}"
+
+    def test_an_empty_word_list_is_still_a_form_set(self):
+        # Only a literal set naming nothing is refused; a word list file may be empty.
+        assert TriggerPredicate(forms=WordList("empty")).forms == WordList("empty")
+
+    @pytest.mark.parametrize("tag", ["adv", "ADVERB"])
+    def test_pos_outside_ud_upos_rejected(self, tag):
+        # The engine compares the tag with the token's UPOS as written, so
+        # such a rule never fired.
+        message = f"trigger.pos {tag!r} is not a UD UPOS tag"
+        with pytest.raises(RuleConfigError) as err:
+            TriggerPredicate(pos=frozenset({"ADJ", tag}))
+        assert str(err.value) == message
+        text = RULE_TEMPLATE.format(tau="shift(4)", scope="target").replace(
+            "trigger.pos = *", f"trigger.pos = ADJ, {tag}"
+        )
+        with pytest.raises(RuleConfigError) as err:
+            parse_rules(text, {"negators": WordList("negators", {"no": None})})
+        assert str(err.value) == f"rule 'demo': {message}"
+
+    def test_every_ud_upos_tag_accepted(self):
+        tags = "ADJ ADP ADV AUX CCONJ DET INTJ NOUN NUM PART PRON PROPN PUNCT SCONJ SYM VERB X"
+        assert len(tags.split()) == 17
+        for tag in tags.split() + ["CONJ"]:
+            assert TriggerPredicate(pos=frozenset({tag})).pos == {tag}
 
 
 class TestScopeSpec:
