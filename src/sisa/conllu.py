@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConlluParseError, TreeStructureError
-from .util import read_utf8, utf8_error
+from .util import read_utf8, utf8_error, utf8_error_line
 
 _N_COLUMNS = 10
 # Plain decimal text -> value of the ids and heads of most sentences.
@@ -274,12 +274,7 @@ def iter_sentences(lines: Iterable[str]) -> Iterator[DepTree]:
             # >= 1), so its validating constructor is skipped.
             pending.append(new_token(Token, (token_id, form, lemma, upos, head, columns[7])))
     except UnicodeDecodeError as exc:
-        # A text file decodes ahead in chunks. The lines it has returned end
-        # before the chunk that failed, so the bad byte lies on the next line
-        # plus one line per newline in that chunk before it.
-        raise ConlluParseError(
-            utf8_error(exc), line_no + 1 + exc.object.count(b"\n", 0, exc.start)
-        ) from None
+        raise ConlluParseError(utf8_error(exc), utf8_error_line(exc, line_no)) from None
     if pending:
         yield _sentence(pending, sentence_index)
 

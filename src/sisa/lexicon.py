@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -22,7 +23,7 @@ from .errors import (
     UsageError,
     WordListParseError,
 )
-from .util import format_so, read_utf8, utf8_error
+from .util import format_so, read_utf8, utf8_error, utf8_error_line
 
 logger = logging.getLogger(__name__)
 
@@ -31,6 +32,8 @@ SENTICON_RAW = "senticon_raw"
 SCALES = (SFU, SENTICON_RAW)
 
 POS_TAGS = ("ADJ", "NOUN", "ADV", "VERB", "*")
+# Each tag to itself: a key stores the one string object of its tag.
+_TAGS = {tag: tag for tag in POS_TAGS}
 
 
 def scale_senticon(so_raw: float) -> float:
@@ -69,9 +72,10 @@ class SentimentLexicon:
         The entry is lowercased, as :func:`load_lexicon` does; a PoS tag
         outside ``POS_TAGS`` is a :class:`UsageError`.
         """
-        if pos not in POS_TAGS:
+        tag = _TAGS.get(pos)
+        if tag is None:
             raise UsageError(f"unknown PoS tag {pos!r}; a lexicon key takes one of {POS_TAGS}")
-        key = (entry.lower(), pos)
+        key = (entry.lower(), tag)
         old = self.scores.get(key)
         count = 1
         if old is not None:
@@ -128,6 +132,11 @@ def load_lexicon(path: str | Path, scale: str | None = None) -> SentimentLexicon
     at most 1 and are rescaled before storage, so the returned lexicon is
     always on the sfu scale. Duplicate (entry, pos) lines are merged by
     averaging, summed in file order; zero-valued lines are dropped.
+
+    The file is read line by line, so a load holds the table, not the file;
+    faults are reported in file order. Every key's tag is the string object
+    in ``POS_TAGS``, and the keys whose lines carry one score text share one
+    float, each text parsed, checked and rescaled once.
     """
     path = Path(path)
     if scale is None:
@@ -136,43 +145,57 @@ def load_lexicon(path: str | Path, scale: str | None = None) -> SentimentLexicon
         raise UsageError(f"unknown lexicon scale {scale!r}")
     lexicon = SentimentLexicon(name=path.stem)
     scores = lexicon.scores
+    tags = _TAGS
+    parsed: dict[str, float] = {}  # score text -> checked, rescaled score
+    line_no = 0
+    try:
+        with open(path, encoding="utf-8", newline="\n") as file:
+            first = file.readline().removeprefix("\ufeff")
+            for line_no, raw in enumerate(chain((first,), file), 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                columns = line.split("\t")
+                if len(columns) != 3:
+                    raise LexiconParseError(
+                        f"expected 3 tab-separated fields, got {len(columns)}", str(path), line_no
+                    )
+                entry, pos, so_text = columns
+                tag = tags.get(pos)
+                if tag is None:
+                    raise LexiconParseError(f"unknown PoS tag {pos!r}", str(path), line_no)
+                so = parsed.get(so_text)
+                if so is None:
+                    so = _parse_score(so_text, scale, str(path), line_no)
+                    parsed[so_text] = so
+                if not so:
+                    continue
+                key = (entry.lower(), tag)
+                if key in scores:
+                    lexicon.add(key[0], tag, so)
+                else:
+                    scores[key] = so
+    except UnicodeDecodeError as exc:
+        raise LexiconParseError(utf8_error(exc), str(path), utf8_error_line(exc, line_no)) from None
+    return lexicon
+
+
+def _parse_score(so_text: str, scale: str, path: str, line_no: int) -> float:
+    """A score text as stored: checked against the scale's range and
+    rescaled on the senticon_raw scale; a zero stays zero."""
     rescale = scale == SENTICON_RAW
     limit = 1.0 if rescale else 5.0
-    lines = read_utf8(
-        path, lambda message, line_no: LexiconParseError(message, str(path), line_no)
-    ).removeprefix("\ufeff").split("\n")
-    for line_no, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        columns = line.split("\t")
-        if len(columns) != 3:
-            raise LexiconParseError(
-                f"expected 3 tab-separated fields, got {len(columns)}", str(path), line_no
-            )
-        entry, pos, so_text = columns
-        if pos not in POS_TAGS:
-            raise LexiconParseError(f"unknown PoS tag {pos!r}", str(path), line_no)
-        try:
-            so = float(so_text)
-        except ValueError:
-            raise LexiconParseError(f"non-numeric score {so_text!r}", str(path), line_no) from None
-        if not abs(so) <= limit:  # also true for NaN
-            if not math.isfinite(so):
-                raise LexiconParseError(f"non-finite score {so_text!r}", str(path), line_no)
-            raise LexiconRangeError(
-                f"score {so} outside [-{limit:g}, {limit:g}] for scale {scale}", str(path), line_no
-            )
-        if not so:
-            continue
-        if rescale:
-            so = scale_senticon(so)
-        key = (entry.lower(), pos)
-        if key in scores:
-            lexicon.add(key[0], pos, so)
-        else:
-            scores[key] = so
-    return lexicon
+    try:
+        so = float(so_text)
+    except ValueError:
+        raise LexiconParseError(f"non-numeric score {so_text!r}", path, line_no) from None
+    if not abs(so) <= limit:  # also true for NaN
+        if not math.isfinite(so):
+            raise LexiconParseError(f"non-finite score {so_text!r}", path, line_no)
+        raise LexiconRangeError(
+            f"score {so} outside [-{limit:g}, {limit:g}] for scale {scale}", path, line_no
+        )
+    return scale_senticon(so) if so and rescale else so
 
 
 def sniff_scale(path: str | Path) -> str | None:

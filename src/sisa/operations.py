@@ -8,6 +8,7 @@ scopes naming what the transformation acts on.
 
 from __future__ import annotations
 
+import logging
 import math
 import re
 from dataclasses import dataclass
@@ -17,6 +18,8 @@ from typing import Mapping
 from .errors import RuleConfigError
 from .lexicon import WordList
 from .util import read_utf8
+
+logger = logging.getLogger(__name__)
 
 WEIGHTING = "weighting"
 SHIFT = "shift"
@@ -35,6 +38,8 @@ _UPOS = frozenset(
 
 
 def _check_bare(deprel: str) -> None:
+    if not deprel:
+        raise RuleConfigError("deprel '' names no relation")
     if ":" in deprel:
         raise RuleConfigError(f"deprel {deprel!r} has a :subtype; rules match the bare deprel")
 
@@ -76,9 +81,10 @@ class TriggerPredicate:
     """Conjunction of constraints on form (or lemma), UPOS and deprel.
 
     ``None`` means wildcard. Refuses a predicate of wildcards only, and
-    what would make a rule that never fires: a literal set naming nothing, a
-    PoS tag outside UD's UPOS tags, a deprel with a ``:subtype``. Form sets
-    may be shared :class:`WordList` objects or literal frozensets.
+    what would make a rule that never fires: a literal set naming nothing, an
+    empty word (a FORM is never empty), a PoS tag outside UD's UPOS tags, an
+    empty deprel or one with a ``:subtype``. Form sets may be shared
+    :class:`WordList` objects or literal frozensets.
     :func:`sisa.engine.compute_so` tests the predicate against each node: the
     lowercased form or lemma must be in the form set, the UPOS in the PoS
     set, and the deprel without its ``:subtype`` suffix in the deprel set.
@@ -94,6 +100,8 @@ class TriggerPredicate:
         for key, value in (("forms", self.forms), ("pos", self.pos), ("deprel", self.deprel)):
             if value is not None and not value and not isinstance(value, WordList):
                 raise RuleConfigError(f"trigger.{key} names nothing; use * for any")
+        if self.forms is not None and "" in self.forms:
+            raise RuleConfigError("trigger.forms '' names no word")
         for tag in sorted(self.pos or ()):
             if tag not in _UPOS:
                 raise RuleConfigError(f"trigger.pos {tag!r} is not a UD UPOS tag")
@@ -106,7 +114,8 @@ class ScopeSpec:
     """One scope selector: the target node itself, the first branch with a
     given deprel, the first subjective branch left/right of the trigger's
     origin, or the whole accumulated level. Refuses an unknown kind, a branch
-    without a deprel or with a ``:subtype``, and a deprel on any other kind."""
+    without a deprel, with an empty one or with a ``:subtype``, and a deprel
+    on any other kind."""
 
     kind: str
     deprel: str | None = None
@@ -129,7 +138,9 @@ class OperationDefinition:
 
     ``delta`` is how many head links the triggered instance climbs before it
     is applied; higher ``priority`` applies first when several operations are
-    dequeued at the same level.
+    dequeued at the same level. A trigger word list that is empty is
+    accepted, as an empty word-list file is, with a warning: such a rule
+    never fires.
     """
 
     name: str
@@ -144,6 +155,13 @@ class OperationDefinition:
             raise RuleConfigError(f"rule {self.name!r}: delta must be >= 0")
         if not self.scopes:
             raise RuleConfigError(f"rule {self.name!r}: scope list must not be empty")
+        forms = self.trigger.forms
+        if isinstance(forms, WordList) and not forms:
+            logger.warning(
+                "rule %r: trigger word list %r is empty, so the rule never fires",
+                self.name,
+                forms.name,
+            )
 
 
 _TAU_RE = re.compile(r"^(weighting|shift)\((.+)\)$")

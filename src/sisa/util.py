@@ -24,6 +24,18 @@ def utf8_error(exc: UnicodeDecodeError) -> str:
     return f"not valid UTF-8: {exc.reason} 0x{exc.object[exc.start]:02x}"
 
 
+def utf8_error_line(exc: UnicodeDecodeError, lines_read: int) -> int:
+    """The 1-based line of the first byte a UTF-8 decoder rejected.
+
+    ``lines_read`` lines were returned before the failing decode, and none
+    of them reaches into the bytes it was given. A text file decodes ahead
+    in chunks, so the bad byte lies on the next line plus one line per
+    newline in the failing chunk before it; a whole-file decode has read no
+    line.
+    """
+    return lines_read + 1 + exc.object.count(b"\n", 0, exc.start)
+
+
 def read_utf8(path: Path, error: Callable[[str, int], Exception]) -> str:
     """Read a UTF-8 text file whole, its line ends untranslated.
 
@@ -35,4 +47,4 @@ def read_utf8(path: Path, error: Callable[[str, int], Exception]) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise error(utf8_error(exc), data.count(b"\n", 0, exc.start) + 1) from None
+        raise error(utf8_error(exc), utf8_error_line(exc, 0)) from None

@@ -495,6 +495,34 @@ class TestInputLoading:
             "sisa: RuleConfigError: rule 'intensify': trigger.pos 'adv' is not a UD UPOS tag\n"
         )
 
+    def test_an_empty_trigger_word_list_warns_on_stderr(self, tmp_path):
+        (tmp_path / "negators.txt").write_text("# no entries\n", encoding="utf-8")
+        rules = tmp_path / "negation.rules"
+        rules.write_text(
+            "[operation]\nname = negation\ntrigger.forms = @negators\n"
+            "tau = shift(4)\ndelta = 1\nscope = target\n",
+            encoding="utf-8",
+        )
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "sisa.cli",
+                "classify",
+                "--lexicon", str(LEXICON),
+                "--rules", str(rules),
+                "--lists", str(tmp_path),
+                "--input", str(FIXTURES / "no_es_bonito.conllu"),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "no_es_bonito\t3.5\tpositive\n"
+        assert proc.stderr == (
+            "rule 'negation': trigger word list 'negators' is empty, so the rule never fires\n"
+        )
+
     def test_library_and_classify_agree_on_the_header_scale(self, capsys, tmp_path):
         lexicon = tmp_path / "raw.tsv"
         lexicon.write_text("# scale: senticon_raw\ngrande\tADJ\t0.5\n", encoding="utf-8")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from sisa import (
     load_wordlists,
 )
 from sisa.lexicon import (
+    POS_TAGS,
     SentimentLexicon,
     dump_lexicon,
     load_wordlist,
@@ -321,6 +323,86 @@ class TestDumpAndSniff:
             load_lexicon(path)
         assert str(sniffed.value) == str(loaded.value)
         assert sniffed.value.line_no == 2
+
+
+class TestCompactTable:
+    """A loaded table shares its tag and score objects and never holds its file."""
+
+    @staticmethod
+    def tags_are_shared(lexicon):
+        return all(any(pos is tag for tag in POS_TAGS) for _, pos in lexicon.scores)
+
+    def test_every_tag_is_a_pos_tags_object(self, tmp_path):
+        text = "".join(f"w{i}\t{pos}\t{i + 1}\n" for i, pos in enumerate(POS_TAGS))
+        loaded = load_lexicon(write(tmp_path, "l.tsv", text + "w0\tADJ\t2\n"))
+        built = SentimentLexicon(name="mem")
+        for pos in POS_TAGS:
+            built.add("otro", "".join(pos), 1.0)  # built anew, as a caller's string is
+            built.add("otro", "".join(pos), 2.0)
+        merged = merge_lexica([loaded, built], name="m")
+        for lexicon in (loaded, built, merged):
+            assert len({pos for _, pos in lexicon.scores}) == len(POS_TAGS)
+            assert self.tags_are_shared(lexicon)
+
+    @pytest.mark.parametrize("scale", ["sfu", "senticon_raw"])
+    def test_one_float_per_distinct_score_text(self, tmp_path, scale):
+        texts = ["0.5", "-0.25", "0.50", "1", "0"]
+        text = "".join(f"w{i}\tNOUN\t{texts[i % len(texts)]}\n" for i in range(500))
+        lexicon = load_lexicon(write(tmp_path, "l.tsv", text), scale)
+        assert len(lexicon) == 400
+        floats = {id(so): so for so in lexicon.scores.values()}
+        assert len(floats) == 4  # "0.5" and "0.50" are two texts; "0" lines are dropped
+        assert lexicon.scores[("w0", "NOUN")] == lexicon.scores[("w2", "NOUN")]
+
+    def test_a_load_holds_the_table_not_the_file(self, tmp_path):
+        path = write(
+            tmp_path,
+            "big.tsv",
+            "".join(
+                f"palabra{i}\t{POS_TAGS[i % 5]}\t{(i % 900 - 450) / 100 or 1}\n"
+                for i in range(20_000)
+            ),
+        )
+        assert path.stat().st_size > 400_000
+        load_lexicon(path)  # the first load fills the interpreter's caches
+        tracemalloc.start()
+        try:
+            lexicon = load_lexicon(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lexicon) == 20_000
+        # Holding the file's text and its list of lines added about 1.4 MiB.
+        assert peak - held < 256 * 1024, (held, peak)
+
+    def test_invalid_utf8_past_the_first_chunk(self, tmp_path):
+        # Long enough that a text file decodes the bad byte in a later chunk.
+        before = b"".join(b"palabra%d\tADJ\t1.5\n" % i for i in range(1_000))
+        assert len(before) > 8192
+        path = tmp_path / "l.tsv"
+        path.write_bytes(before + b"mal\xffo\tADJ\t-1\n" + before)
+        with pytest.raises(LexiconParseError) as err:
+            load_lexicon(path)
+        assert str(err.value) == f"{path}:1001: not valid UTF-8: invalid start byte 0xff"
+        assert err.value.line_no == 1001
+
+    def test_invalid_utf8_at_the_end_of_the_file(self, tmp_path):
+        path = tmp_path / "l.tsv"
+        path.write_bytes(b"# scale: sfu\nraro\tADJ\t1\nmal\tADJ\t-1\n\xc3")
+        with pytest.raises(LexiconParseError) as err:
+            load_lexicon(path)
+        assert str(err.value) == f"{path}:4: not valid UTF-8: unexpected end of data 0xc3"
+        assert err.value.line_no == 4
+
+    @pytest.mark.parametrize("name", ["lexicon.tsv", "senticon_ca.tsv", "corpus/lexicon_ml.tsv"])
+    def test_a_bom_and_crlf_copy_loads_the_same_table(self, tmp_path, name):
+        plain = FIXTURES / name
+        marked = tmp_path / plain.name
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+        loaded, expected = load_lexicon(marked), load_lexicon(plain)
+        assert loaded == expected
+        assert list(loaded.scores) == list(expected.scores)
+        assert self.tags_are_shared(loaded)
 
 
 class TestByteOrderMark:

@@ -359,6 +359,15 @@ class TestRuleTypesRefuseWhatRuleFilesRefuse:
                 lambda: Transformation(SHIFT, booster_source="boosters"),
                 "booster-driven amounts are only legal for weighting",
             ),
+            (lambda: ScopeSpec(BRANCH, ""), "deprel '' names no relation"),
+            (
+                lambda: TriggerPredicate(deprel=frozenset({"neg", ""})),
+                "deprel '' names no relation",
+            ),
+            (
+                lambda: TriggerPredicate(forms=frozenset({"no", ""})),
+                "trigger.forms '' names no word",
+            ),
         ],
         ids=[
             "empty-pos",
@@ -368,6 +377,9 @@ class TestRuleTypesRefuseWhatRuleFilesRefuse:
             "infinite-shift",
             "nan-weighting",
             "shift-by-booster",
+            "empty-branch-deprel",
+            "empty-trigger-deprel",
+            "empty-form",
         ],
     )
     def test_built_in_code(self, build, message):
@@ -395,6 +407,28 @@ class TestRuleTypesRefuseWhatRuleFilesRefuse:
     def test_an_empty_word_list_is_still_a_form_set(self):
         # Only a literal set naming nothing is refused; a word list file may be empty.
         assert TriggerPredicate(forms=WordList("empty")).forms == WordList("empty")
+
+    def test_a_rule_file_drops_empty_items(self):
+        text = RULE_TEMPLATE.format(tau="shift(4)", scope="b(neg), , target").replace(
+            "trigger.forms = @negators", "trigger.forms = no, ,nunca,"
+        ).replace("trigger.deprel = neg,advmod", "trigger.deprel = ,neg,,advmod")
+        (rule,) = parse_rules(text, {})
+        assert rule.trigger.forms == {"no", "nunca"}
+        assert rule.trigger.deprel == {"neg", "advmod"}
+        assert rule.scopes == (ScopeSpec(BRANCH, "neg"), ScopeSpec(TARGET))
+
+    def test_an_empty_trigger_word_list_warns_once(self, caplog):
+        text = RULE_TEMPLATE.format(tau="shift(4)", scope="target")
+        with caplog.at_level("WARNING", logger="sisa.operations"):
+            (rule,) = parse_rules(text, {"negators": WordList("negators")})
+        assert rule.trigger.forms == WordList("negators")
+        assert [record.getMessage() for record in caplog.records] == [
+            "rule 'demo': trigger word list 'negators' is empty, so the rule never fires"
+        ]
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="sisa.operations"):
+            parse_rules(text, {"negators": WordList("negators", {"no": None})})
+        assert caplog.records == []
 
     @pytest.mark.parametrize("tag", ["adv", "ADVERB"])
     def test_pos_outside_ud_upos_rejected(self, tag):
