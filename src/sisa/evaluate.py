@@ -19,7 +19,7 @@ from .engine import check_finite, score_configs
 from .errors import ManifestError, SisaError, UsageError
 from .lexicon import SentimentLexicon, WordList
 from .operations import OperationDefinition
-from .util import format_so, read_utf8
+from .util import format_so, read_records
 
 logger = logging.getLogger(__name__)
 
@@ -44,14 +44,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     path = Path(path)
     base = path.parent
     items: list[tuple[Path, str]] = []
-    lines = read_utf8(
-        path, lambda message, line_no: ManifestError(message, str(path), line_no)
-    ).removeprefix("\ufeff").split("\n")
-    for line_no, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        columns = line.split("\t")
+    for line_no, columns in read_records(path, ManifestError):
         if len(columns) != 2:
             raise ManifestError(
                 f"expected 2 tab-separated fields, got {len(columns)}", str(path), line_no

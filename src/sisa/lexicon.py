@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -23,7 +22,7 @@ from .errors import (
     UsageError,
     WordListParseError,
 )
-from .util import format_so, read_utf8, utf8_error, utf8_error_line
+from .util import format_so, read_records, utf8_error
 
 logger = logging.getLogger(__name__)
 
@@ -147,36 +146,26 @@ def load_lexicon(path: str | Path, scale: str | None = None) -> SentimentLexicon
     scores = lexicon.scores
     tags = _TAGS
     parsed: dict[str, float] = {}  # score text -> checked, rescaled score
-    line_no = 0
-    try:
-        with open(path, encoding="utf-8", newline="\n") as file:
-            first = file.readline().removeprefix("\ufeff")
-            for line_no, raw in enumerate(chain((first,), file), 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                columns = line.split("\t")
-                if len(columns) != 3:
-                    raise LexiconParseError(
-                        f"expected 3 tab-separated fields, got {len(columns)}", str(path), line_no
-                    )
-                entry, pos, so_text = columns
-                tag = tags.get(pos)
-                if tag is None:
-                    raise LexiconParseError(f"unknown PoS tag {pos!r}", str(path), line_no)
-                so = parsed.get(so_text)
-                if so is None:
-                    so = _parse_score(so_text, scale, str(path), line_no)
-                    parsed[so_text] = so
-                if not so:
-                    continue
-                key = (entry.lower(), tag)
-                if key in scores:
-                    lexicon.add(key[0], tag, so)
-                else:
-                    scores[key] = so
-    except UnicodeDecodeError as exc:
-        raise LexiconParseError(utf8_error(exc), str(path), utf8_error_line(exc, line_no)) from None
+    for line_no, columns in read_records(path, LexiconParseError):
+        if len(columns) != 3:
+            raise LexiconParseError(
+                f"expected 3 tab-separated fields, got {len(columns)}", str(path), line_no
+            )
+        entry, pos, so_text = columns
+        tag = tags.get(pos)
+        if tag is None:
+            raise LexiconParseError(f"unknown PoS tag {pos!r}", str(path), line_no)
+        so = parsed.get(so_text)
+        if so is None:
+            so = _parse_score(so_text, scale, str(path), line_no)
+            parsed[so_text] = so
+        if not so:
+            continue
+        key = (entry.lower(), tag)
+        if key in scores:
+            lexicon.add(key[0], tag, so)
+        else:
+            scores[key] = so
     return lexicon
 
 
@@ -295,14 +284,7 @@ def load_wordlist(path: str | Path) -> WordList:
     """Load a word list file: one ``entry`` or ``entry<TAB>value`` per line."""
     path = Path(path)
     wordlist = WordList(name=path.stem)
-    lines = read_utf8(
-        path, lambda message, line_no: WordListParseError(message, str(path), line_no)
-    ).removeprefix("\ufeff").split("\n")
-    for line_no, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        columns = line.split("\t")
+    for line_no, columns in read_records(path, WordListParseError):
         if len(columns) > 2:
             raise WordListParseError(
                 f"expected at most 2 tab-separated fields, got {len(columns)}",

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 
 def format_so(value: float) -> str:
@@ -48,3 +49,24 @@ def read_utf8(path: Path, error: Callable[[str, int], Exception]) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(utf8_error(exc), utf8_error_line(exc, 0)) from None
+
+
+def read_records(
+    path: Path, error: Callable[[str, str, int], Exception]
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line_no, fields)`` for each record of a tab-separated file.
+
+    The UTF-8 file is read line by line; a line ends at ``\\n`` only, and one
+    byte order mark opening line 1 is ignored. Lines are stripped, blank and
+    ``#`` lines skipped, the rest split at tabs. A byte that is not UTF-8
+    raises ``error(message, str(path), line_no)``.
+    """
+    line_no = 0
+    try:
+        with open(path, encoding="utf-8", newline="\n") as file:
+            first = file.readline().removeprefix("\ufeff")
+            for line_no, line in enumerate(map(str.strip, chain((first,), file)), 1):
+                if line and line[0] != "#":
+                    yield line_no, line.split("\t")
+    except UnicodeDecodeError as exc:
+        raise error(utf8_error(exc), str(path), utf8_error_line(exc, line_no)) from None

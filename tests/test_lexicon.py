@@ -457,6 +457,24 @@ class TestWordList:
         wl = load_wordlist(write(tmp_path, "n.txt", "NO\n"))
         assert "no" in wl
 
+    def test_a_load_holds_the_list_not_the_file(self, tmp_path):
+        path = write(
+            tmp_path,
+            "big.tsv",
+            "".join(f"palabra{i}\t{(i % 900 - 450) / 100}\n" for i in range(20_000)),
+        )
+        assert path.stat().st_size > 300_000
+        load_wordlist(path)  # the first load fills the interpreter's caches
+        tracemalloc.start()
+        try:
+            wordlist = load_wordlist(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(wordlist) == 20_000
+        # Holding the file's text and its list of lines added about 1.4 MiB.
+        assert peak - held < 256 * 1024, (held, peak)
+
     def test_load_wordlists_by_stem(self, tmp_path):
         write(tmp_path, "negators.txt", "no\n")
         write(tmp_path, "boosters.tsv", "muy\t0.25\n")
