@@ -60,6 +60,8 @@ class Token(_TokenFields):
             raise ValueError(f"token {id} has an empty form")
         if not upos:
             raise ValueError(f"token {id} has an empty UPOS tag")
+        if not deprel:
+            raise ValueError(f"token {id} has an empty deprel")
         return tuple.__new__(cls, (id, form, lemma, upos, head, deprel))
 
     @classmethod
@@ -267,12 +269,15 @@ def iter_sentences(lines: Iterable[str]) -> Iterator[DepTree]:
             upos = columns[3]
             if not upos:
                 raise ConlluParseError("empty UPOS column", line_no)
+            deprel = columns[7]
+            if not deprel:
+                raise ConlluParseError("empty DEPREL column", line_no)
             lemma = columns[2]
             if not lemma or lemma == "_":
                 lemma = form.lower()
             # The checks above cover Token's own (the id is in sequence, so
             # >= 1), so its validating constructor is skipped.
-            pending.append(new_token(Token, (token_id, form, lemma, upos, head, columns[7])))
+            pending.append(new_token(Token, (token_id, form, lemma, upos, head, deprel)))
     except UnicodeDecodeError as exc:
         raise ConlluParseError(utf8_error(exc), utf8_error_line(exc, line_no)) from None
     if pending:

@@ -22,7 +22,7 @@ from .errors import (
     UsageError,
     WordListParseError,
 )
-from .util import format_so, read_records, utf8_error
+from .util import format_so, parse_number, read_records, utf8_error
 
 logger = logging.getLogger(__name__)
 
@@ -175,7 +175,7 @@ def _parse_score(so_text: str, scale: str, path: str, line_no: int) -> float:
     rescale = scale == SENTICON_RAW
     limit = 1.0 if rescale else 5.0
     try:
-        so = float(so_text)
+        so = parse_number(so_text)
     except ValueError:
         raise LexiconParseError(f"non-numeric score {so_text!r}", path, line_no) from None
     if not abs(so) <= limit:  # also true for NaN
@@ -295,7 +295,7 @@ def load_wordlist(path: str | Path) -> WordList:
         value: float | None = None
         if len(columns) == 2:
             try:
-                value = float(columns[1])
+                value = parse_number(columns[1])
             except ValueError:
                 raise WordListParseError(
                     f"non-numeric value {columns[1]!r}", str(path), line_no

@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .errors import RuleConfigError
 from .lexicon import WordList
-from .util import read_utf8
+from .util import parse_number, read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -220,7 +220,7 @@ def _parse_tau(value: str, lists: Mapping[str, WordList]) -> Transformation:
     if arg.startswith("@"):
         return Transformation(kind, booster_source=_list_name(arg, lists))
     try:
-        param = float(arg)
+        param = parse_number(arg)
     except ValueError:
         raise RuleConfigError(f"non-numeric transformation amount {arg!r}") from None
     return Transformation(kind, param)
@@ -242,8 +242,8 @@ def _build_definition(block: dict[str, str], lists: Mapping[str, WordList]) -> O
             _parse_set(block.get("trigger.pos", "*")),
             _parse_set(block.get("trigger.deprel", "*")),
         )
-        delta = int(block.get("delta", "0"))
-        priority = int(block.get("priority", "0"))
+        delta = parse_number(block.get("delta", "0"), int)
+        priority = parse_number(block.get("priority", "0"), int)
         scopes = tuple(_parse_scope(item) for item in block["scope"].split(",") if item.strip())
         transform = _parse_tau(block["tau"], lists)
     except (RuleConfigError, ValueError) as exc:

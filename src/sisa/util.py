@@ -20,6 +20,20 @@ def format_so(value: float) -> str:
     return format(float(value), ".12g")
 
 
+def parse_number(text: str, kind: type[float] | type[int] = float) -> float | int:
+    """``kind(text)`` for a number written in ASCII without ``_``.
+
+    ``float()`` and ``int()`` also take "0_5" as 5 and "\u0663" or "\uff13" as 3;
+    the numbers of every input file are plain ASCII. Other text raises the
+    ``ValueError`` that ``kind`` raises for non-numeric text.
+    """
+    if text.isascii() and "_" not in text:
+        return kind(text)
+    if kind is int:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    raise ValueError(f"could not convert string to float: {text!r}")
+
+
 def utf8_error(exc: UnicodeDecodeError) -> str:
     """Describe the first byte a UTF-8 decoder rejected."""
     return f"not valid UTF-8: {exc.reason} 0x{exc.object[exc.start]:02x}"

@@ -104,6 +104,8 @@ def reference_sentences(lines):
             upos = columns[3]
             if not upos:
                 raise ConlluParseError("empty UPOS column", line_no)
+            if not columns[7]:
+                raise ConlluParseError("empty DEPREL column", line_no)
             lemma = columns[2]
             if not lemma or lemma == "_":
                 lemma = form.lower()

@@ -271,6 +271,9 @@ PARSE_ERRORS = {
     ),
     "empty FORM": (_ROOT + _line(2, 1, form=""), ConlluParseError, "line 2: empty FORM column", 2),
     "empty UPOS": (_ROOT + _line(2, 1, upos=""), ConlluParseError, "line 2: empty UPOS column", 2),
+    "empty DEPREL": (
+        _ROOT + _line(2, 1, deprel=""), ConlluParseError, "line 2: empty DEPREL column", 2,
+    ),
     "zero roots": (
         _line(1, 2) + _line(2, 1),
         TreeStructureError, "sentence 1: expected exactly one root, found 0", 1,
@@ -434,6 +437,7 @@ def test_direct_tree_error_is_pinned(tokens, message):
         ((1, "a", "a", "X", 1, "dep"), "token 1 is its own head"),
         ((1, "", "a", "X", 0, "root"), "token 1 has an empty form"),
         ((1, "a", "a", "", 0, "root"), "token 1 has an empty UPOS tag"),
+        ((1, "a", "a", "X", 0, ""), "token 1 has an empty deprel"),
     ],
 )
 def test_token_rejects_invalid_field(fields, message):

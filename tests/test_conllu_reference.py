@@ -116,6 +116,7 @@ ADVERSARIAL = {
     "underscore LEMMA": _line(1, 0, form="Gran", lemma="_"),
     "empty FORM": _line(1, 0, form=""),
     "empty UPOS": _line(1, 0, upos=""),
+    "empty DEPREL": _line(1, 0, deprel=""),
     "arabic-indic id": _line("\u0661", 0),
     "fullwidth id": _line("\uff11", 0),
     "arabic-indic head": ROOT + _line(2, "\u0661"),

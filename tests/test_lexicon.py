@@ -78,6 +78,15 @@ class TestLoadLexicon:
             load_lexicon(write(tmp_path, "l.tsv", "# ok\nraro\tADJ\tabc\n"))
         assert err.value.line_no == 2
 
+    # float() takes "0_5" as 5.0 and each of the other two as 2.0.
+    @pytest.mark.parametrize("so_text", ["0_5", "٢", "２"])
+    @pytest.mark.parametrize("scale", ["sfu", "senticon_raw"])
+    def test_scores_are_ascii_without_underscores(self, tmp_path, so_text, scale):
+        path = write(tmp_path, "l.tsv", f"raro\tADJ\t1\nmal\tADJ\t{so_text}\n")
+        with pytest.raises(LexiconParseError) as err:
+            load_lexicon(path, scale)
+        assert str(err.value) == f"{path}:2: non-numeric score {so_text!r}"
+
     def test_sfu_range_error(self, tmp_path):
         with pytest.raises(LexiconRangeError):
             load_lexicon(write(tmp_path, "l.tsv", "raro\tADJ\t6\n"))
@@ -448,6 +457,14 @@ class TestWordList:
         with pytest.raises(WordListParseError) as err:
             load_wordlist(path)
         assert str(err.value) == f"{path}:2: expected at most 2 tab-separated fields, got 3"
+
+    # float() takes "0_5" as 5.0 and each of the other two as 2.0.
+    @pytest.mark.parametrize("value", ["0_5", "٢", "２"])
+    def test_values_are_ascii_without_underscores(self, tmp_path, value):
+        path = write(tmp_path, "b.tsv", f"muy\t0.25\npoco\t{value}\n")
+        with pytest.raises(WordListParseError) as err:
+            load_wordlist(path)
+        assert str(err.value) == f"{path}:2: non-numeric value {value!r}"
 
     def test_non_finite_value_rejected(self, tmp_path):
         with pytest.raises(WordListParseError):

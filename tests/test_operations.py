@@ -326,6 +326,23 @@ class TestRuleParsing:
             parse_rules(text, lists)
         assert str(err.value) == f"rule 'demo': invalid literal for int() with base 10: {value!r}"
 
+    # float() and int() take each of these as 5, 10 or 3.
+    @pytest.mark.parametrize(
+        "line, value, message",
+        [
+            ("tau = shift(4)", "tau = shift(0_5)", "non-numeric transformation amount '0_5'"),
+            ("tau = shift(4)", "tau = shift(３)", "non-numeric transformation amount '３'"),
+            ("delta = 1", "delta = 1_0", "invalid literal for int() with base 10: '1_0'"),
+            ("priority = 2", "priority = ٣", "invalid literal for int() with base 10: '٣'"),
+        ],
+        ids=["tau 0_5", "tau fullwidth 3", "delta 1_0", "priority arabic-indic 3"],
+    )
+    def test_numbers_are_ascii_without_underscores(self, lists, line, value, message):
+        text = RULE_TEMPLATE.format(tau="shift(4)", scope="target").replace(line, value)
+        with pytest.raises(RuleConfigError) as err:
+            parse_rules(text, lists)
+        assert str(err.value) == f"rule 'demo': {message}"
+
     def test_line_without_equals_rejected(self, lists):
         text = RULE_TEMPLATE.format(tau="shift(4)", scope="target") + "speed 9\n"
         with pytest.raises(RuleConfigError) as err:
