@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConlluParseError, TreeStructureError
-from .util import read_utf8, utf8_error, utf8_error_line
+from .util import utf8_error, utf8_error_line
 
 _N_COLUMNS = 10
 # Plain decimal text -> value of the ids and heads of most sentences.
@@ -284,12 +284,14 @@ def iter_sentences(lines: Iterable[str]) -> Iterator[DepTree]:
         yield _sentence(pending, sentence_index)
 
 
-def parse_document(text: str, source_id: str = "-") -> Document:
-    """Parse CoNLL-U text into a :class:`Document`; see :func:`iter_sentences`."""
-    return Document(tuple(iter_sentences(text.split("\n"))), source_id)
+def parse_document(text: str | Iterable[str], source_id: str = "-") -> Document:
+    """Parse CoNLL-U text or its lines into a :class:`Document`; see :func:`iter_sentences`."""
+    lines = text.split("\n") if isinstance(text, str) else text
+    return Document(tuple(iter_sentences(lines)), source_id)
 
 
 def read_document(path: str | Path) -> Document:
-    """Read and parse a CoNLL-U file; the file stem becomes the source id."""
+    """Read and parse a CoNLL-U file line by line; the file stem becomes the source id."""
     path = Path(path)
-    return parse_document(read_utf8(path, ConlluParseError), source_id=path.stem)
+    with open(path, encoding="utf-8", newline="\n") as file:
+        return parse_document(file, source_id=path.stem)

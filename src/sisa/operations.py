@@ -12,12 +12,13 @@ import logging
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import RuleConfigError
 from .lexicon import WordList
-from .util import parse_number, read_utf8
+from .util import parse_number, utf8_error, utf8_error_line
 
 logger = logging.getLogger(__name__)
 
@@ -252,35 +253,45 @@ def _build_definition(block: dict[str, str], lists: Mapping[str, WordList]) -> O
 
 
 def parse_rules(
-    text: str, lists: Mapping[str, WordList], source: str = "<rules>"
+    text: str | Iterable[str], lists: Mapping[str, WordList], source: str = "<rules>"
 ) -> list[OperationDefinition]:
-    """Parse rule configuration text into definitions, in file order."""
+    """Parse rule configuration text or its lines into definitions, in file order.
+    One leading byte order mark is ignored; a bad byte is reported with its line."""
+    lines = iter(text.split("\n") if isinstance(text, str) else text)
     blocks: list[dict[str, str]] = []
     block: dict[str, str] | None = None
-    for line_no, raw in enumerate(text.split("\n"), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "[operation]":
-            block = {}
-            blocks.append(block)
-            continue
-        if line.startswith("["):
-            raise RuleConfigError(f"{source}:{line_no}: unknown section {line!r}")
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise RuleConfigError(f"{source}:{line_no}: expected 'key = value', got {line!r}")
-        if block is None:
-            raise RuleConfigError(f"{source}:{line_no}: key outside an [operation] block")
-        key = key.strip()
-        if key in block:
-            raise RuleConfigError(f"{source}:{line_no}: duplicate key {key!r} in [operation] block")
-        block[key] = value.strip()
+    line_no = 0
+    try:
+        first = next(lines, "").removeprefix("\ufeff")
+        for line_no, raw in enumerate(chain((first,), lines), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line == "[operation]":
+                block = {}
+                blocks.append(block)
+                continue
+            if line.startswith("["):
+                raise RuleConfigError(f"{source}:{line_no}: unknown section {line!r}")
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise RuleConfigError(f"{source}:{line_no}: expected 'key = value', got {line!r}")
+            if block is None:
+                raise RuleConfigError(f"{source}:{line_no}: key outside an [operation] block")
+            key = key.strip()
+            if key in block:
+                raise RuleConfigError(
+                    f"{source}:{line_no}: duplicate key {key!r} in [operation] block"
+                )
+            block[key] = value.strip()
+    except UnicodeDecodeError as exc:
+        line_no = utf8_error_line(exc, line_no)
+        raise RuleConfigError(f"{source}:{line_no}: {utf8_error(exc)}") from None
     return [_build_definition(b, lists) for b in blocks]
 
 
 def load_rules(path: str | Path, lists: Mapping[str, WordList]) -> list[OperationDefinition]:
-    """Load a rule configuration file; ``@name`` references resolve in ``lists``."""
+    """Load a rule configuration file line by line; ``@name`` references resolve in ``lists``."""
     path = Path(path)
-    text = read_utf8(path, lambda message, line_no: RuleConfigError(f"{path}:{line_no}: {message}"))
-    return parse_rules(text.removeprefix("\ufeff"), lists, source=str(path))
+    with open(path, encoding="utf-8", newline="\n") as file:
+        return parse_rules(file, lists, source=str(path))

@@ -45,24 +45,9 @@ def utf8_error_line(exc: UnicodeDecodeError, lines_read: int) -> int:
     ``lines_read`` lines were returned before the failing decode, and none
     of them reaches into the bytes it was given. A text file decodes ahead
     in chunks, so the bad byte lies on the next line plus one line per
-    newline in the failing chunk before it; a whole-file decode has read no
-    line.
+    newline in the failing chunk before it.
     """
     return lines_read + 1 + exc.object.count(b"\n", 0, exc.start)
-
-
-def read_utf8(path: Path, error: Callable[[str, int], Exception]) -> str:
-    """Read a UTF-8 text file whole, its line ends untranslated.
-
-    Every input file ends a line only at ``\\n``; readers drop a line's
-    trailing ``\\r``. A byte that is not UTF-8 raises ``error(message,
-    line_no)``; the line is counted only then.
-    """
-    data = path.read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(utf8_error(exc), utf8_error_line(exc, 0)) from None
 
 
 def read_records(

@@ -1,5 +1,6 @@
 import io
 import sys
+import tracemalloc
 from dataclasses import fields
 from random import Random
 
@@ -16,6 +17,7 @@ from sisa import (
     parse_document,
     read_document,
 )
+from conftest import FIXTURES
 from sisa.lexicon import SentimentLexicon
 from treegen import (
     build_tree,
@@ -375,6 +377,16 @@ def test_invalid_utf8_reports_its_line(read, bad, reason, tmp_path):
 
 
 @pytest.mark.parametrize("read", STREAM_READERS.values(), ids=STREAM_READERS.keys())
+def test_a_malformed_line_before_a_bad_byte_in_a_later_chunk_is_reported(read, tmp_path):
+    # A reader that decoded the whole file first reported the bad byte.
+    before = _line(1, "X").encode("utf-8") + (NO_ES_BONITO + "\n").encode("utf-8") * 500
+    data = before + b"1\tb\xff\tb\tX\t_\t_\t0\troot\t_\t_\n"
+    assert data.index(b"\xff") > 8192
+    message = "line 1: non-integer head 'X'"
+    assert_parse_error(lambda: read(data, tmp_path), ConlluParseError, message, 1)
+
+
+@pytest.mark.parametrize("read", STREAM_READERS.values(), ids=STREAM_READERS.keys())
 def test_invalid_utf8_at_the_end_of_the_input(read, tmp_path):
     data = NO_ES_BONITO.encode("utf-8") + b"\xc3"
     message = "line 4: not valid UTF-8: unexpected end of data 0xc3"
@@ -528,6 +540,32 @@ def test_iter_sentences_equals_parse_document(layout):
         streamed = tuple(iter_sentences(io.StringIO(text)))
         assert streamed == parsed.sentences
         assert tuple(iter_sentences(text.split("\n"))) == parsed.sentences
+
+
+@pytest.mark.parametrize(
+    "path", sorted(FIXTURES.glob("**/*.conllu")), ids=lambda path: path.name
+)
+def test_parse_document_takes_text_or_lines(path):
+    text = path.read_bytes().decode("utf-8")
+    with open(path, encoding="utf-8", newline="\n") as lines:
+        assert parse_document(lines, path.stem) == parse_document(text, path.stem)
+    assert read_document(path) == parse_document(text, path.stem)
+
+
+def test_read_document_holds_the_sentences_not_the_file(tmp_path):
+    path = tmp_path / "big.conllu"
+    path.write_text((NO_ES_BONITO + "\n") * 20_000, encoding="utf-8")
+    assert path.stat().st_size > 1_800_000
+    read_document(path)  # the first read fills the interpreter's caches
+    tracemalloc.start()
+    try:
+        doc = read_document(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(doc.sentences) == 20_000
+    # Holding the file's text and its list of lines added about 7 MiB.
+    assert peak - held < 256 * 1024, (held, peak)
 
 
 def _recursive_postorder(tree, node_id):

@@ -143,6 +143,18 @@ class TestEvaluate:
         report = evaluate(manifest, RunConfig("SL-O", fixture_lexicon))
         assert (report.total, report.errored, report.correct) == (1, 1, 1)
 
+    def test_an_item_reports_its_first_fault_in_file_order(self, fixture_lexicon, tmp_path):
+        good = tmp_path / "good.conllu"
+        good.write_text("1\tmalo\tmalo\tADJ\t_\t_\t0\troot\t_\t_\n\n", encoding="utf-8")
+        bad = tmp_path / "bad.conllu"
+        # The bad byte lies in a later 8 KiB chunk; decoded whole, it was reported.
+        data = b"1\tmalo\tmalo\tADJ\t_\t_\tX\troot\t_\t_\n" + b"# padding\n" * 2_000 + b"\xff\n"
+        bad.write_bytes(data)
+        manifest = CorpusManifest("mixed", ((good, "negative"), (bad, "positive")))
+        report = evaluate(manifest, RunConfig("SL-O", fixture_lexicon))
+        assert (report.total, report.errored) == (1, 1)
+        assert report.items[1].error == "line 1: non-integer head 'X'"
+
     def test_all_unreadable_is_usage_error(self, fixture_lexicon, tmp_path):
         manifest = CorpusManifest("none", ((tmp_path / "nope.conllu", "positive"),))
         with pytest.raises(UsageError):

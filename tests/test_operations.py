@@ -158,6 +158,52 @@ class TestDefaultRules:
         marked = bom_copy(DEFAULT_RULES, tmp_path)
         assert load_rules(marked, wordlists) == load_rules(DEFAULT_RULES, wordlists)
 
+    def test_parse_rules_ignores_a_byte_order_mark(self, wordlists):
+        text = DEFAULT_RULES.read_text(encoding="utf-8")
+        assert parse_rules("\ufeff" + text, wordlists) == parse_rules(text, wordlists)
+
+    def test_lines_parse_as_the_text_does(self, wordlists):
+        text = DEFAULT_RULES.read_text(encoding="utf-8")
+        with open(DEFAULT_RULES, encoding="utf-8", newline="\n") as lines:
+            assert parse_rules(lines, wordlists) == parse_rules(text, wordlists)
+
+
+class TestRulesFileFaults:
+    """A rules file is read line by line, so its first fault in file order is
+    the one reported, a bad byte with its own line."""
+
+    # Comment lines push what follows past the decoder's first 8 KiB chunk.
+    PADDING = b"# padding\n" * 2_000
+
+    def write(self, tmp_path, data):
+        assert len(self.PADDING) > 8192
+        path = tmp_path / "r.rules"
+        path.write_bytes(data)
+        return path
+
+    def test_a_malformed_line_before_a_bad_byte_is_reported(self, tmp_path):
+        # A reader that decoded the whole file first reported line 2003.
+        path = self.write(tmp_path, b"[operation]\nbogus line\n" + self.PADDING + b"\xff\n")
+        with pytest.raises(RuleConfigError) as err:
+            load_rules(path, {})
+        assert str(err.value) == f"{path}:2: expected 'key = value', got 'bogus line'"
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            (b"name = mal\xffo\n", "invalid start byte 0xff"),
+            (b"name = mal\xc3", "unexpected end of data 0xc3"),
+        ],
+        ids=["invalid start byte", "unexpected end of data"],
+    )
+    def test_a_bad_byte_past_the_first_chunk_names_its_line(self, tmp_path, wordlists, bad, reason):
+        rules = DEFAULT_RULES.read_bytes()
+        path = self.write(tmp_path, rules + self.PADDING + b"[operation]\n" + bad)
+        line_no = rules.count(b"\n") + 2_000 + 2
+        with pytest.raises(RuleConfigError) as err:
+            load_rules(path, wordlists)
+        assert str(err.value) == f"{path}:{line_no}: not valid UTF-8: {reason}"
+
 
 RULE_TEMPLATE = """
 [operation]
