@@ -44,7 +44,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     path = Path(path)
     base = path.parent
     items: list[tuple[Path, str]] = []
-    for line_no, columns in read_records(path, ManifestError):
+    for line_no, columns in read_records(path, ManifestError, "item path"):
         if len(columns) != 2:
             raise ManifestError(
                 f"expected 2 tab-separated fields, got {len(columns)}", str(path), line_no

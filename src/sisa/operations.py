@@ -260,6 +260,7 @@ def parse_rules(
     lines = iter(text.split("\n") if isinstance(text, str) else text)
     blocks: list[dict[str, str]] = []
     block: dict[str, str] | None = None
+    names: set[str] = set()
     line_no = 0
     try:
         first = next(lines, "").removeprefix("\ufeff")
@@ -283,7 +284,12 @@ def parse_rules(
                 raise RuleConfigError(
                     f"{source}:{line_no}: duplicate key {key!r} in [operation] block"
                 )
-            block[key] = value.strip()
+            value = value.strip()
+            if key == "name" and value:
+                if value in names:
+                    raise RuleConfigError(f"{source}:{line_no}: duplicate rule name {value!r}")
+                names.add(value)
+            block[key] = value
     except UnicodeDecodeError as exc:
         line_no = utf8_error_line(exc, line_no)
         raise RuleConfigError(f"{source}:{line_no}: {utf8_error(exc)}") from None

@@ -51,21 +51,26 @@ def utf8_error_line(exc: UnicodeDecodeError, lines_read: int) -> int:
 
 
 def read_records(
-    path: Path, error: Callable[[str, str, int], Exception]
+    path: Path, error: Callable[[str, str, int], Exception], field: str = "entry"
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line_no, fields)`` for each record of a tab-separated file.
 
     The UTF-8 file is read line by line; a line ends at ``\\n`` only, and one
     byte order mark opening line 1 is ignored. Lines are stripped, blank and
-    ``#`` lines skipped, the rest split at tabs. A byte that is not UTF-8
-    raises ``error(message, str(path), line_no)``.
+    ``#`` lines skipped, the rest split at tabs. A tab in a line's indent
+    opens an empty first field, which raises ``error(f"empty {field}",
+    str(path), line_no)``; a byte that is not UTF-8 raises ``error(message,
+    str(path), line_no)``.
     """
     line_no = 0
     try:
         with open(path, encoding="utf-8", newline="\n") as file:
             first = file.readline().removeprefix("\ufeff")
-            for line_no, line in enumerate(map(str.strip, chain((first,), file)), 1):
+            for line_no, raw in enumerate(chain((first,), file), 1):
+                line = raw.strip()
                 if line and line[0] != "#":
+                    if raw[0] != line[0] and "\t" in raw[: len(raw) - len(raw.lstrip())]:
+                        raise error(f"empty {field}", str(path), line_no)
                     yield line_no, line.split("\t")
     except UnicodeDecodeError as exc:
         raise error(utf8_error(exc), str(path), utf8_error_line(exc, line_no)) from None

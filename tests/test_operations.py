@@ -347,8 +347,16 @@ class TestRuleParsing:
         assert str(err.value) == "dup.rules:11: duplicate key 'scope' in [operation] block"
 
     def test_same_key_in_two_blocks_accepted(self, lists):
-        text = RULE_TEMPLATE.format(tau="shift(4)", scope="target") * 2
+        text = RULE_TEMPLATE.format(tau="shift(4)", scope="target")
+        text += text.replace("name = demo", "name = other")
         assert len(parse_rules(text, lists)) == 2
+
+    def test_duplicate_rule_name_rejected(self, lists):
+        # Both blocks loaded, so trace lines and "rule 'demo': ..." errors were ambiguous.
+        text = RULE_TEMPLATE.format(tau="shift(4)", scope="target") * 2
+        with pytest.raises(RuleConfigError) as err:
+            parse_rules(text, lists, source="dup.rules")
+        assert str(err.value) == "dup.rules:13: duplicate rule name 'demo'"
 
     def test_non_numeric_tau_amount(self, lists):
         text = RULE_TEMPLATE.format(tau="shift(abc)", scope="target")

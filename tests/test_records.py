@@ -54,6 +54,44 @@ def test_the_first_fault_in_file_order_is_reported(tmp_path, loader, error, good
     assert err.value.line_no == 2
 
 
+def test_an_indent_without_a_tab_is_dropped(tmp_path):
+    path = tmp_path / "r.tsv"
+    path.write_bytes(b"  e\tf \t\n\x0bg\n\t\n \t# note\n")
+    assert list(read_records(path, ManifestError)) == [(1, ["e", "f"]), (2, ["g"])]
+
+
+@pytest.mark.parametrize("line", [b"\tb\n", b" \tc\t\n", b"\x0b\t\td\n"], ids=repr)
+def test_a_tab_in_the_indent_opens_an_empty_first_field(tmp_path, line):
+    path = tmp_path / "r.tsv"
+    path.write_bytes(b"a\tb\n" + line)
+    with pytest.raises(ManifestError) as err:
+        list(read_records(path, ManifestError, "item path"))
+    assert str(err.value) == f"{path}:2: empty item path"
+
+
+# name: (loader, error type, a good line, a line that opens with a tab, its message)
+EMPTY_FIRST_FIELD = {
+    "lexicon": (load_lexicon, LexiconParseError, b"bueno\tADJ\t2\n", b"\tADJ\t2\n", "empty entry"),
+    "word list": (load_wordlist, WordListParseError, b"muy\t0.25\n", b"\t0.5\n", "empty entry"),
+    "manifest": (
+        load_manifest, ManifestError, b"a.conllu\tpositive\n", b"\tnegative\n", "empty item path",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "loader, error, good, bad, message", EMPTY_FIRST_FIELD.values(), ids=EMPTY_FIRST_FIELD.keys()
+)
+def test_an_empty_first_field_is_refused(tmp_path, loader, error, good, bad, message):
+    # Stripped whole, the line lost its tab: a word list read "\t0.5" as the word "0.5".
+    path = tmp_path / "f.tsv"
+    path.write_bytes(good + bad)
+    with pytest.raises(error) as err:
+        loader(path)
+    assert str(err.value) == f"{path}:2: {message}"
+    assert err.value.line_no == 2
+
+
 def test_a_bom_and_crlf_copy_of_the_boosters_loads_the_same_list(tmp_path):
     plain = LISTS_DIR / "boosters.tsv"
     loaded, expected = load_wordlist(crlf_copy(plain, tmp_path)), load_wordlist(plain)
