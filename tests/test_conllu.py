@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from conftest import FIXTURES
 from sisa import (
     ConlluParseError,
     DepTree,
@@ -17,7 +18,6 @@ from sisa import (
     parse_document,
     read_document,
 )
-from conftest import FIXTURES
 from sisa.lexicon import SentimentLexicon
 from treegen import (
     build_tree,
