@@ -1,6 +1,6 @@
 """Sentiment lexica and trigger word lists.
 
-A lexicon is a flat table from (entry, pos) keys to signed scores whose
+A lexicon holds one table per PoS tag, from entry to signed score, whose
 magnitude lives on a 1-to-5 scale for subjective words. Raw scores with
 magnitude at most 1 (the "senticon_raw" scale) are rescaled onto that range
 at load time. Keys averaged from more than one contribution also keep their
@@ -31,8 +31,14 @@ SENTICON_RAW = "senticon_raw"
 SCALES = (SFU, SENTICON_RAW)
 
 POS_TAGS = ("ADJ", "NOUN", "ADV", "VERB", "*")
-# Each tag to itself: a key stores the one string object of its tag.
+# Each tag to itself: a provenance key stores the one string object of its tag.
 _TAGS = {tag: tag for tag in POS_TAGS}
+# The table of a UPOS that no lexicon key carries (DET, PROPN, ...).
+_NO_TABLE: dict[str, float] = {}
+
+
+def _tables() -> dict[str, dict[str, float]]:
+    return {tag: {} for tag in POS_TAGS}
 
 
 def scale_senticon(so_raw: float) -> float:
@@ -53,7 +59,9 @@ def scale_senticon(so_raw: float) -> float:
 class SentimentLexicon:
     """Mapping from (lowercased entry, pos) to scores.
 
-    ``scores`` holds each key's effective score: the mean of every
+    ``scores`` holds one table per tag of ``POS_TAGS``, keyed by that tag's
+    string object, from lowercased entry to the effective score of
+    ``(entry, pos)``, read as ``scores[pos][entry]``: the mean of every
     contribution, computed once, with -0.0 folded to 0.0. A key whose
     contributions cancelled out stays in the table at 0.0 (neutralized), so
     that it still stops the lookup fallback. ``provenance`` keeps the
@@ -62,7 +70,7 @@ class SentimentLexicon:
     """
 
     name: str
-    scores: dict[tuple[str, str], float] = field(default_factory=dict)
+    scores: dict[str, dict[str, float]] = field(default_factory=_tables)
     provenance: dict[tuple[str, str], tuple[float, int]] = field(default_factory=dict)
 
     def add(self, entry: str, pos: str, so: float) -> None:
@@ -74,15 +82,17 @@ class SentimentLexicon:
         tag = _TAGS.get(pos)
         if tag is None:
             raise UsageError(f"unknown PoS tag {pos!r}; a lexicon key takes one of {POS_TAGS}")
-        key = (entry.lower(), tag)
-        old = self.scores.get(key)
+        table = self.scores[tag]
+        entry = entry.lower()
+        old = table.get(entry)
         count = 1
         if old is not None:
+            key = (entry, tag)
             so_sum, old_count = self.provenance.get(key, (old, 1))
             so = so_sum + so
             count = old_count + 1
             self.provenance[key] = (so, count)
-        self.scores[key] = so / count or 0.0
+        table[entry] = so / count or 0.0
 
     def lookup(self, form: str, lemma: str, upos: str) -> float:
         """Score for a token, 0.0 when absent.
@@ -90,36 +100,37 @@ class SentimentLexicon:
         Keys are tried in order: (form, upos), (lemma, upos), (form, "*"),
         (lemma, "*"), everything lowercased. The first present key wins;
         a neutralized entry counts as a hit and contributes 0. The lemma
-        keys are probed only when the lemma differs from the form.
+        keys are probed only when the lemma differs from the form, and a
+        UPOS with no table goes straight to the "*" keys.
         """
         scores = self.scores
         lowered = form.lower()
-        so = scores.get((lowered, upos))
+        table = scores.get(upos, _NO_TABLE)
+        so = table.get(lowered)
         if so is None:
             # A lemma spelled as its form lowercases as the form does.
             lemma = lowered if lemma == form else lemma.lower()
             if lemma != lowered:
-                so = scores.get((lemma, upos))
+                so = table.get(lemma)
             if so is None:
-                so = scores.get((lowered, "*"))
+                table = scores["*"]
+                so = table.get(lowered)
                 if so is None and lemma != lowered:
-                    so = scores.get((lemma, "*"))
+                    so = table.get(lemma)
                 if so is None:
                     return 0.0
         return so
 
     def sizes(self) -> dict[str, int]:
         """Entry counts per PoS tag, in the fixed tag order."""
-        counts = {pos: 0 for pos in POS_TAGS}
-        for _, pos in self.scores:
-            counts[pos] = counts.get(pos, 0) + 1
-        return counts
+        return {pos: len(table) for pos, table in self.scores.items()}
 
     def __len__(self) -> int:
-        return len(self.scores)
+        return sum(map(len, self.scores.values()))
 
     def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self.scores
+        entry, pos = key
+        return entry in self.scores.get(pos, _NO_TABLE)
 
 
 def load_lexicon(path: str | Path, scale: str | None = None) -> SentimentLexicon:
@@ -133,9 +144,8 @@ def load_lexicon(path: str | Path, scale: str | None = None) -> SentimentLexicon
     averaging, summed in file order; zero-valued lines are dropped.
 
     The file is read line by line, so a load holds the table, not the file;
-    faults are reported in file order. Every key's tag is the string object
-    in ``POS_TAGS``, and the keys whose lines carry one score text share one
-    float, each text parsed, checked and rescaled once.
+    faults are reported in file order. The keys whose lines carry one score
+    text share one float, each text parsed, checked and rescaled once.
     """
     path = Path(path)
     if scale is None:
@@ -143,8 +153,7 @@ def load_lexicon(path: str | Path, scale: str | None = None) -> SentimentLexicon
     if scale not in SCALES:
         raise UsageError(f"unknown lexicon scale {scale!r}")
     lexicon = SentimentLexicon(name=path.stem)
-    scores = lexicon.scores
-    tags = _TAGS
+    tables = lexicon.scores
     parsed: dict[str, float] = {}  # score text -> checked, rescaled score
     for line_no, columns in read_records(path, LexiconParseError):
         if len(columns) != 3:
@@ -152,8 +161,8 @@ def load_lexicon(path: str | Path, scale: str | None = None) -> SentimentLexicon
                 f"expected 3 tab-separated fields, got {len(columns)}", str(path), line_no
             )
         entry, pos, so_text = columns
-        tag = tags.get(pos)
-        if tag is None:
+        table = tables.get(pos)
+        if table is None:
             raise LexiconParseError(f"unknown PoS tag {pos!r}", str(path), line_no)
         so = parsed.get(so_text)
         if so is None:
@@ -161,11 +170,11 @@ def load_lexicon(path: str | Path, scale: str | None = None) -> SentimentLexicon
             parsed[so_text] = so
         if not so:
             continue
-        key = (entry.lower(), tag)
-        if key in scores:
-            lexicon.add(key[0], tag, so)
+        entry = entry.lower()
+        if entry in table:
+            lexicon.add(entry, pos, so)
         else:
-            scores[key] = so
+            table[entry] = so
     return lexicon
 
 
@@ -234,21 +243,26 @@ def merge_lexica(sources: Sequence[SentimentLexicon], name: str) -> SentimentLex
     if not sources:
         raise UsageError("merge requires at least one source lexicon")
     merged = SentimentLexicon(name=name)
-    scores = merged.scores
     provenance = merged.provenance
-    shared: set[tuple[str, str]] = set()
     for lex in sources:
-        shared.update(scores.keys() & lex.scores.keys())
-        scores.update(lex.scores)
         provenance.update(lex.provenance)
-    for key in shared:
-        parts = [
-            lex.provenance.get(key) or (lex.scores[key], 1) for lex in sources if key in lex.scores
-        ]
-        so_sum = math.fsum(part[0] for part in parts)
-        count = sum(part[1] for part in parts)
-        provenance[key] = (so_sum, count)
-        scores[key] = so_sum / count or 0.0
+    for pos, table in merged.scores.items():
+        shared: set[str] = set()
+        for lex in sources:
+            source = lex.scores[pos]
+            shared.update(table.keys() & source.keys())
+            table.update(source)
+        for entry in shared:
+            key = (entry, pos)
+            parts = [
+                lex.provenance.get(key) or (lex.scores[pos][entry], 1)
+                for lex in sources
+                if entry in lex.scores[pos]
+            ]
+            so_sum = math.fsum(part[0] for part in parts)
+            count = sum(part[1] for part in parts)
+            provenance[key] = (so_sum, count)
+            table[entry] = so_sum / count or 0.0
     return merged
 
 
@@ -258,8 +272,10 @@ def dump_lexicon(lexicon: SentimentLexicon) -> str:
     Only the effective score survives; provenance counts are not part of the
     schema, so chain merges should be done in one call to keep the weighting.
     """
-    scores = lexicon.scores
-    lines = [f"{key[0]}\t{key[1]}\t{format_so(scores[key])}\n" for key in sorted(scores)]
+    rows = sorted(
+        (entry, pos, so) for pos, table in lexicon.scores.items() for entry, so in table.items()
+    )
+    lines = [f"{entry}\t{pos}\t{format_so(so)}\n" for entry, pos, so in rows]
     return f"# scale: {SFU}\n" + "".join(lines)
 
 

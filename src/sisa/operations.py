@@ -256,9 +256,10 @@ def parse_rules(
     text: str | Iterable[str], lists: Mapping[str, WordList], source: str = "<rules>"
 ) -> list[OperationDefinition]:
     """Parse rule configuration text or its lines into definitions, in file order.
-    One leading byte order mark is ignored; a bad byte is reported with its line."""
+    One leading byte order mark is ignored; a bad byte is reported with its line,
+    and a fault of a block's keys with the line of its ``[operation]`` header."""
     lines = iter(text.split("\n") if isinstance(text, str) else text)
-    blocks: list[dict[str, str]] = []
+    blocks: list[tuple[int, dict[str, str]]] = []
     block: dict[str, str] | None = None
     names: set[str] = set()
     line_no = 0
@@ -270,7 +271,7 @@ def parse_rules(
                 continue
             if line == "[operation]":
                 block = {}
-                blocks.append(block)
+                blocks.append((line_no, block))
                 continue
             if line.startswith("["):
                 raise RuleConfigError(f"{source}:{line_no}: unknown section {line!r}")
@@ -293,7 +294,13 @@ def parse_rules(
     except UnicodeDecodeError as exc:
         line_no = utf8_error_line(exc, line_no)
         raise RuleConfigError(f"{source}:{line_no}: {utf8_error(exc)}") from None
-    return [_build_definition(b, lists) for b in blocks]
+    definitions = []
+    for line_no, block in blocks:
+        try:
+            definitions.append(_build_definition(block, lists))
+        except RuleConfigError as exc:
+            raise RuleConfigError(f"{source}:{line_no}: {exc}") from None
+    return definitions
 
 
 def load_rules(path: str | Path, lists: Mapping[str, WordList]) -> list[OperationDefinition]:

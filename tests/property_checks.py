@@ -36,15 +36,17 @@ def source_scores(sources):
     """Each key's effective score in every source that has it."""
     scores = {}
     for source in sources:
-        for key, so in source.scores.items():
-            scores.setdefault(key, []).append(so)
+        for pos, table in source.scores.items():
+            for entry, so in table.items():
+                scores.setdefault((entry, pos), []).append(so)
     return scores
 
 
 def _check_within(merged, contributions):
-    for key, so in merged.scores.items():
-        values = contributions[key]
-        assert min(values) - 1e-12 <= so <= max(values) + 1e-12
+    for pos, table in merged.scores.items():
+        for entry, so in table.items():
+            values = contributions[entry, pos]
+            assert min(values) - 1e-12 <= so <= max(values) + 1e-12
 
 
 def check_merge_order_independent(sources, shuffled, contributions):

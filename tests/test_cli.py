@@ -457,7 +457,7 @@ class TestInputLoading:
             capsys, command, "--lexicon", tmp_path / "missing.tsv", "--rules", rules, *data
         )
         assert (code, out) == (3, "")
-        assert err == "sisa: RuleConfigError: rule 'neg': missing required key 'tau'\n"
+        assert err == f"sisa: RuleConfigError: {rules}:1: rule 'neg': missing required key 'tau'\n"
 
     @pytest.mark.parametrize(
         "text, error",
@@ -468,7 +468,7 @@ class TestInputLoading:
             ),
             (
                 "[operation]\nname = neg\ntrigger.pos = ADV\ntau = shift(4)\nscope = target,b( )\n",
-                "rule 'neg': branch scope 'b( )' names no deprel",
+                "{rules}:1: rule 'neg': branch scope 'b( )' names no deprel",
             ),
         ],
         ids=["duplicate-key", "empty-branch"],
@@ -492,7 +492,8 @@ class TestInputLoading:
         code, out, err = run(capsys, *argv, "--input", FIXTURES / "muy_grande.conllu")
         assert (code, out) == (3, "")
         assert err == (
-            "sisa: RuleConfigError: rule 'intensify': trigger.pos 'adv' is not a UD UPOS tag\n"
+            f"sisa: RuleConfigError: {rules}:1: rule 'intensify': "
+            "trigger.pos 'adv' is not a UD UPOS tag\n"
         )
 
     def test_an_empty_trigger_word_list_warns_on_stderr(self, tmp_path):

@@ -23,6 +23,11 @@ from sisa.lexicon import (
 )
 
 
+def keys(lexicon):
+    """Every (entry, pos) key of a lexicon, table by table in POS_TAGS order."""
+    return [(entry, pos) for pos, table in lexicon.scores.items() for entry in table]
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -60,17 +65,17 @@ class TestScaleSenticon:
 class TestLoadLexicon:
     def test_sfu_line(self, tmp_path):
         lex = load_lexicon(write(tmp_path, "l.tsv", "abandonat\tADJ\t-3\n"))
-        assert lex.scores[("abandonat", "ADJ")] == -3
+        assert lex.scores["ADJ"]["abandonat"] == -3
 
     def test_senticon_raw_rescaled_at_load(self, tmp_path):
         lex = load_lexicon(
             write(tmp_path, "l.tsv", "abandonat\tADJ\t-0.21875\n"), scale="senticon_raw"
         )
-        assert lex.scores[("abandonat", "ADJ")] == -1.875
+        assert lex.scores["ADJ"]["abandonat"] == -1.875
 
     def test_duplicates_merge_by_averaging(self, tmp_path):
         lex = load_lexicon(write(tmp_path, "l.tsv", "raro\tADJ\t2\nraro\tADJ\t4\n"))
-        assert lex.scores[("raro", "ADJ")] == 3
+        assert lex.scores["ADJ"]["raro"] == 3
         assert lex.provenance[("raro", "ADJ")] == (6.0, 2)
 
     def test_non_numeric_score_is_parse_error(self, tmp_path):
@@ -122,12 +127,18 @@ class TestLoadLexicon:
 
     def test_header_decides_the_scale_unless_one_is_given(self, tmp_path):
         path = write(tmp_path, "l.tsv", "# scale: senticon_raw\nraro\tADJ\t0.5\n")
-        assert load_lexicon(path).scores[("raro", "ADJ")] == 3.0
-        assert load_lexicon(path, "sfu").scores[("raro", "ADJ")] == 0.5
+        assert load_lexicon(path).scores["ADJ"]["raro"] == 3.0
+        assert load_lexicon(path, "sfu").scores["ADJ"]["raro"] == 0.5
         with pytest.raises(LexiconParseError, match="v.tsv:1: unknown lexicon scale 'volts'"):
             load_lexicon(write(tmp_path, "v.tsv", "# scale: volts\nraro\tADJ\t1\n"))
         upper = write(tmp_path, "u.tsv", "# Scale: SENTICON_RAW\nraro\tADJ\t0.5\n")
-        assert load_lexicon(upper).scores == {("raro", "ADJ"): 3.0}
+        assert load_lexicon(upper).scores == {
+            "ADJ": {"raro": 3.0},
+            "NOUN": {},
+            "ADV": {},
+            "VERB": {},
+            "*": {},
+        }
 
 
 class TestMerge:
@@ -137,7 +148,7 @@ class TestMerge:
         )
         sfu = load_lexicon(write(tmp_path, "b.tsv", "abandonat\tADJ\t-3\n"))
         merged = merge_lexica([senticon, sfu], name="ca")
-        assert merged.scores[("abandonat", "ADJ")] == -2.4375
+        assert merged.scores["ADJ"]["abandonat"] == -2.4375
 
     def test_espantoso_mean_of_three(self, tmp_path):
         sources = [
@@ -146,7 +157,7 @@ class TestMerge:
         ]
         merged = merge_lexica(sources, name="combined")
         expected = math.fsum([-4.1075, -3.125, 5.0]) / 3
-        assert merged.scores[("espantoso", "ADJ")] == pytest.approx(expected, abs=1e-12)
+        assert merged.scores["ADJ"]["espantoso"] == pytest.approx(expected, abs=1e-12)
 
     def test_single_source_identity(self, tmp_path):
         lex = load_lexicon(write(tmp_path, "l.tsv", "raro\tADJ\t2\nfeo\tADJ\t-1\n"))
@@ -158,7 +169,7 @@ class TestMerge:
         doubled = load_lexicon(write(tmp_path, "a.tsv", "raro\tADJ\t2\nraro\tADJ\t2\n"))
         single = load_lexicon(write(tmp_path, "b.tsv", "raro\tADJ\t5\n"))
         merged = merge_lexica([doubled, single], name="m")
-        assert merged.scores[("raro", "ADJ")] == 3
+        assert merged.scores["ADJ"]["raro"] == 3
         assert merged.provenance[("raro", "ADJ")][1] == 3
 
     def test_exact_cancellation_is_retained_neutralized(self, tmp_path):
@@ -166,7 +177,7 @@ class TestMerge:
         neg = load_lexicon(write(tmp_path, "b.tsv", "vessar\tADJ\t-2\n"))
         merged = merge_lexica([pos, neg], name="m")
         assert ("vessar", "ADJ") in merged
-        assert merged.scores[("vessar", "ADJ")] == 0.0
+        assert merged.scores["ADJ"]["vessar"] == 0.0
         assert merged.lookup("vessar", "vessar", "ADJ") == 0.0
 
     def test_empty_source_list_rejected(self):
@@ -187,7 +198,7 @@ class TestAdd:
         lex.add("Bueno", "ADJ", 2.0)
         lex.add("BUENO", "ADJ", 1.0)
         assert lex.lookup("Bueno", "bueno", "ADJ") == 1.5
-        assert list(lex.scores) == [("bueno", "ADJ")]
+        assert keys(lex) == [("bueno", "ADJ")]
         loaded = load_lexicon(write(tmp_path, "l.tsv", "Bueno\tADJ\t2.0\nBUENO\tADJ\t1.0\n"))
         assert lex.scores == loaded.scores and lex.provenance == loaded.provenance
 
@@ -254,6 +265,11 @@ raro\t*\t4
         ("RARO", "Raro", "NOUN", 4.0),  # equal once lowercased
         ("rara", "raro", "NOUN", 4.0),  # (lemma, *) past a miss on (form, *)
         ("zzz", "raro", "ADJ", 0.0),  # neutralized lemma hit, absent form
+        # A UPOS with no table (DET) probes (form, *), then (lemma, *).
+        ("bonito", "bonito", "DET", 0.5),  # (bonito, ADJ) is not probed
+        ("bonita", "bonito", "DET", -1.0),  # (form, *) beats (lemma, *)
+        ("bonitas", "bonito", "DET", 0.5),  # (lemma, *)
+        ("casa", "casa", "DET", 0.0),  # no wildcard entry
     ]
 
     @pytest.fixture()
@@ -271,16 +287,16 @@ raro\t*\t4
         words = ["casa", "Casas", "bonito", "BONITA", "raro", "Rara", "zzz"]
         for form in words:
             for lemma in words:
-                for upos in ("NOUN", "ADJ", "VERB"):
+                for upos in ("NOUN", "ADJ", "VERB", "DET"):
                     want = 0.0
-                    for key in (
+                    for entry, pos in (
                         (form.lower(), upos),
                         (lemma.lower(), upos),
                         (form.lower(), "*"),
                         (lemma.lower(), "*"),
                     ):
-                        if key in precedence_lexicon:
-                            want = precedence_lexicon.scores[key]
+                        if (entry, pos) in precedence_lexicon:
+                            want = precedence_lexicon.scores[pos][entry]
                             break
                     assert precedence_lexicon.lookup(form, lemma, upos) == want
 
@@ -302,8 +318,19 @@ class TestDumpAndSniff:
         path = write(tmp_path, "out.tsv", dump_lexicon(fixture_lexicon))
         again = load_lexicon(path)
         assert again.scores == {
-            k: pytest.approx(so, rel=1e-11) for k, so in fixture_lexicon.scores.items()
+            pos: pytest.approx(table, rel=1e-11) for pos, table in fixture_lexicon.scores.items()
         }
+
+    def test_dump_sorts_by_entry_then_pos(self):
+        # Sorted as text, the line of "a\x01b" would come first: "\x01" sorts
+        # below the tab that ends "a".
+        lex = SentimentLexicon(name="order")
+        for entry, pos, so in [("ab", "ADJ", 1.0), ("a\x01b", "ADJ", 2.0), ("a", "ADJ", 3.0)]:
+            lex.add(entry, pos, so)
+        lex.add("a", "*", 4.0)
+        assert dump_lexicon(lex) == (
+            "# scale: sfu\na\t*\t4\na\tADJ\t3\na\x01b\tADJ\t2\nab\tADJ\t1\n"
+        )
 
     def test_sniff_scale_header(self, tmp_path):
         path = write(tmp_path, "l.tsv", "# scale: senticon_raw\nraro\tADJ\t0.5\n")
@@ -339,7 +366,8 @@ class TestCompactTable:
 
     @staticmethod
     def tags_are_shared(lexicon):
-        return all(any(pos is tag for tag in POS_TAGS) for _, pos in lexicon.scores)
+        tags = [*lexicon.scores, *(pos for _, pos in lexicon.provenance)]
+        return all(any(pos is tag for tag in POS_TAGS) for pos in tags)
 
     def test_every_tag_is_a_pos_tags_object(self, tmp_path):
         text = "".join(f"w{i}\t{pos}\t{i + 1}\n" for i, pos in enumerate(POS_TAGS))
@@ -350,7 +378,7 @@ class TestCompactTable:
             built.add("otro", "".join(pos), 2.0)
         merged = merge_lexica([loaded, built], name="m")
         for lexicon in (loaded, built, merged):
-            assert len({pos for _, pos in lexicon.scores}) == len(POS_TAGS)
+            assert [pos for pos, table in lexicon.scores.items() if table] == list(POS_TAGS)
             assert self.tags_are_shared(lexicon)
 
     @pytest.mark.parametrize("scale", ["sfu", "senticon_raw"])
@@ -359,9 +387,9 @@ class TestCompactTable:
         text = "".join(f"w{i}\tNOUN\t{texts[i % len(texts)]}\n" for i in range(500))
         lexicon = load_lexicon(write(tmp_path, "l.tsv", text), scale)
         assert len(lexicon) == 400
-        floats = {id(so): so for so in lexicon.scores.values()}
+        floats = {id(so): so for so in lexicon.scores["NOUN"].values()}
         assert len(floats) == 4  # "0.5" and "0.50" are two texts; "0" lines are dropped
-        assert lexicon.scores[("w0", "NOUN")] == lexicon.scores[("w2", "NOUN")]
+        assert lexicon.scores["NOUN"]["w0"] == lexicon.scores["NOUN"]["w2"]
 
     def test_a_load_holds_the_table_not_the_file(self, tmp_path):
         path = write(
@@ -383,6 +411,9 @@ class TestCompactTable:
         assert len(lexicon) == 20_000
         # Holding the file's text and its list of lines added about 1.4 MiB.
         assert peak - held < 256 * 1024, (held, peak)
+        # About 87 B on CPython 3.11: the entry string and its slot in its
+        # tag's table. An (entry, pos) tuple per key cost 56 B more.
+        assert held / len(lexicon) < 100, held
 
     def test_invalid_utf8_past_the_first_chunk(self, tmp_path):
         # Long enough that a text file decodes the bad byte in a later chunk.
@@ -410,7 +441,7 @@ class TestCompactTable:
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
         loaded, expected = load_lexicon(marked), load_lexicon(plain)
         assert loaded == expected
-        assert list(loaded.scores) == list(expected.scores)
+        assert keys(loaded) == keys(expected)
         assert self.tags_are_shared(loaded)
 
 

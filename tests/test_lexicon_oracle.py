@@ -115,7 +115,7 @@ def probes():
 
 
 def assert_matches(lexicon, table: Table) -> None:
-    assert set(lexicon.scores) == set(table)
+    assert {(entry, pos) for pos, tab in lexicon.scores.items() for entry in tab} == set(table)
     for form, lemma, upos in probes():
         got = lexicon.lookup(form, lemma, upos)
         want = oracle_lookup(table, form, lemma, upos)

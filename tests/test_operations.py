@@ -302,7 +302,7 @@ class TestRuleParsing:
         text = "".join(line for line in template.splitlines(True) if not line.startswith(key))
         with pytest.raises(RuleConfigError) as err:
             parse_rules(text + f"{key} = {value}\n", lists)
-        assert str(err.value) == f"rule 'demo': {key} names nothing; use * for any"
+        assert str(err.value) == f"<rules>:2: rule 'demo': {key} names nothing; use * for any"
         # "*" and a missing key stay wildcards.
         for wildcard in ("", f"{key} = *\n"):
             (defn,) = parse_rules(text + wildcard, lists)
@@ -326,7 +326,8 @@ class TestRuleParsing:
         with pytest.raises(RuleConfigError) as err:
             parse_rules(text, lists)
         assert str(err.value) == (
-            "rule 'demo': deprel 'advmod:emph' has a :subtype; rules match the bare deprel"
+            "<rules>:2: rule 'demo': "
+            "deprel 'advmod:emph' has a :subtype; rules match the bare deprel"
         )
 
     def test_trigger_constraining_nothing_names_the_rule(self, lists):
@@ -337,7 +338,9 @@ class TestRuleParsing:
         )
         with pytest.raises(RuleConfigError) as err:
             parse_rules(text, lists)
-        assert str(err.value) == "rule 'demo': trigger predicate must constrain at least one field"
+        assert str(err.value) == (
+            "<rules>:2: rule 'demo': trigger predicate must constrain at least one field"
+        )
 
     def test_duplicate_key_rejected(self, lists):
         # The second scope used to win silently.
@@ -362,13 +365,15 @@ class TestRuleParsing:
         text = RULE_TEMPLATE.format(tau="shift(abc)", scope="target")
         with pytest.raises(RuleConfigError) as err:
             parse_rules(text, lists)
-        assert str(err.value) == "rule 'demo': non-numeric transformation amount 'abc'"
+        assert str(err.value) == "<rules>:2: rule 'demo': non-numeric transformation amount 'abc'"
 
     def test_block_without_a_name_rejected(self, lists):
-        text = RULE_TEMPLATE.format(tau="shift(4)", scope="target").replace("name = demo\n", "")
+        # The fault names the line of the nameless block's [operation] header.
+        text = RULE_TEMPLATE.format(tau="shift(4)", scope="target")
+        text += text.replace("name = demo\n", "")
         with pytest.raises(RuleConfigError) as err:
-            parse_rules(text, lists)
-        assert str(err.value) == "[operation] block without a name"
+            parse_rules(text, lists, source="r.rules")
+        assert str(err.value) == "r.rules:12: [operation] block without a name"
 
     @pytest.mark.parametrize("line, value", [("delta = 1", "1.5"), ("priority = 2", "x")])
     def test_non_integer_delta_or_priority_rejected(self, lists, line, value):
@@ -378,7 +383,9 @@ class TestRuleParsing:
         )
         with pytest.raises(RuleConfigError) as err:
             parse_rules(text, lists)
-        assert str(err.value) == f"rule 'demo': invalid literal for int() with base 10: {value!r}"
+        assert str(err.value) == (
+            f"<rules>:2: rule 'demo': invalid literal for int() with base 10: {value!r}"
+        )
 
     # float() and int() take each of these as 5, 10 or 3.
     @pytest.mark.parametrize(
@@ -395,7 +402,7 @@ class TestRuleParsing:
         text = RULE_TEMPLATE.format(tau="shift(4)", scope="target").replace(line, value)
         with pytest.raises(RuleConfigError) as err:
             parse_rules(text, lists)
-        assert str(err.value) == f"rule 'demo': {message}"
+        assert str(err.value) == f"<rules>:2: rule 'demo': {message}"
 
     def test_line_without_equals_rejected(self, lists):
         text = RULE_TEMPLATE.format(tau="shift(4)", scope="target") + "speed 9\n"
@@ -473,7 +480,7 @@ class TestRuleTypesRefuseWhatRuleFilesRefuse:
         text = RULE_TEMPLATE.format(tau=tau, scope="target").replace("@negators", "@boosters")
         with pytest.raises(RuleConfigError) as err:
             parse_rules(text, lists)
-        assert str(err.value) == f"rule 'demo': {message}"
+        assert str(err.value) == f"<rules>:2: rule 'demo': {message}"
 
     def test_an_empty_word_list_is_still_a_form_set(self):
         # Only a literal set naming nothing is refused; a word list file may be empty.
@@ -514,7 +521,7 @@ class TestRuleTypesRefuseWhatRuleFilesRefuse:
         )
         with pytest.raises(RuleConfigError) as err:
             parse_rules(text, {"negators": WordList("negators", {"no": None})})
-        assert str(err.value) == f"rule 'demo': {message}"
+        assert str(err.value) == f"<rules>:2: rule 'demo': {message}"
 
     def test_every_ud_upos_tag_accepted(self):
         tags = "ADJ ADP ADV AUX CCONJ DET INTJ NOUN NUM PART PRON PROPN PUNCT SCONJ SYM VERB X"
