@@ -76,14 +76,31 @@ class SentimentLexicon:
     def add(self, entry: str, pos: str, so: float) -> None:
         """Fold one contribution into the lexicon.
 
-        The entry is lowercased, as :func:`load_lexicon` does; a PoS tag
-        outside ``POS_TAGS`` is a :class:`UsageError`.
+        The entry is lowercased, as :func:`load_lexicon` does, and a
+        contribution of exactly 0 is dropped, as a ``0`` line is. What a
+        lexicon line cannot hold is a :class:`UsageError`: a PoS tag outside
+        ``POS_TAGS``; an entry that is empty, holds a tab, ``\\n`` or ``\\r``,
+        has whitespace at either end or starts with ``#``; a score that is
+        not finite.
         """
         tag = _TAGS.get(pos)
         if tag is None:
             raise UsageError(f"unknown PoS tag {pos!r}; a lexicon key takes one of {POS_TAGS}")
-        table = self.scores[tag]
         entry = entry.lower()
+        if entry.strip() != entry or entry[:1] in ("", "#") or any(c in entry for c in "\t\n\r"):
+            raise UsageError(
+                f"a lexicon line cannot hold the entry {entry!r}: an entry is not empty and has"
+                " no tab, \\n or \\r, no whitespace at either end and no leading '#'"
+            )
+        if not math.isfinite(so):
+            raise UsageError(f"non-finite score {so!r} for the lexicon entry {entry!r}")
+        if so:
+            self._fold(entry, tag, so)
+
+    def _fold(self, entry: str, pos: str, so: float) -> None:
+        """Fold a contribution into the mean of ``(entry, pos)``, unchecked."""
+        tag = _TAGS[pos]
+        table = self.scores[tag]
         old = table.get(entry)
         count = 1
         if old is not None:
@@ -172,7 +189,7 @@ def load_lexicon(path: str | Path, scale: str | None = None) -> SentimentLexicon
             continue
         entry = entry.lower()
         if entry in table:
-            lexicon.add(entry, pos, so)
+            lexicon._fold(entry, pos, so)
         else:
             table[entry] = so
     return lexicon
@@ -269,8 +286,11 @@ def merge_lexica(sources: Sequence[SentimentLexicon], name: str) -> SentimentLex
 def dump_lexicon(lexicon: SentimentLexicon) -> str:
     """Serialize a lexicon in the file schema, sorted by (entry, pos).
 
-    Only the effective score survives; provenance counts are not part of the
-    schema, so chain merges should be done in one call to keep the weighting.
+    Only the effective score survives, to twelve significant digits; provenance
+    counts are not part of the schema, so chain merges should be done in one
+    call to keep the weighting. A neutralized key is written as ``0``, and a
+    load drops a ``0`` line, so it does not load back: a lookup it stopped
+    falls through to the later keys.
     """
     rows = sorted(
         (entry, pos, so) for pos, table in lexicon.scores.items() for entry, so in table.items()

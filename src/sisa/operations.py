@@ -165,8 +165,8 @@ class OperationDefinition:
             )
 
 
-_TAU_RE = re.compile(r"^(weighting|shift)\((.+)\)$")
-_BRANCH_RE = re.compile(r"^b\((.+)\)$")
+_TAU_RE = re.compile(r"^(\w+)\((.+)\)$")
+_BRANCH_RE = re.compile(r"^b\((.*)\)$")
 
 _KNOWN_KEYS = {
     "name",
@@ -180,23 +180,18 @@ _KNOWN_KEYS = {
 }
 
 
+def _items(value: str) -> list[str]:
+    """The comma-separated items of a value, stripped, empty ones dropped."""
+    return [item for item in map(str.strip, value.split(",")) if item]
+
+
 def _parse_scope(text: str) -> ScopeSpec:
-    text = text.strip()
-    if text in (TARGET, SUBJL, SUBJR, ALL):
-        return ScopeSpec(text)
     branch = _BRANCH_RE.match(text)
-    if branch:
-        deprel = branch.group(1).strip()
-        if not deprel:
-            raise RuleConfigError(f"branch scope {text!r} names no deprel")
-        return ScopeSpec(BRANCH, deprel)
-    raise RuleConfigError(f"unknown scope keyword {text!r}")
+    return ScopeSpec(BRANCH, branch.group(1).strip()) if branch else ScopeSpec(text)
 
 
 def _parse_set(value: str) -> frozenset[str] | None:
-    if value == "*":
-        return None
-    return frozenset(item.strip() for item in value.split(",") if item.strip())
+    return None if value == "*" else frozenset(_items(value))
 
 
 def _list_name(reference: str, lists: Mapping[str, WordList]) -> str:
@@ -228,9 +223,6 @@ def _parse_tau(value: str, lists: Mapping[str, WordList]) -> Transformation:
 
 
 def _build_definition(block: dict[str, str], lists: Mapping[str, WordList]) -> OperationDefinition:
-    unknown = set(block) - _KNOWN_KEYS
-    if unknown:
-        raise RuleConfigError(f"unknown keys in [operation] block: {', '.join(sorted(unknown))}")
     name = block.get("name")
     if not name:
         raise RuleConfigError("[operation] block without a name")
@@ -245,7 +237,7 @@ def _build_definition(block: dict[str, str], lists: Mapping[str, WordList]) -> O
         )
         delta = parse_number(block.get("delta", "0"), int)
         priority = parse_number(block.get("priority", "0"), int)
-        scopes = tuple(_parse_scope(item) for item in block["scope"].split(",") if item.strip())
+        scopes = tuple(map(_parse_scope, _items(block["scope"])))
         transform = _parse_tau(block["tau"], lists)
     except (RuleConfigError, ValueError) as exc:
         raise RuleConfigError(f"rule {name!r}: {exc}") from None
@@ -256,13 +248,27 @@ def parse_rules(
     text: str | Iterable[str], lists: Mapping[str, WordList], source: str = "<rules>"
 ) -> list[OperationDefinition]:
     """Parse rule configuration text or its lines into definitions, in file order.
-    One leading byte order mark is ignored; a bad byte is reported with its line,
-    and a fault of a block's keys with the line of its ``[operation]`` header."""
+
+    One pass: a fault of a line (a bad byte included) is reported with that
+    line, and a fault of a block's keys with the line of its ``[operation]``
+    header, once the next header or the end of the input closes the block.
+    One leading byte order mark is ignored."""
+
+    def fault(message: object, line_no: int) -> RuleConfigError:
+        return RuleConfigError(f"{source}:{line_no}: {message}")
+
+    def close() -> None:
+        if block is not None:
+            try:
+                definitions.append(_build_definition(block, lists))
+            except RuleConfigError as exc:
+                raise fault(exc, header) from None
+
     lines = iter(text.split("\n") if isinstance(text, str) else text)
-    blocks: list[tuple[int, dict[str, str]]] = []
+    definitions: list[OperationDefinition] = []
     block: dict[str, str] | None = None
     names: set[str] = set()
-    line_no = 0
+    header = line_no = 0
     try:
         first = next(lines, "").removeprefix("\ufeff")
         for line_no, raw in enumerate(chain((first,), lines), 1):
@@ -270,36 +276,29 @@ def parse_rules(
             if not line:
                 continue
             if line == "[operation]":
-                block = {}
-                blocks.append((line_no, block))
+                close()
+                block, header = {}, line_no
                 continue
             if line.startswith("["):
-                raise RuleConfigError(f"{source}:{line_no}: unknown section {line!r}")
+                raise fault(f"unknown section {line!r}", line_no)
             key, sep, value = line.partition("=")
             if not sep:
-                raise RuleConfigError(f"{source}:{line_no}: expected 'key = value', got {line!r}")
+                raise fault(f"expected 'key = value', got {line!r}", line_no)
             if block is None:
-                raise RuleConfigError(f"{source}:{line_no}: key outside an [operation] block")
-            key = key.strip()
+                raise fault("key outside an [operation] block", line_no)
+            key, value = key.strip(), value.strip()
+            if key not in _KNOWN_KEYS:
+                raise fault(f"unknown key {key!r} in [operation] block", line_no)
             if key in block:
-                raise RuleConfigError(
-                    f"{source}:{line_no}: duplicate key {key!r} in [operation] block"
-                )
-            value = value.strip()
+                raise fault(f"duplicate key {key!r} in [operation] block", line_no)
             if key == "name" and value:
                 if value in names:
-                    raise RuleConfigError(f"{source}:{line_no}: duplicate rule name {value!r}")
+                    raise fault(f"duplicate rule name {value!r}", line_no)
                 names.add(value)
             block[key] = value
     except UnicodeDecodeError as exc:
-        line_no = utf8_error_line(exc, line_no)
-        raise RuleConfigError(f"{source}:{line_no}: {utf8_error(exc)}") from None
-    definitions = []
-    for line_no, block in blocks:
-        try:
-            definitions.append(_build_definition(block, lists))
-        except RuleConfigError as exc:
-            raise RuleConfigError(f"{source}:{line_no}: {exc}") from None
+        raise fault(utf8_error(exc), utf8_error_line(exc, line_no)) from None
+    close()
     return definitions
 
 

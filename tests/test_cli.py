@@ -272,6 +272,13 @@ class TestMergeLexicon:
         )
         assert code == 4
 
+    def test_one_scale_serves_every_input(self, capsys, fixtures):
+        inputs = ("sfu_ca.tsv", "lexicon.tsv", "corpus/lexicon_ml.tsv")
+        lexica = [arg for name in inputs for arg in ("--lexicon", fixtures / name)]
+        once = run(capsys, "merge-lexicon", *lexica, "--scale", "sfu")
+        each = run(capsys, "merge-lexicon", *lexica, *["--scale", "sfu"] * len(inputs))
+        assert once == each and once[0] == 0 and "abandonat\tADJ\t-3\n" in once[1]
+
     def test_output_file(self, capsys, fixtures, tmp_path):
         target = tmp_path / "merged.tsv"
         code, out, _ = run(
@@ -468,7 +475,7 @@ class TestInputLoading:
             ),
             (
                 "[operation]\nname = neg\ntrigger.pos = ADV\ntau = shift(4)\nscope = target,b( )\n",
-                "{rules}:1: rule 'neg': branch scope 'b( )' names no deprel",
+                "{rules}:1: rule 'neg': deprel '' names no relation",
             ),
         ],
         ids=["duplicate-key", "empty-branch"],

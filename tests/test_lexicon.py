@@ -210,6 +210,51 @@ class TestAdd:
         assert len(lex) == 0
         assert lex.sizes() == {"ADJ": 0, "NOUN": 0, "ADV": 0, "VERB": 0, "*": 0}
 
+    # Dumped, some would not load back: "#hash\tADJ\t1" reads as a comment,
+    # " x" as "x", and a tab or "\n" splits the line. Whitespace at the other
+    # end and "\r" are refused with them, as a field stripped or a line split
+    # at "\r" by another reader would lose them.
+    @pytest.mark.parametrize(
+        "entry",
+        ["", "#hash", "a\tb", "a\nb", "a\rb", " x", "x ", "x\x1c", "\xa0x", "\t"],
+        ids=[
+            "empty", "hash", "tab", "newline", "return", "lead", "trail", "x1c", "nbsp", "only-tab"
+        ],
+    )
+    def test_an_entry_no_lexicon_line_holds_is_a_usage_error(self, entry):
+        lex = SentimentLexicon(name="mem")
+        with pytest.raises(UsageError) as err:
+            lex.add(entry, "ADJ", 1.0)
+        assert str(err.value) == (
+            f"a lexicon line cannot hold the entry {entry.lower()!r}: an entry is not empty"
+            " and has no tab, \\n or \\r, no whitespace at either end and no leading '#'"
+        )
+        assert len(lex) == 0
+
+    @pytest.mark.parametrize("so", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_score_is_a_usage_error(self, so):
+        lex = SentimentLexicon(name="mem")
+        with pytest.raises(UsageError) as err:
+            lex.add("raro", "ADJ", so)
+        assert str(err.value) == f"non-finite score {so!r} for the lexicon entry 'raro'"
+        assert len(lex) == 0
+
+    def test_a_zero_contribution_is_dropped_as_a_zero_line_is(self, tmp_path):
+        lex = SentimentLexicon(name="mem")
+        for entry, so in [("nulo", 0.0), ("nulo", -0.0), ("raro", 2.0), ("raro", 0.0)]:
+            lex.add(entry, "ADJ", so)
+        text = "nulo\tADJ\t0\nnulo\tADJ\t-0\nraro\tADJ\t2\nraro\tADJ\t0\n"
+        loaded = load_lexicon(write(tmp_path, "l.tsv", text))
+        assert lex.scores == loaded.scores and lex.provenance == loaded.provenance
+        assert keys(lex) == [("raro", "ADJ")] and lex.provenance == {}
+
+    def test_a_loaded_file_keeps_what_add_refuses(self, tmp_path):
+        # A line holds an entry with trailing whitespace or an inner \r, and
+        # a duplicate of it is averaged as any other.
+        text = "x \tADJ\t1\nx \tADJ\t2\na\rb\tNOUN\t1\na\rb\tNOUN\t3\n"
+        lex = load_lexicon(write(tmp_path, "l.tsv", text))
+        assert lex.scores["ADJ"] == {"x ": 1.5} and lex.scores["NOUN"] == {"a\rb": 2.0}
+
 
 class TestLookup:
     def test_form_hit(self, fixture_lexicon):
@@ -331,6 +376,23 @@ class TestDumpAndSniff:
         assert dump_lexicon(lex) == (
             "# scale: sfu\na\t*\t4\na\tADJ\t3\na\x01b\tADJ\t2\nab\tADJ\t1\n"
         )
+
+    def test_a_neutralized_key_does_not_load_back(self, tmp_path):
+        # The dump writes it as 0, a load drops a 0 line, and the lookup that
+        # stopped at the key falls through to the "*" key.
+        merged = merge_lexica(
+            [
+                load_lexicon(write(tmp_path, "a.tsv", "x\tADJ\t2\nx\t*\t3\n")),
+                load_lexicon(write(tmp_path, "b.tsv", "x\tADJ\t-2\n")),
+            ],
+            name="m",
+        )
+        assert merged.lookup("x", "x", "ADJ") == 0.0
+        dumped = dump_lexicon(merged)
+        assert dumped == "# scale: sfu\nx\t*\t3\nx\tADJ\t0\n"
+        again = load_lexicon(write(tmp_path, "m.tsv", dumped))
+        assert keys(again) == [("x", "*")]
+        assert again.lookup("x", "x", "ADJ") == 3.0
 
     def test_sniff_scale_header(self, tmp_path):
         path = write(tmp_path, "l.tsv", "# scale: senticon_raw\nraro\tADJ\t0.5\n")

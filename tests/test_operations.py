@@ -204,6 +204,31 @@ class TestRulesFileFaults:
             load_rules(path, wordlists)
         assert str(err.value) == f"{path}:{line_no}: not valid UTF-8: {reason}"
 
+    def test_a_block_fault_is_reported_before_a_later_blocks_line_fault(self):
+        # Each block is built when the next header closes it; a reader that
+        # built the blocks after reading every line reported line 10.
+        text = (
+            "[operation]\nname = a\ntrigger.pos = ADV\nscope = target\n\n"
+            "[operation]\nname = b\ntrigger.pos = ADV\ntau = shift(4)\ntau = shift(4)\n"
+            "scope = target\n"
+        )
+        with pytest.raises(RuleConfigError) as err:
+            parse_rules(text, {}, source="r.rules")
+        assert str(err.value) == "r.rules:1: rule 'a': missing required key 'tau'"
+
+    @pytest.mark.parametrize("header", [b"", b"[operation]\n"], ids=["open", "closed"])
+    def test_a_block_is_checked_when_a_header_or_the_end_closes_it(self, tmp_path, header):
+        # Without a header after it, the block is still open when the bad byte
+        # among the comments that trail it is read.
+        data = b"[operation]\nname = a\nscope = target\n" + header + self.PADDING + b"\xff\n"
+        path = self.write(tmp_path, data)
+        with pytest.raises(RuleConfigError) as err:
+            load_rules(path, {})
+        if header:
+            assert str(err.value) == f"{path}:1: rule 'a': missing required key 'tau'"
+        else:
+            assert str(err.value) == f"{path}:2004: not valid UTF-8: invalid start byte 0xff"
+
 
 RULE_TEMPLATE = """
 [operation]
@@ -263,9 +288,11 @@ class TestRuleParsing:
             parse_rules(text, lists)
 
     def test_unknown_key_rejected(self, lists):
+        # Refused at its own line, as a repeated key is, not at the header.
         text = RULE_TEMPLATE.format(tau="shift(4)", scope="target") + "speed = 9\n"
-        with pytest.raises(RuleConfigError):
-            parse_rules(text, lists)
+        with pytest.raises(RuleConfigError) as err:
+            parse_rules(text, lists, source="r.rules")
+        assert str(err.value) == "r.rules:11: unknown key 'speed' in [operation] block"
 
     def test_key_outside_block_rejected(self, lists):
         with pytest.raises(RuleConfigError):
@@ -446,6 +473,16 @@ class TestRuleTypesRefuseWhatRuleFilesRefuse:
                 lambda: TriggerPredicate(forms=frozenset({"no", ""})),
                 "trigger.forms '' names no word",
             ),
+            (lambda: Transformation("scale", 2.0), "unknown transformation kind 'scale'"),
+            (
+                lambda: Transformation(SHIFT),
+                "transformation needs a numeric amount or a booster source",
+            ),
+            (
+                lambda: Transformation(WEIGHTING, 0.5, "boosters"),
+                "transformation needs a numeric amount or a booster source",
+            ),
+            (lambda: ScopeSpec("left"), "unknown scope kind 'left'"),
         ],
         ids=[
             "empty-pos",
@@ -458,6 +495,10 @@ class TestRuleTypesRefuseWhatRuleFilesRefuse:
             "empty-branch-deprel",
             "empty-trigger-deprel",
             "empty-form",
+            "unknown-transformation-kind",
+            "no-amount",
+            "amount-and-booster",
+            "unknown-scope-kind",
         ],
     )
     def test_built_in_code(self, build, message):
@@ -480,6 +521,23 @@ class TestRuleTypesRefuseWhatRuleFilesRefuse:
         text = RULE_TEMPLATE.format(tau=tau, scope="target").replace("@negators", "@boosters")
         with pytest.raises(RuleConfigError) as err:
             parse_rules(text, lists)
+        assert str(err.value) == f"<rules>:2: rule 'demo': {message}"
+
+    @pytest.mark.parametrize(
+        "tau, scope, message",
+        [
+            ("scale(2)", "target", "unknown transformation kind 'scale'"),
+            ("shift(4)", "target,left", "unknown scope kind 'left'"),
+            ("shift(4)", "branch", "branch scopes take a deprel, other scopes do not"),
+            ("shift(4)", "b( )", "deprel '' names no relation"),
+        ],
+        ids=["transformation-kind", "scope-kind", "bare-branch", "empty-branch"],
+    )
+    def test_a_kind_read_from_a_file(self, tau, scope, message):
+        # The parser checks no kind: a rule type refuses it.
+        lists = {"negators": WordList("negators", {"no": None})}
+        with pytest.raises(RuleConfigError) as err:
+            parse_rules(RULE_TEMPLATE.format(tau=tau, scope=scope), lists)
         assert str(err.value) == f"<rules>:2: rule 'demo': {message}"
 
     def test_an_empty_word_list_is_still_a_form_set(self):

@@ -3,7 +3,9 @@ acceptance module, these favor shrinking and odd corners during development.
 Both drivers assert each shared property through ``property_checks``."""
 
 import math
+from pathlib import Path
 from random import Random
+from tempfile import TemporaryDirectory
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -19,9 +21,18 @@ from property_checks import (
     check_weighting_linear,
     source_scores,
 )
-from sisa import Document, NonFiniteScoreError, classify_document, compute_so, load_rules
-from sisa.lexicon import SentimentLexicon
+from sisa import (
+    Document,
+    NonFiniteScoreError,
+    UsageError,
+    classify_document,
+    compute_so,
+    load_lexicon,
+    load_rules,
+)
+from sisa.lexicon import POS_TAGS, SentimentLexicon, dump_lexicon, merge_lexica
 from sisa.operations import apply_weighting
+from sisa.util import format_so
 from treegen import random_document, random_tree, shaped_tree, vocab_lexicon, vocab_lists
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -106,6 +117,59 @@ def test_merge_is_source_order_independent(sources, seed):
 @given(sources=st.lists(lexica(), min_size=1, max_size=4))
 def test_merged_scores_bounded_and_sizes_bounded(sources):
     check_merge_bounds(sources)
+
+
+# Characters a lexicon line reads specially (field and line breaks, the
+# whitespace str.strip drops, a comment's "#") and a pair that lowercase alike.
+line_entries = st.text(alphabet="aA#é \t\n\r\x0b\x1c\x85\xa0\u2028İ", max_size=3)
+
+
+def holdable(entry):
+    """Whether a lexicon line's first field can hold the lowercased entry."""
+    entry = entry.lower()
+    return bool(entry) and entry == entry.strip() and entry[0] != "#" and not (
+        {"\t", "\n", "\r"} & set(entry)
+    )
+
+
+@st.composite
+def built_lexica(draw):
+    """A lexicon built with ``add``; each contribution may come with its
+    negation, so that some keys cancel out."""
+    lex = SentimentLexicon(name="built")
+    contributions = st.tuples(
+        line_entries,
+        st.sampled_from(POS_TAGS),
+        st.floats(min_value=-5, max_value=5, allow_nan=False),
+        st.booleans(),
+    )
+    for entry, pos, so, cancel in draw(st.lists(contributions, max_size=6)):
+        for value in (so, -so) if cancel else (so,):
+            try:
+                lex.add(entry, pos, value)
+            except UsageError:
+                assert not holdable(entry)
+            else:
+                assert holdable(entry)
+    return lex
+
+
+@settings(deadline=None)
+@given(sources=st.lists(built_lexica(), min_size=1, max_size=3))
+def test_a_dumped_lexicon_loads_back_as_the_lexicon_that_wrote_it(sources):
+    """Every key and score comes back as the dump wrote it, except the
+    neutralized keys: the dump writes them as 0, and a load drops a 0 line."""
+    lex = merge_lexica(sources, name="merged")
+    with TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dump.tsv"
+        path.write_text(dump_lexicon(lex), encoding="utf-8")
+        again = load_lexicon(path)
+    for pos, table in lex.scores.items():
+        kept = {entry: so for entry, so in table.items() if so}
+        assert again.scores[pos].keys() == kept.keys()
+        for entry, so in kept.items():
+            # The dump writes twelve significant digits (format_so).
+            assert again.scores[pos][entry].hex() == float(format_so(so)).hex()
 
 
 @settings(deadline=None)
