@@ -29,6 +29,8 @@ logger = logging.getLogger(__name__)
 SFU = "sfu"
 SENTICON_RAW = "senticon_raw"
 SCALES = (SFU, SENTICON_RAW)
+_SFU_LIMIT = 5.0  # the bound of an sfu score, loaded or added
+_ENTRY_RULE = "an entry is not empty and has no tab, \\n, \\r, leading '#' or whitespace at an end"
 
 POS_TAGS = ("ADJ", "NOUN", "ADV", "VERB", "*")
 # Each tag to itself: a provenance key stores the one string object of its tag.
@@ -39,6 +41,13 @@ _NO_TABLE: dict[str, float] = {}
 
 def _tables() -> dict[str, dict[str, float]]:
     return {tag: {} for tag in POS_TAGS}
+
+
+def _ragged(entry: str) -> bool:
+    """Whether a first field that :func:`read_records` yields, never empty, breaks
+    ``_ENTRY_RULE``: it ends in whitespace (as ``str.isspace`` sees it) or holds
+    ``\\r``. It never breaks the rest of the rule, which ``add`` checks as ``unread``."""
+    return entry[-1].isspace() or "\r" in entry
 
 
 def scale_senticon(so_raw: float) -> float:
@@ -74,42 +83,32 @@ class SentimentLexicon:
     provenance: dict[tuple[str, str], tuple[float, int]] = field(default_factory=dict)
 
     def add(self, entry: str, pos: str, so: float) -> None:
-        """Fold one contribution into the lexicon.
+        """Fold one contribution into the mean of ``(entry, pos)``.
 
         The entry is lowercased, as :func:`load_lexicon` does, and a
         contribution of exactly 0 is dropped, as a ``0`` line is. What a
         lexicon line cannot hold is a :class:`UsageError`: a PoS tag outside
-        ``POS_TAGS``; an entry that is empty, holds a tab, ``\\n`` or ``\\r``,
-        has whitespace at either end or starts with ``#``; a score that is
-        not finite.
+        ``POS_TAGS``, an entry that breaks ``_ENTRY_RULE`` and a score outside
+        [-5, 5], NaN included.
         """
         tag = _TAGS.get(pos)
         if tag is None:
             raise UsageError(f"unknown PoS tag {pos!r}; a lexicon key takes one of {POS_TAGS}")
         entry = entry.lower()
-        if entry.strip() != entry or entry[:1] in ("", "#") or any(c in entry for c in "\t\n\r"):
-            raise UsageError(
-                f"a lexicon line cannot hold the entry {entry!r}: an entry is not empty and has"
-                " no tab, \\n or \\r, no whitespace at either end and no leading '#'"
-            )
-        if not math.isfinite(so):
-            raise UsageError(f"non-finite score {so!r} for the lexicon entry {entry!r}")
-        if so:
-            self._fold(entry, tag, so)
-
-    def _fold(self, entry: str, pos: str, so: float) -> None:
-        """Fold a contribution into the mean of ``(entry, pos)``, unchecked."""
-        tag = _TAGS[pos]
+        unread = entry[:1] in ("", "#") or entry[0].isspace() or "\t" in entry or "\n" in entry
+        if unread or _ragged(entry):
+            raise UsageError(f"entry {entry!r} refused: {_ENTRY_RULE}")
+        if not abs(so) <= _SFU_LIMIT:  # also true for NaN
+            raise UsageError(f"score {so!r} of {entry!r} outside [-{_SFU_LIMIT:g}, {_SFU_LIMIT:g}]")
+        if not so:
+            return
         table = self.scores[tag]
-        old = table.get(entry)
-        count = 1
-        if old is not None:
+        if entry in table:
             key = (entry, tag)
-            so_sum, old_count = self.provenance.get(key, (old, 1))
-            so = so_sum + so
-            count = old_count + 1
-            self.provenance[key] = (so, count)
-        table[entry] = so / count or 0.0
+            so_sum, count = self.provenance.get(key, (table[entry], 1))
+            self.provenance[key] = (so_sum + so, count + 1)
+            so = (so_sum + so) / (count + 1) or 0.0
+        table[entry] = so
 
     def lookup(self, form: str, lemma: str, upos: str) -> float:
         """Score for a token, 0.0 when absent.
@@ -157,8 +156,8 @@ def load_lexicon(path: str | Path, scale: str | None = None) -> SentimentLexicon
     file's ``# scale:`` header decides (:func:`sniff_scale`), and a file
     without one is on the sfu scale. senticon_raw scores must have magnitude
     at most 1 and are rescaled before storage, so the returned lexicon is
-    always on the sfu scale. Duplicate (entry, pos) lines are merged by
-    averaging, summed in file order; zero-valued lines are dropped.
+    always on the sfu scale. An entry obeys ``_ENTRY_RULE``, and a repeated
+    key is folded by :meth:`SentimentLexicon.add`; zero lines are dropped.
 
     The file is read line by line, so a load holds the table, not the file;
     faults are reported in file order. The keys whose lines carry one score
@@ -181,15 +180,18 @@ def load_lexicon(path: str | Path, scale: str | None = None) -> SentimentLexicon
         table = tables.get(pos)
         if table is None:
             raise LexiconParseError(f"unknown PoS tag {pos!r}", str(path), line_no)
+        entry = entry.lower()
+        # A word of letters only keeps the rule; skipping the call keeps loads fast.
+        if not entry.isalpha() and _ragged(entry):
+            raise LexiconParseError(f"entry {entry!r} refused: {_ENTRY_RULE}", str(path), line_no)
         so = parsed.get(so_text)
         if so is None:
             so = _parse_score(so_text, scale, str(path), line_no)
             parsed[so_text] = so
         if not so:
             continue
-        entry = entry.lower()
         if entry in table:
-            lexicon._fold(entry, pos, so)
+            lexicon.add(entry, pos, so)
         else:
             table[entry] = so
     return lexicon
@@ -199,7 +201,7 @@ def _parse_score(so_text: str, scale: str, path: str, line_no: int) -> float:
     """A score text as stored: checked against the scale's range and
     rescaled on the senticon_raw scale; a zero stays zero."""
     rescale = scale == SENTICON_RAW
-    limit = 1.0 if rescale else 5.0
+    limit = 1.0 if rescale else _SFU_LIMIT
     try:
         so = parse_number(so_text)
     except ValueError:
@@ -323,11 +325,11 @@ def load_wordlist(path: str | Path) -> WordList:
     for line_no, columns in read_records(path, WordListParseError):
         if len(columns) > 2:
             raise WordListParseError(
-                f"expected at most 2 tab-separated fields, got {len(columns)}",
-                str(path),
-                line_no,
+                f"expected at most 2 tab-separated fields, got {len(columns)}", str(path), line_no
             )
         entry = columns[0].lower()
+        if _ragged(entry):
+            raise WordListParseError(f"entry {entry!r} refused: {_ENTRY_RULE}", str(path), line_no)
         value: float | None = None
         if len(columns) == 2:
             try:
@@ -337,9 +339,7 @@ def load_wordlist(path: str | Path) -> WordList:
                     f"non-numeric value {columns[1]!r}", str(path), line_no
                 ) from None
             if not math.isfinite(value):
-                raise WordListParseError(
-                    f"non-finite value {columns[1]!r}", str(path), line_no
-                )
+                raise WordListParseError(f"non-finite value {columns[1]!r}", str(path), line_no)
         if entry in wordlist.words:
             logger.warning("%s:%d: duplicate entry %r, keeping the last value", path, line_no, entry)
         wordlist.words[entry] = value

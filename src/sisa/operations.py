@@ -39,10 +39,10 @@ _UPOS = frozenset(
 
 
 def _check_bare(deprel: str) -> None:
-    if not deprel:
-        raise RuleConfigError("deprel '' names no relation")
     if ":" in deprel:
         raise RuleConfigError(f"deprel {deprel!r} has a :subtype; rules match the bare deprel")
+    if not (deprel.isascii() and deprel.isalpha()):
+        raise RuleConfigError(f"deprel {deprel!r} names no relation; a UD deprel is ASCII letters")
 
 
 def apply_weighting(beta: float, so: float) -> float:
@@ -83,8 +83,8 @@ class TriggerPredicate:
 
     ``None`` means wildcard. Refuses a predicate of wildcards only, and
     what would make a rule that never fires: a literal set naming nothing, an
-    empty word (a FORM is never empty), a PoS tag outside UD's UPOS tags, an
-    empty deprel or one with a ``:subtype``. Form sets may be shared
+    empty word (a FORM is never empty), a PoS tag outside UD's UPOS tags, a
+    deprel that has a ``:subtype`` or is not ASCII letters. Form sets may be shared
     :class:`WordList` objects or literal frozensets.
     :func:`sisa.engine.compute_so` tests the predicate against each node: the
     lowercased form or lemma must be in the form set, the UPOS in the PoS
@@ -115,8 +115,8 @@ class ScopeSpec:
     """One scope selector: the target node itself, the first branch with a
     given deprel, the first subjective branch left/right of the trigger's
     origin, or the whole accumulated level. Refuses an unknown kind, a branch
-    without a deprel, with an empty one or with a ``:subtype``, and a deprel
-    on any other kind."""
+    without a deprel, or with one that has a ``:subtype`` or is not ASCII
+    letters, and a deprel on any other kind."""
 
     kind: str
     deprel: str | None = None

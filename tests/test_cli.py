@@ -475,7 +475,7 @@ class TestInputLoading:
             ),
             (
                 "[operation]\nname = neg\ntrigger.pos = ADV\ntau = shift(4)\nscope = target,b( )\n",
-                "{rules}:1: rule 'neg': deprel '' names no relation",
+                "{rules}:1: rule 'neg': deprel '' names no relation; a UD deprel is ASCII letters",
             ),
         ],
         ids=["duplicate-key", "empty-branch"],

@@ -570,11 +570,11 @@ class TestWideAndDeep:
 def cancelling_lexicon():
     """Scores whose float sum shows the order and the algorithm it was taken
     with: sum([1e16, 1.0, -1e16]) is 0.0 before Python 3.12 and 1.0 from
-    3.12 on, whose float sum is compensated."""
+    3.12 on, whose float sum is compensated. ``add`` refuses a score past
+    [-5, 5], so the tables are written directly."""
     lex = SentimentLexicon(name="cancelling")
-    lex.add("bueno", "ADJ", 1e16)
-    lex.add("si", "*", 1.0)
-    lex.add("malo", "ADJ", -1e16)
+    lex.scores["ADJ"].update(bueno=1e16, malo=-1e16)
+    lex.scores["*"]["si"] = 1.0
     return lex
 
 
@@ -713,7 +713,7 @@ class TestScoreConfigs:
         lists = vocab_lists()
         defs = tuple(load_rules(DEFAULT_RULES, lists))
         huge = SentimentLexicon("huge")
-        huge.add("bueno", "ADJ", 1e308)
+        huge.scores["ADJ"]["bueno"] = 1e308  # past the [-5, 5] that add takes
         word = {form: i for i, (form, _, _) in enumerate(VOCAB)}
         # no -> bueno <- bueno: inf under huge with or without the negation.
         tree = build_tree([2, 0, 2], [word["no"], word["bueno"], word["bueno"]])

@@ -242,10 +242,11 @@ class TestEvaluate:
     def test_an_item_failing_under_two_configurations_records_the_first_configurations_error(
         self, sentences, order, message, default_rules, wordlists, tmp_path, caplog
     ):
+        # Scores past the [-5, 5] that add takes, written to the tables directly.
         single = SentimentLexicon("sl")
-        single.add("alto", "ADJ", 1e308)
+        single.scores["ADJ"]["alto"] = 1e308
         merged = SentimentLexicon("ml")
-        merged.add("bajo", "ADJ", -1e308)
+        merged.scores["ADJ"]["bajo"] = -1e308
         mixed = tmp_path / "mixed.conllu"
         mixed.write_text(
             "".join(

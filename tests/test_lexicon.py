@@ -21,6 +21,14 @@ from sisa.lexicon import (
     scale_senticon,
     sniff_scale,
 )
+from sisa.util import read_records
+
+
+ENTRY_RULE = "an entry is not empty and has no tab, \\n, \\r, leading '#' or whitespace at an end"
+UNHOLDABLE = ["", "#hash", "a\tb", "a\nb", "a\rb", " x", "x ", "x\x1c", "\xa0x", "\t"]
+UNHOLDABLE_IDS = [
+    "empty", "hash", "tab", "newline", "return", "lead", "trail", "x1c", "nbsp", "only-tab"
+]
 
 
 def keys(lexicon):
@@ -212,32 +220,55 @@ class TestAdd:
 
     # Dumped, some would not load back: "#hash\tADJ\t1" reads as a comment,
     # " x" as "x", and a tab or "\n" splits the line. Whitespace at the other
-    # end and "\r" are refused with them, as a field stripped or a line split
-    # at "\r" by another reader would lose them.
-    @pytest.mark.parametrize(
-        "entry",
-        ["", "#hash", "a\tb", "a\nb", "a\rb", " x", "x ", "x\x1c", "\xa0x", "\t"],
-        ids=[
-            "empty", "hash", "tab", "newline", "return", "lead", "trail", "x1c", "nbsp", "only-tab"
-        ],
-    )
+    # end and "\r" are refused with them: a load refuses them too.
+    @pytest.mark.parametrize("entry", UNHOLDABLE, ids=UNHOLDABLE_IDS)
     def test_an_entry_no_lexicon_line_holds_is_a_usage_error(self, entry):
         lex = SentimentLexicon(name="mem")
         with pytest.raises(UsageError) as err:
             lex.add(entry, "ADJ", 1.0)
-        assert str(err.value) == (
-            f"a lexicon line cannot hold the entry {entry.lower()!r}: an entry is not empty"
-            " and has no tab, \\n or \\r, no whitespace at either end and no leading '#'"
-        )
+        assert str(err.value) == f"entry {entry.lower()!r} refused: {ENTRY_RULE}"
         assert len(lex) == 0
+
+    @pytest.mark.parametrize("entry", UNHOLDABLE, ids=UNHOLDABLE_IDS)
+    def test_a_load_refuses_each_such_entry_a_line_carries(self, tmp_path, entry):
+        # A line carries the entry when the record reader yields it as the
+        # first field; otherwise the line is a comment, is split or stripped,
+        # or opens an empty field, and a load holds no such key either.
+        path = write(tmp_path, "l.tsv", f"ok\tADJ\t1\n{entry}\tADJ\t2\n")
+        carried = entry in ("a\rb", "x ", "x\x1c")
+        try:
+            fields = [columns[0] for _, columns in read_records(path, LexiconParseError)]
+        except LexiconParseError:  # an empty first field
+            fields = []
+        assert (fields == ["ok", entry]) == carried
+        try:
+            loaded = load_lexicon(path)
+        except LexiconParseError as err:
+            assert err.line_no == 2
+            refusal = f"{path}:2: entry {entry.lower()!r} refused: {ENTRY_RULE}"
+            assert (str(err) == refusal) == carried
+        else:
+            assert not carried and (entry.lower(), "ADJ") not in loaded
 
     @pytest.mark.parametrize("so", [math.inf, -math.inf, math.nan])
     def test_a_non_finite_score_is_a_usage_error(self, so):
         lex = SentimentLexicon(name="mem")
         with pytest.raises(UsageError) as err:
             lex.add("raro", "ADJ", so)
-        assert str(err.value) == f"non-finite score {so!r} for the lexicon entry 'raro'"
+        assert str(err.value) == f"score {so!r} of 'raro' outside [-5, 5]"
         assert len(lex) == 0
+
+    @pytest.mark.parametrize("so", [7.0, -5.000001, 1e308])
+    def test_a_score_past_five_is_a_usage_error(self, so):
+        # Dumped, it would not load back: a loaded sfu score lies in [-5, 5].
+        lex = SentimentLexicon(name="mem")
+        with pytest.raises(UsageError) as err:
+            lex.add("grande", "ADJ", so)
+        assert str(err.value) == f"score {so!r} of 'grande' outside [-5, 5]"
+        assert len(lex) == 0
+        for bound in (5.0, -5.0):
+            lex.add("grande", "ADJ", bound)
+        assert lex.scores["ADJ"] == {"grande": 0.0}
 
     def test_a_zero_contribution_is_dropped_as_a_zero_line_is(self, tmp_path):
         lex = SentimentLexicon(name="mem")
@@ -248,12 +279,16 @@ class TestAdd:
         assert lex.scores == loaded.scores and lex.provenance == loaded.provenance
         assert keys(lex) == [("raro", "ADJ")] and lex.provenance == {}
 
-    def test_a_loaded_file_keeps_what_add_refuses(self, tmp_path):
-        # A line holds an entry with trailing whitespace or an inner \r, and
-        # a duplicate of it is averaged as any other.
-        text = "x \tADJ\t1\nx \tADJ\t2\na\rb\tNOUN\t1\na\rb\tNOUN\t3\n"
-        lex = load_lexicon(write(tmp_path, "l.tsv", text))
-        assert lex.scores["ADJ"] == {"x ": 1.5} and lex.scores["NOUN"] == {"a\rb": 2.0}
+    def test_a_line_is_refused_the_entry_add_refuses(self, tmp_path):
+        # Trailing whitespace or an inner \r: no lowercased form or lemma
+        # equals the key, so a load once kept a key no token matched.
+        lines = [("x \tADJ\t1\n", 1, "x "), ("ok\tADJ\t1\na\rb\tNOUN\t1\n", 2, "a\rb")]
+        for text, line_no, entry in lines:
+            path = write(tmp_path, "l.tsv", text)
+            with pytest.raises(LexiconParseError) as err:
+                load_lexicon(path)
+            assert str(err.value) == f"{path}:{line_no}: entry {entry!r} refused: {ENTRY_RULE}"
+            assert err.value.line_no == line_no
 
 
 class TestLookup:
@@ -562,6 +597,15 @@ class TestWordList:
     def test_non_finite_value_rejected(self, tmp_path):
         with pytest.raises(WordListParseError):
             load_wordlist(write(tmp_path, "b.tsv", "muy\tinf\n"))
+
+    @pytest.mark.parametrize("entry", ["muy ", "muy\x1c", "m\ruy"], ids=repr)
+    def test_an_entry_add_refuses_is_refused(self, tmp_path, entry):
+        # Kept, "muy " was a booster that never fired and never gave a value.
+        path = write(tmp_path, "b.tsv", f"poco\t0.1\n{entry}\t0.3\n")
+        with pytest.raises(WordListParseError) as err:
+            load_wordlist(path)
+        assert str(err.value) == f"{path}:2: entry {entry!r} refused: {ENTRY_RULE}"
+        assert err.value.line_no == 2
 
     def test_entries_lowercased(self, tmp_path):
         wl = load_wordlist(write(tmp_path, "n.txt", "NO\n"))

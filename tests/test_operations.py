@@ -230,6 +230,8 @@ class TestRulesFileFaults:
             assert str(err.value) == f"{path}:2004: not valid UTF-8: invalid start byte 0xff"
 
 
+NO_RELATION = "names no relation; a UD deprel is ASCII letters"
+
 RULE_TEMPLATE = """
 [operation]
 name = demo
@@ -464,10 +466,15 @@ class TestRuleTypesRefuseWhatRuleFilesRefuse:
                 lambda: Transformation(SHIFT, booster_source="boosters"),
                 "booster-driven amounts are only legal for weighting",
             ),
-            (lambda: ScopeSpec(BRANCH, ""), "deprel '' names no relation"),
+            (lambda: ScopeSpec(BRANCH, ""), f"deprel '' {NO_RELATION}"),
             (
                 lambda: TriggerPredicate(deprel=frozenset({"neg", ""})),
-                "deprel '' names no relation",
+                f"deprel '' {NO_RELATION}",
+            ),
+            (lambda: ScopeSpec(BRANCH, "x)"), f"deprel 'x)' {NO_RELATION}"),
+            (
+                lambda: TriggerPredicate(deprel=frozenset({"a b"})),
+                f"deprel 'a b' {NO_RELATION}",
             ),
             (
                 lambda: TriggerPredicate(forms=frozenset({"no", ""})),
@@ -494,6 +501,8 @@ class TestRuleTypesRefuseWhatRuleFilesRefuse:
             "shift-by-booster",
             "empty-branch-deprel",
             "empty-trigger-deprel",
+            "branch-deprel-past-its-paren",
+            "trigger-deprel-with-a-space",
             "empty-form",
             "unknown-transformation-kind",
             "no-amount",
@@ -529,9 +538,10 @@ class TestRuleTypesRefuseWhatRuleFilesRefuse:
             ("scale(2)", "target", "unknown transformation kind 'scale'"),
             ("shift(4)", "target,left", "unknown scope kind 'left'"),
             ("shift(4)", "branch", "branch scopes take a deprel, other scopes do not"),
-            ("shift(4)", "b( )", "deprel '' names no relation"),
+            ("shift(4)", "b( )", f"deprel '' {NO_RELATION}"),
+            ("shift(4)", "b(x))", f"deprel 'x)' {NO_RELATION}"),
         ],
-        ids=["transformation-kind", "scope-kind", "bare-branch", "empty-branch"],
+        ids=["transformation-kind", "scope-kind", "bare-branch", "empty-branch", "past-paren"],
     )
     def test_a_kind_read_from_a_file(self, tau, scope, message):
         # The parser checks no kind: a rule type refuses it.
@@ -539,6 +549,14 @@ class TestRuleTypesRefuseWhatRuleFilesRefuse:
         with pytest.raises(RuleConfigError) as err:
             parse_rules(RULE_TEMPLATE.format(tau=tau, scope=scope), lists)
         assert str(err.value) == f"<rules>:2: rule 'demo': {message}"
+
+    def test_a_trigger_deprel_no_ud_deprel_spells_read_from_a_file(self):
+        text = RULE_TEMPLATE.format(tau="shift(4)", scope="target").replace(
+            "trigger.deprel = neg,advmod", "trigger.deprel = neg,a b"
+        )
+        with pytest.raises(RuleConfigError) as err:
+            parse_rules(text, {"negators": WordList("negators", {"no": None})})
+        assert str(err.value) == f"<rules>:2: rule 'demo': deprel 'a b' {NO_RELATION}"
 
     def test_an_empty_word_list_is_still_a_form_set(self):
         # Only a literal set naming nothing is refused; a word list file may be empty.

@@ -135,12 +135,13 @@ def holdable(entry):
 @st.composite
 def built_lexica(draw):
     """A lexicon built with ``add``; each contribution may come with its
-    negation, so that some keys cancel out."""
+    negation, so that some keys cancel out. A score past [-5, 5], infinite
+    or NaN is refused as an entry no line holds is."""
     lex = SentimentLexicon(name="built")
     contributions = st.tuples(
         line_entries,
         st.sampled_from(POS_TAGS),
-        st.floats(min_value=-5, max_value=5, allow_nan=False),
+        st.floats(min_value=-5, max_value=5) | st.floats(),
         st.booleans(),
     )
     for entry, pos, so, cancel in draw(st.lists(contributions, max_size=6)):
@@ -148,9 +149,9 @@ def built_lexica(draw):
             try:
                 lex.add(entry, pos, value)
             except UsageError:
-                assert not holdable(entry)
+                assert not (holdable(entry) and abs(value) <= 5)
             else:
-                assert holdable(entry)
+                assert holdable(entry) and abs(value) <= 5
     return lex
 
 
