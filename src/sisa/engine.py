@@ -195,9 +195,9 @@ def _booster_value(
     wordlist = lists.get(source)
     if wordlist is None:
         return 0.0, True
-    value = wordlist.value(form)
+    value = wordlist.get(form)
     if value is None:
-        value = wordlist.value(lemma)
+        value = wordlist.get(lemma)
     if value is None:
         return 0.0, True
     return value, False
@@ -386,7 +386,7 @@ def compile_rules(defs: Sequence[OperationDefinition]) -> CompiledRules:
             for fired in by_word.values():
                 fired.append(rule)
         else:
-            for word in forms.words if isinstance(forms, WordList) else forms:
+            for word in forms:
                 by_word.setdefault(word, always.copy()).append(rule)
         apply = apply_weighting if transform.kind == WEIGHTING else apply_shift
         scopes = tuple((spec.kind, spec.deprel, str(spec)) for spec in definition.scopes)

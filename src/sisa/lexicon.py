@@ -59,7 +59,7 @@ def scale_senticon(so_raw: float) -> float:
     """
     if so_raw == 0:
         raise UsageError("zero-polarity scores are not stored and cannot be rescaled")
-    if abs(so_raw) > 1:
+    if not abs(so_raw) <= 1:  # also true for NaN
         raise UsageError(f"raw score {so_raw} outside [-1, 1]")
     return math.copysign(1.0 + 4.0 * abs(so_raw), so_raw)
 
@@ -301,27 +301,15 @@ def dump_lexicon(lexicon: SentimentLexicon) -> str:
     return f"# scale: {SFU}\n" + "".join(lines)
 
 
-@dataclass
-class WordList:
-    """A set of trigger words, optionally carrying per-word booster values."""
-
-    name: str
-    words: dict[str, float | None] = field(default_factory=dict)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.words
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def value(self, word: str) -> float | None:
-        return self.words.get(word)
+# A trigger word list: each lowercased word to its booster value, ``None`` for
+# a word without one.
+WordList = dict[str, float | None]
 
 
 def load_wordlist(path: str | Path) -> WordList:
     """Load a word list file: one ``entry`` or ``entry<TAB>value`` per line."""
     path = Path(path)
-    wordlist = WordList(name=path.stem)
+    wordlist: WordList = {}
     for line_no, columns in read_records(path, WordListParseError):
         if len(columns) > 2:
             raise WordListParseError(
@@ -340,9 +328,9 @@ def load_wordlist(path: str | Path) -> WordList:
                 ) from None
             if not math.isfinite(value):
                 raise WordListParseError(f"non-finite value {columns[1]!r}", str(path), line_no)
-        if entry in wordlist.words:
+        if entry in wordlist:
             logger.warning("%s:%d: duplicate entry %r, keeping the last value", path, line_no, entry)
-        wordlist.words[entry] = value
+        wordlist[entry] = value
     return wordlist
 
 

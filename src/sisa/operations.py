@@ -84,8 +84,8 @@ class TriggerPredicate:
     ``None`` means wildcard. Refuses a predicate of wildcards only, and
     what would make a rule that never fires: a literal set naming nothing, an
     empty word (a FORM is never empty), a PoS tag outside UD's UPOS tags, a
-    deprel that has a ``:subtype`` or is not ASCII letters. Form sets may be shared
-    :class:`WordList` objects or literal frozensets.
+    deprel that has a ``:subtype`` or is not ASCII letters. A form set is a
+    shared word list (a dict, which may be empty) or a literal frozenset.
     :func:`sisa.engine.compute_so` tests the predicate against each node: the
     lowercased form or lemma must be in the form set, the UPOS in the PoS
     set, and the deprel without its ``:subtype`` suffix in the deprel set.
@@ -99,7 +99,7 @@ class TriggerPredicate:
         if self.forms is None and self.pos is None and self.deprel is None:
             raise RuleConfigError("trigger predicate must constrain at least one field")
         for key, value in (("forms", self.forms), ("pos", self.pos), ("deprel", self.deprel)):
-            if value is not None and not value and not isinstance(value, WordList):
+            if value is not None and not value and not isinstance(value, dict):
                 raise RuleConfigError(f"trigger.{key} names nothing; use * for any")
         if self.forms is not None and "" in self.forms:
             raise RuleConfigError("trigger.forms '' names no word")
@@ -140,8 +140,8 @@ class OperationDefinition:
     ``delta`` is how many head links the triggered instance climbs before it
     is applied; higher ``priority`` applies first when several operations are
     dequeued at the same level. A trigger word list that is empty is
-    accepted, as an empty word-list file is, with a warning: such a rule
-    never fires.
+    accepted, as an empty word-list file is; reading a rules file warns of
+    such a rule, which never fires.
     """
 
     name: str
@@ -156,13 +156,6 @@ class OperationDefinition:
             raise RuleConfigError(f"rule {self.name!r}: delta must be >= 0")
         if not self.scopes:
             raise RuleConfigError(f"rule {self.name!r}: scope list must not be empty")
-        forms = self.trigger.forms
-        if isinstance(forms, WordList) and not forms:
-            logger.warning(
-                "rule %r: trigger word list %r is empty, so the rule never fires",
-                self.name,
-                forms.name,
-            )
 
 
 _TAU_RE = re.compile(r"^(\w+)\((.+)\)$")
@@ -230,8 +223,9 @@ def _build_definition(block: dict[str, str], lists: Mapping[str, WordList]) -> O
         for key in ("tau", "scope"):
             if key not in block:
                 raise RuleConfigError(f"missing required key {key!r}")
+        forms = block.get("trigger.forms", "*")
         trigger = TriggerPredicate(
-            _parse_forms(block.get("trigger.forms", "*"), lists),
+            _parse_forms(forms, lists),
             _parse_set(block.get("trigger.pos", "*")),
             _parse_set(block.get("trigger.deprel", "*")),
         )
@@ -241,7 +235,12 @@ def _build_definition(block: dict[str, str], lists: Mapping[str, WordList]) -> O
         transform = _parse_tau(block["tau"], lists)
     except (RuleConfigError, ValueError) as exc:
         raise RuleConfigError(f"rule {name!r}: {exc}") from None
-    return OperationDefinition(name, trigger, transform, delta, priority, scopes)
+    definition = OperationDefinition(name, trigger, transform, delta, priority, scopes)
+    if forms.startswith("@") and not trigger.forms:
+        logger.warning(
+            "rule %r: trigger word list %r is empty, so the rule never fires", name, forms[1:]
+        )
+    return definition
 
 
 def parse_rules(

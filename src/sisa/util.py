@@ -21,13 +21,14 @@ def format_so(value: float) -> str:
 
 
 def parse_number(text: str, kind: type[float] | type[int] = float) -> float | int:
-    """``kind(text)`` for a number written in ASCII without ``_``.
+    """``kind(text)`` for a number written in ASCII without ``_`` or whitespace
+    around it.
 
-    ``float()`` and ``int()`` also take "0_5" as 5 and "\u0663" or "\uff13" as 3;
-    the numbers of every input file are plain ASCII. Other text raises the
-    ``ValueError`` that ``kind`` raises for non-numeric text.
+    ``float()`` and ``int()`` also take "0_5" as 5, "\u0663" or "\uff13" as 3
+    and " 1" as 1; the numbers of every input file are plain ASCII. Other text
+    raises the ``ValueError`` that ``kind`` raises for non-numeric text.
     """
-    if text.isascii() and "_" not in text:
+    if text.isascii() and "_" not in text and text == text.strip():
         return kind(text)
     if kind is int:
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")

@@ -44,9 +44,9 @@ def _beta_for(defn, token, lists) -> float:
     wordlist = lists.get(source)
     if wordlist is None:
         return 0.0
-    value = wordlist.value(token.form.lower())
+    value = wordlist.get(token.form.lower())
     if value is None:
-        value = wordlist.value(token.lemma.lower())
+        value = wordlist.get(token.lemma.lower())
     return 0.0 if value is None else value
 
 

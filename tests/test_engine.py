@@ -9,7 +9,7 @@ from conftest import DEFAULT_RULES
 from reference import _materialize_jobs, reference_so
 from sisa import DepTree, NonFiniteScoreError, Token, compute_so, engine, load_rules, read_document
 from sisa.engine import check_finite, compile_rules, score_configs
-from sisa.lexicon import SentimentLexicon, WordList
+from sisa.lexicon import SentimentLexicon
 from sisa.operations import (
     ALL,
     BRANCH,
@@ -213,7 +213,7 @@ def chain_tree(forms_upos_deprels):
 class TestDepthAndForcing:
     @pytest.fixture()
     def lists(self):
-        return {"negators": WordList("negators", {"no": None})}
+        return {"negators": {"no": None}}
 
     def deep_negation_rule(self, lists, delta):
         text = f"""
@@ -281,7 +281,7 @@ scope = b(cop)
         assert trace.sentence_so == 3.5
 
     def test_missing_booster_warns_and_noops(self, fixture_lexicon):
-        lists = {"boosters": WordList("boosters", {"muy": 0.25})}
+        lists = {"boosters": {"muy": 0.25}}
         text = """
 [operation]
 name = intensify
@@ -321,7 +321,7 @@ scope = target
         )
 
     def test_missing_booster_warnings_follow_the_post_order(self, fixture_lexicon):
-        lists = {"boosters": WordList("boosters", {"muy": 0.25})}
+        lists = {"boosters": {"muy": 0.25}}
         rule = """
 [operation]
 name = {name}
@@ -780,7 +780,7 @@ class TestRecordingSwitch:
         lists = vocab_lists()
         defs = load_rules(DEFAULT_RULES, lists)
         # 'muy' still triggers intensification, but has no weighting amount.
-        valueless = dict(lists, boosters=WordList("boosters", {"muy": None}))
+        valueless = dict(lists, boosters={"muy": None})
         rng = Random(4242)
         for _ in range(300):
             tree = random_tree(rng, max_nodes=12)
@@ -868,7 +868,7 @@ class TestCompiledRules:
         assert compiled.always == ()
         fires = {}
         for index, definition in enumerate(default_rules):
-            for word in definition.trigger.forms.words:
+            for word in definition.trigger.forms:
                 fires.setdefault(word, []).append((index, definition.name))
         assert {word: [rule[:2] for rule in rules] for word, rules in compiled.table.items()} == fires
 
@@ -1014,7 +1014,7 @@ class TestTriggerTable:
     """A node tests only the rules its lowercased form or lemma can fire,
     and fires them in definition order, the unconstrained rules included."""
 
-    LISTS = {"boosters": WordList("boosters", {"muy": 0.25})}
+    LISTS = {"boosters": {"muy": 0.25}}
     RULES = """
 [operation]
 name = by_lemma
@@ -1103,8 +1103,8 @@ class TestRenderLines:
     booster value and the warning it raises."""
 
     LISTS = {
-        "negators": WordList("negators", {"no": None}),
-        "boosters": WordList("boosters", {"muy": 0.25, "bastante": None}),
+        "negators": {"no": None},
+        "boosters": {"muy": 0.25, "bastante": None},
     }
     RULES = """
 [operation]
@@ -1245,7 +1245,7 @@ class TestFlatRecords:
         lex = neutralized_lexicon()
         lists = vocab_lists()
         # 'muy' still triggers intensification, but has no weighting amount.
-        valueless = dict(lists, boosters=WordList("boosters", {"muy": None}))
+        valueless = dict(lists, boosters={"muy": None})
         rules = load_rules(DEFAULT_RULES, lists)
         rng = Random(1106)
         seen = {"forced": 0, "discarded": 0, "backoff": 0, "missing": 0}

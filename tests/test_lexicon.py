@@ -59,8 +59,9 @@ class TestScaleSenticon:
             scale_senticon(0.0)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(UsageError):
-            scale_senticon(1.5)
+        for so_raw in (1.5, -1.5, math.inf, -math.inf, math.nan):
+            with pytest.raises(UsageError):
+                scale_senticon(so_raw)
 
     def test_monotone_and_sign_preserving(self):
         values = [i / 100 for i in range(1, 101)]
@@ -91,8 +92,8 @@ class TestLoadLexicon:
             load_lexicon(write(tmp_path, "l.tsv", "# ok\nraro\tADJ\tabc\n"))
         assert err.value.line_no == 2
 
-    # float() takes "0_5" as 5.0 and each of the other two as 2.0.
-    @pytest.mark.parametrize("so_text", ["0_5", "٢", "２"])
+    # float() takes "0_5" as 5.0, "٢" and "２" as 2.0, and " 1" as 1.0.
+    @pytest.mark.parametrize("so_text", ["0_5", "٢", "２", " 1"])
     @pytest.mark.parametrize("scale", ["sfu", "senticon_raw"])
     def test_scores_are_ascii_without_underscores(self, tmp_path, so_text, scale):
         path = write(tmp_path, "l.tsv", f"raro\tADJ\t1\nmal\tADJ\t{so_text}\n")
@@ -563,17 +564,16 @@ class TestByteOrderMark:
 class TestWordList:
     def test_booster_value(self, tmp_path):
         wl = load_wordlist(write(tmp_path, "boosters.tsv", "muy\t0.25\n"))
-        assert wl.value("muy") == 0.25
+        assert wl == {"muy": 0.25}
 
     def test_plain_entry(self, tmp_path):
         wl = load_wordlist(write(tmp_path, "negators.txt", "no\n"))
-        assert "no" in wl
-        assert wl.value("no") is None
+        assert wl == {"no": None}
 
     def test_duplicate_last_wins_with_warning(self, tmp_path, caplog):
         with caplog.at_level("WARNING", logger="sisa.lexicon"):
             wl = load_wordlist(write(tmp_path, "b.tsv", "muy\t0.25\nmuy\t0.5\n"))
-        assert wl.value("muy") == 0.5
+        assert wl == {"muy": 0.5}
         assert any("duplicate" in record.message for record in caplog.records)
 
     def test_non_numeric_value_rejected(self, tmp_path):
@@ -586,8 +586,8 @@ class TestWordList:
             load_wordlist(path)
         assert str(err.value) == f"{path}:2: expected at most 2 tab-separated fields, got 3"
 
-    # float() takes "0_5" as 5.0 and each of the other two as 2.0.
-    @pytest.mark.parametrize("value", ["0_5", "٢", "２"])
+    # float() takes "0_5" as 5.0, "٢" and "２" as 2.0, and " 0.3" as 0.3.
+    @pytest.mark.parametrize("value", ["0_5", "٢", "２", " 0.3"])
     def test_values_are_ascii_without_underscores(self, tmp_path, value):
         path = write(tmp_path, "b.tsv", f"muy\t0.25\npoco\t{value}\n")
         with pytest.raises(WordListParseError) as err:

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import DEFAULT_RULES, bom_copy
 from sisa import DepTree, RuleConfigError, Token, compute_so, load_rules
-from sisa.lexicon import SentimentLexicon, WordList
+from sisa.lexicon import SentimentLexicon
 from sisa.operations import (
     ALL,
     BRANCH,
@@ -248,7 +248,7 @@ scope = {scope}
 class TestRuleParsing:
     @pytest.fixture()
     def lists(self):
-        return {"negators": WordList("negators", {"no": None})}
+        return {"negators": {"no": None}}
 
     def test_inline_comments_stripped(self, lists):
         text = RULE_TEMPLATE.format(tau="shift(4)  # like the default", scope="target,all")
@@ -278,13 +278,13 @@ class TestRuleParsing:
         assert "@negators" in str(err.value)
 
     def test_booster_reference_in_tau(self, lists):
-        lists = dict(lists, boosters=WordList("boosters", {"muy": 0.25}))
+        lists = dict(lists, boosters={"muy": 0.25})
         text = RULE_TEMPLATE.format(tau="weighting(@boosters)", scope="target")
         (defn,) = parse_rules(text, lists)
         assert defn.transform.booster_source == "boosters"
 
     def test_shift_with_booster_rejected(self, lists):
-        lists = dict(lists, boosters=WordList("boosters", {"muy": 0.25}))
+        lists = dict(lists, boosters={"muy": 0.25})
         text = RULE_TEMPLATE.format(tau="shift(@boosters)", scope="target")
         with pytest.raises(RuleConfigError):
             parse_rules(text, lists)
@@ -526,7 +526,7 @@ class TestRuleTypesRefuseWhatRuleFilesRefuse:
         ids=["inf", "overflow", "nan", "shift-by-booster"],
     )
     def test_read_from_a_file(self, tau, message):
-        lists = {"boosters": WordList("boosters", {"muy": 0.25})}
+        lists = {"boosters": {"muy": 0.25}}
         text = RULE_TEMPLATE.format(tau=tau, scope="target").replace("@negators", "@boosters")
         with pytest.raises(RuleConfigError) as err:
             parse_rules(text, lists)
@@ -545,7 +545,7 @@ class TestRuleTypesRefuseWhatRuleFilesRefuse:
     )
     def test_a_kind_read_from_a_file(self, tau, scope, message):
         # The parser checks no kind: a rule type refuses it.
-        lists = {"negators": WordList("negators", {"no": None})}
+        lists = {"negators": {"no": None}}
         with pytest.raises(RuleConfigError) as err:
             parse_rules(RULE_TEMPLATE.format(tau=tau, scope=scope), lists)
         assert str(err.value) == f"<rules>:2: rule 'demo': {message}"
@@ -555,12 +555,20 @@ class TestRuleTypesRefuseWhatRuleFilesRefuse:
             "trigger.deprel = neg,advmod", "trigger.deprel = neg,a b"
         )
         with pytest.raises(RuleConfigError) as err:
-            parse_rules(text, {"negators": WordList("negators", {"no": None})})
+            parse_rules(text, {"negators": {"no": None}})
         assert str(err.value) == f"<rules>:2: rule 'demo': deprel 'a b' {NO_RELATION}"
 
     def test_an_empty_word_list_is_still_a_form_set(self):
         # Only a literal set naming nothing is refused; a word list file may be empty.
-        assert TriggerPredicate(forms=WordList("empty")).forms == WordList("empty")
+        empty = {}
+        assert TriggerPredicate(forms=empty).forms is empty
+
+    def test_a_rule_triggers_on_the_loaded_list_itself(self, wordlists, default_rules):
+        forms = {d.name: d.trigger.forms for d in default_rules}
+        assert forms["negation"] is wordlists["negators"]
+        assert forms["intensification"] is wordlists["boosters"]
+        assert forms["adversative"] is wordlists["adversatives"]
+        assert forms["irrealis"] is wordlists["irrealis"]
 
     def test_a_rule_file_drops_empty_items(self):
         text = RULE_TEMPLATE.format(tau="shift(4)", scope="b(neg), , target").replace(
@@ -574,14 +582,23 @@ class TestRuleTypesRefuseWhatRuleFilesRefuse:
     def test_an_empty_trigger_word_list_warns_once(self, caplog):
         text = RULE_TEMPLATE.format(tau="shift(4)", scope="target")
         with caplog.at_level("WARNING", logger="sisa.operations"):
-            (rule,) = parse_rules(text, {"negators": WordList("negators")})
-        assert rule.trigger.forms == WordList("negators")
+            (rule,) = parse_rules(text, {"negators": {}})
+        assert rule.trigger.forms == {}
         assert [record.getMessage() for record in caplog.records] == [
             "rule 'demo': trigger word list 'negators' is empty, so the rule never fires"
         ]
         caplog.clear()
         with caplog.at_level("WARNING", logger="sisa.operations"):
-            parse_rules(text, {"negators": WordList("negators", {"no": None})})
+            parse_rules(text, {"negators": {"no": None}})
+        assert caplog.records == []
+
+    def test_an_empty_trigger_word_list_built_in_code_does_not_warn(self, caplog):
+        # Only the parser knows the name a rule gives its list.
+        trigger = TriggerPredicate(forms={})
+        with caplog.at_level("WARNING", logger="sisa.operations"):
+            OperationDefinition(
+                "demo", trigger, Transformation(SHIFT, 4.0), 1, 2, (ScopeSpec(TARGET),)
+            )
         assert caplog.records == []
 
     @pytest.mark.parametrize("tag", ["adv", "ADVERB"])
@@ -596,7 +613,7 @@ class TestRuleTypesRefuseWhatRuleFilesRefuse:
             "trigger.pos = *", f"trigger.pos = ADJ, {tag}"
         )
         with pytest.raises(RuleConfigError) as err:
-            parse_rules(text, {"negators": WordList("negators", {"no": None})})
+            parse_rules(text, {"negators": {"no": None}})
         assert str(err.value) == f"<rules>:2: rule 'demo': {message}"
 
     def test_every_ud_upos_tag_accepted(self):

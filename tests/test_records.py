@@ -96,7 +96,7 @@ def test_a_bom_and_crlf_copy_of_the_boosters_loads_the_same_list(tmp_path):
     plain = LISTS_DIR / "boosters.tsv"
     loaded, expected = load_wordlist(crlf_copy(plain, tmp_path)), load_wordlist(plain)
     assert loaded == expected
-    assert list(loaded.words.items()) == list(expected.words.items())
+    assert list(loaded.items()) == list(expected.items())
 
 
 def test_a_bom_and_crlf_copy_of_a_manifest_loads_the_same_items(tmp_path):

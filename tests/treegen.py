@@ -34,10 +34,10 @@ def vocab_lexicon() -> SentimentLexicon:
 
 def vocab_lists() -> dict[str, WordList]:
     return {
-        "boosters": WordList("boosters", {"muy": 0.25}),
-        "negators": WordList("negators", {"no": None}),
-        "adversatives": WordList("adversatives", {"pero": None}),
-        "irrealis": WordList("irrealis", {"si": None}),
+        "boosters": {"muy": 0.25},
+        "negators": {"no": None},
+        "adversatives": {"pero": None},
+        "irrealis": {"si": None},
     }
 
 
