@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -258,6 +259,12 @@ def merge_lexica(sources: Sequence[SentimentLexicon], name: str) -> SentimentLex
     that source order cannot change the result. Keys whose contributions
     cancel to exactly 0 are retained as neutralized entries so that merge
     statistics stay auditable.
+
+    The merged tables keep the order in which keys were first seen;
+    :func:`dump_lexicon` writes them by entry, then tag, as ``str`` compares
+    (``a``, ``a\\x01b``, ``ab``). The cost is one table update per source
+    and tag, and one pass over the sources per shared key, its sums added by
+    one :func:`math.fsum`.
     """
     if not sources:
         raise UsageError("merge requires at least one source lexicon")
@@ -266,20 +273,22 @@ def merge_lexica(sources: Sequence[SentimentLexicon], name: str) -> SentimentLex
     for lex in sources:
         provenance.update(lex.provenance)
     for pos, table in merged.scores.items():
+        parts = [(lex.scores[pos], lex.provenance) for lex in sources]
         shared: set[str] = set()
-        for lex in sources:
-            source = lex.scores[pos]
+        for source, _ in parts:
             shared.update(table.keys() & source.keys())
             table.update(source)
         for entry in shared:
             key = (entry, pos)
-            parts = [
-                lex.provenance.get(key) or (lex.scores[pos][entry], 1)
-                for lex in sources
-                if entry in lex.scores[pos]
-            ]
-            so_sum = math.fsum(part[0] for part in parts)
-            count = sum(part[1] for part in parts)
+            sums = []
+            count = 0
+            for source, source_provenance in parts:
+                so = source.get(entry)
+                if so is not None:
+                    part_sum, part_count = source_provenance.get(key, (so, 1))
+                    sums.append(part_sum)
+                    count += part_count
+            so_sum = math.fsum(sums)
             provenance[key] = (so_sum, count)
             table[entry] = so_sum / count or 0.0
     return merged
@@ -293,11 +302,22 @@ def dump_lexicon(lexicon: SentimentLexicon) -> str:
     call to keep the weighting. A neutralized key is written as ``0``, and a
     load drops a ``0`` line, so it does not load back: a lookup it stopped
     falls through to the later keys.
+
+    Lines order as ``str`` compares entry, then tag (``a``, ``a\\x01b``,
+    ``ab``): the rows are built tag by tag in sorted tag order and sorted
+    once, stably, on the entry string. The cost is one sort of the n entry
+    strings and one :func:`format_so` call per distinct score.
     """
-    rows = sorted(
-        (entry, pos, so) for pos, table in lexicon.scores.items() for entry, so in table.items()
-    )
-    lines = [f"{entry}\t{pos}\t{format_so(so)}\n" for entry, pos, so in rows]
+    scores = lexicon.scores
+    rows = [(entry, pos, so) for pos in sorted(scores) for entry, so in scores[pos].items()]
+    rows.sort(key=itemgetter(0))
+    texts: dict[float, str] = {}
+    lines = []
+    for entry, pos, so in rows:
+        text = texts.get(so)
+        if text is None:
+            text = texts[so] = format_so(so)
+        lines.append(f"{entry}\t{pos}\t{text}\n")
     return f"# scale: {SFU}\n" + "".join(lines)
 
 

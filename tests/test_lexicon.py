@@ -2,6 +2,7 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, LISTS_DIR, bom_copy
 from sisa import (
@@ -21,7 +22,7 @@ from sisa.lexicon import (
     scale_senticon,
     sniff_scale,
 )
-from sisa.util import read_records
+from sisa.util import format_so, read_records
 
 
 ENTRY_RULE = "an entry is not empty and has no tab, \\n, \\r, leading '#' or whitespace at an end"
@@ -411,6 +412,54 @@ class TestDumpAndSniff:
         lex.add("a", "*", 4.0)
         assert dump_lexicon(lex) == (
             "# scale: sfu\na\t*\t4\na\tADJ\t3\na\x01b\tADJ\t2\nab\tADJ\t1\n"
+        )
+
+    def test_each_distinct_score_is_formatted_once(self, monkeypatch):
+        # 2.0 under three tags and from both sources; 0.0 from a key neutralized
+        # within a source and from one neutralized by the merge; -3.0 once; a
+        # 0.0 contribution, which is dropped.
+        a = SentimentLexicon(name="a")
+        for entry, pos, so in [("bueno", "ADJ", 2.0), ("bueno", "*", 2.0), ("x", "ADJ", 1.0)]:
+            a.add(entry, pos, so)
+        b = SentimentLexicon(name="b")
+        for entry, pos, so in [
+            ("bueno", "ADJ", 2.0), ("bien", "ADV", 2.0), ("x", "ADJ", -1.0), ("malo", "ADJ", -3.0),
+            ("nada", "NOUN", 4.0), ("nada", "NOUN", -4.0), ("cero", "VERB", 0.0),
+        ]:
+            b.add(entry, pos, so)
+        merged = merge_lexica([a, b], name="m")
+        calls = []
+
+        def counting(so):
+            calls.append(so)
+            return format_so(so)
+
+        monkeypatch.setattr("sisa.lexicon.format_so", counting)
+        assert dump_lexicon(merged) == (
+            "# scale: sfu\nbien\tADV\t2\nbueno\t*\t2\nbueno\tADJ\t2\n"
+            "malo\tADJ\t-3\nnada\tNOUN\t0\nx\tADJ\t0\n"
+        )
+        assert sorted(calls) == [-3.0, 0.0, 2.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.text(alphabet="ab\x01\x02\x05\x08", min_size=1, max_size=4),
+            st.sets(st.sampled_from(POS_TAGS), min_size=1),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_dump_lines_come_in_sorted_entry_and_pos_order(self, tags_of):
+        # Characters below the tab sort an entry's line before a shorter
+        # entry's, were the lines sorted as text.
+        lex = SentimentLexicon(name="order")
+        for entry, tags in tags_of.items():
+            for pos in tags:
+                lex.add(entry, pos, 1.0)
+        lines = dump_lexicon(lex).splitlines()[1:]
+        assert [tuple(line.split("\t")[:2]) for line in lines] == sorted(
+            (entry, pos) for entry, tags in tags_of.items() for pos in tags
         )
 
     def test_a_neutralized_key_does_not_load_back(self, tmp_path):

@@ -152,6 +152,26 @@ def test_lexica_match_the_oracle(tmp_path, seed):
     assert_matches(load_lexicon(path), oracle_table(path.read_text(encoding="utf-8"), raw=False))
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_merged_provenance_matches_the_oracle(tmp_path, seed):
+    """The merged (sum, count) of every key whose count is not 1, the sums
+    compared bit for bit."""
+    rng = Random(seed)
+    sources, tables = [], []
+    for index in range(rng.randint(1, 4)):
+        raw = rng.random() < 0.4
+        text = generated_source(rng, raw)
+        path = tmp_path / f"s{index}.tsv"
+        path.write_text(text, encoding="utf-8")
+        sources.append(load_lexicon(path, "senticon_raw" if raw else "sfu"))
+        tables.append(oracle_table(text, raw))
+
+    merged = merge_lexica(sources, name="m")
+    got = {key: (so_sum.hex(), count) for key, (so_sum, count) in merged.provenance.items()}
+    want = oracle_merge(tables)
+    assert got == {key: (so_sum.hex(), count) for key, (so_sum, count) in want.items() if count != 1}
+
+
 def test_generated_lexica_cover_every_case(tmp_path):
     """The seeds above hold duplicates, neutralized keys, zero lines,
     ``*`` entries and both scales."""
