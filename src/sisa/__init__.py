@@ -22,7 +22,6 @@ from .errors import (
     ManifestError,
     NonFiniteScoreError,
     RuleConfigError,
-    ScaleMismatchError,
     SisaError,
     TreeStructureError,
     UsageError,
@@ -42,7 +41,6 @@ __all__ = [
     "ManifestError",
     "NonFiniteScoreError",
     "RuleConfigError",
-    "ScaleMismatchError",
     "SisaError",
     "Token",
     "TreeStructureError",

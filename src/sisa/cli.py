@@ -3,9 +3,10 @@
 Results go to stdout as tab-separated lines, diagnostics to stderr. Exit
 codes: 0 success, 1 stdout closed before all output was written (as by
 ``| head``), 2 missing file, 3 unparseable input or a score that is not
-finite, 4 usage error (including scale mismatches). ``classify`` and
-``trace`` read their input one sentence at a time, so per-sentence output
-before a malformed sentence has already been written when they exit 3.
+finite, 4 usage error (including a ``--scale`` count that fits no
+``--lexicon`` count). ``classify`` and ``trace`` read their input one
+sentence at a time, so per-sentence output before a malformed sentence has
+already been written when they exit 3.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterator, TextIO
 from .classify import AGGREGATIONS, TIE_RULES, classify_sentence, document_so, polarity_label
 from .conllu import iter_sentences
 from .engine import compute_so
-from .errors import ScaleMismatchError, SisaError, UsageError
+from .errors import SisaError, UsageError
 from .evaluate import (
     CONFIG_IDS,
     RunConfig,
@@ -40,7 +41,6 @@ from .lexicon import (
     load_lexicon,
     load_wordlists,
     merge_lexica,
-    sniff_scale,
 )
 from .operations import load_rules
 from .util import format_so
@@ -127,32 +127,6 @@ def _cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _effective_scales(paths: list[str], scales: list[str] | None) -> list[str]:
-    """Pair each input lexicon with its scale.
-
-    Explicit --scale values win (one for all inputs, or one per input).
-    Without --scale, a file whose header declares senticon_raw is refused:
-    rescaling must be asked for, not silently applied.
-    """
-    if scales:
-        if len(scales) == 1:
-            return scales * len(paths)
-        if len(scales) != len(paths):
-            raise UsageError(
-                f"got {len(scales)} --scale values for {len(paths)} --lexicon inputs"
-            )
-        return list(scales)
-    effective = []
-    for path in paths:
-        declared = sniff_scale(path) or SFU
-        if declared != SFU:
-            raise ScaleMismatchError(
-                f"{path} declares scale {declared!r}; pass --scale to confirm rescaling"
-            )
-        effective.append(SFU)
-    return effective
-
-
 def _write_output(text: str, output: str | None) -> None:
     if output and output != "-":
         Path(output).write_text(text, encoding="utf-8")
@@ -161,7 +135,13 @@ def _write_output(text: str, output: str | None) -> None:
 
 
 def _cmd_merge_lexicon(args) -> int:
-    scales = _effective_scales(args.lexicon, args.scale)
+    scales = args.scale or [None]
+    if len(scales) == 1:
+        scales = scales * len(args.lexicon)
+    elif len(scales) != len(args.lexicon):
+        raise UsageError(
+            f"got {len(scales)} --scale values for {len(args.lexicon)} --lexicon inputs"
+        )
     lexica = [load_lexicon(path, scale) for path, scale in zip(args.lexicon, scales)]
     merged = merge_lexica(lexica, name="merged")
     _write_output(dump_lexicon(merged), args.output)
@@ -222,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sisa", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    classify = sub.add_parser("classify", parents=[], help="label a parsed document")
+    classify = sub.add_parser("classify", help="label a parsed document")
     _add_engine_flags(classify)
     classify.add_argument("--input", required=True, metavar="PATH", help="CoNLL-U file or -")
     classify.add_argument("--granularity", choices=("doc", "sentence"), default="doc")

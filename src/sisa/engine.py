@@ -363,7 +363,8 @@ class CompiledRules:
 
 def compile_rules(defs: Sequence[OperationDefinition]) -> CompiledRules:
     """Compile rule definitions into the table :func:`compute_so` scores
-    with; word lists are read now."""
+    with; trigger words are read now, booster amounts at each firing (see
+    :func:`_booster_value`)."""
     by_word: dict[str, list[tuple]] = {}
     always: list[tuple] = []
     plans = []
@@ -611,8 +612,9 @@ def compute_so(
 
     Warnings come in post-order. With ``record=False`` the returned trace
     has no nodes; its score and warnings are the same. ``defs`` is compiled
-    on its first use (see :func:`_compiled`), and its word lists are read
-    then. A sentence score that overflows to infinity or NaN raises
+    on its first use (see :func:`_compiled`), and its trigger words are read
+    then; a booster rule reads its amount from ``lists`` each time it fires.
+    A sentence score that overflows to infinity or NaN raises
     :class:`NonFiniteScoreError`.
     """
     rules = _compiled(defs)

@@ -60,8 +60,3 @@ class NonFiniteScoreError(SisaError):
 
 class UsageError(SisaError):
     """An operation was invoked with arguments that make no sense together."""
-
-
-class ScaleMismatchError(UsageError):
-    """Lexica on different value scales were combined without rescaling."""
-

@@ -26,7 +26,7 @@ def documented_exports() -> list[str]:
 
 def test_all_equals_the_readme_list():
     documented = documented_exports()
-    assert len(documented) == len(set(documented)) == 23
+    assert len(documented) == len(set(documented)) == 22
     assert sorted(sisa.__all__) == documented
 
 

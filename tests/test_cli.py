@@ -250,15 +250,26 @@ class TestMergeLexicon:
         assert code == 0
         assert "abandonat\tADJ\t-3\n" in out
 
-    def test_undeclared_senticon_raw_exits_4(self, capsys, fixtures):
-        code, _, err = run(
+    def test_scale_overrides_the_header(self, capsys, fixtures):
+        code, out, _ = run(
             capsys,
             "merge-lexicon",
-            "--lexicon", fixtures / "sfu_ca.tsv",
             "--lexicon", fixtures / "senticon_ca.tsv",
+            "--scale", "sfu",
         )
-        assert code == 4
-        assert "senticon_raw" in err
+        assert code == 0
+        assert "abandonat\tADJ\t-0.21875\n" in out
+
+    def test_first_fault_in_input_order_is_reported(self, capsys, tmp_path):
+        first = tmp_path / "a.tsv"
+        first.write_text("grande\tADJ\t1\nmalo\tADJ\n", encoding="utf-8")
+        second = tmp_path / "b.tsv"
+        second.write_text("# scale: volts\ngrande\tADJ\t1\n", encoding="utf-8")
+        code, out, err = run(capsys, "merge-lexicon", "--lexicon", first, "--lexicon", second)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"sisa: LexiconParseError: {first}:2: expected 3 tab-separated fields, got 2\n"
+        )
 
     def test_scale_count_mismatch_exits_4(self, capsys, fixtures):
         code, _, _ = run(
@@ -291,27 +302,32 @@ class TestMergeLexicon:
         assert out == ""
         assert "abandonat\tADJ\t-3\n" in target.read_text(encoding="utf-8")
 
+    GOLDEN_MERGES = [
+        ("merge_lexicon_ca.tsv", [("senticon_ca.tsv", "senticon_raw"), ("sfu_ca.tsv", "sfu")]),
+        (
+            "merge_lexicon_all.tsv",
+            [
+                ("senticon_ca.tsv", "senticon_raw"),
+                ("sfu_ca.tsv", "sfu"),
+                ("lexicon.tsv", "sfu"),
+                ("corpus/lexicon_ml.tsv", "sfu"),
+            ],
+        ),
+    ]
 
-    @pytest.mark.parametrize(
-        "golden, inputs",
-        [
-            ("merge_lexicon_ca.tsv", [("senticon_ca.tsv", "senticon_raw"), ("sfu_ca.tsv", "sfu")]),
-            (
-                "merge_lexicon_all.tsv",
-                [
-                    ("senticon_ca.tsv", "senticon_raw"),
-                    ("sfu_ca.tsv", "sfu"),
-                    ("lexicon.tsv", "sfu"),
-                    ("corpus/lexicon_ml.tsv", "sfu"),
-                ],
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("golden, inputs", GOLDEN_MERGES)
     def test_golden_output(self, capsys, fixtures, golden, inputs):
         argv = ["merge-lexicon"]
         argv += [arg for name, _ in inputs for arg in ("--lexicon", fixtures / name)]
         argv += [arg for _, scale in inputs for arg in ("--scale", scale)]
         code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode("utf-8") == (fixtures / "golden" / golden).read_bytes()
+
+    @pytest.mark.parametrize("golden, inputs", GOLDEN_MERGES)
+    def test_golden_output_from_the_scale_headers(self, capsys, fixtures, golden, inputs):
+        argv = [arg for name, _ in inputs for arg in ("--lexicon", fixtures / name)]
+        code, out, _ = run(capsys, "merge-lexicon", *argv)
         assert code == 0
         assert out.encode("utf-8") == (fixtures / "golden" / golden).read_bytes()
 
@@ -539,6 +555,9 @@ class TestInputLoading:
         )
         assert (code, out) == (0, "muy_grande\t3\tpositive\n")
         assert load_lexicon(lexicon).lookup("grande", "grande", "ADJ") == 3.0
+        code, out, _ = run(capsys, "merge-lexicon", "--lexicon", lexicon)
+        assert code == 0
+        assert "grande\tADJ\t3\n" in out
 
     def test_scale_header_value_is_case_insensitive(self, capsys, tmp_path):
         lexicon = tmp_path / "upper.tsv"
@@ -650,7 +669,7 @@ class TestExitCodeForEveryErrorClass:
 
     def test_the_walk_reaches_every_family(self):
         names = {cls.__name__ for cls in _error_classes()}
-        assert {"ScaleMismatchError", "ManifestError", "NonFiniteScoreError"} <= names
+        assert {"UsageError", "ManifestError", "NonFiniteScoreError"} <= names
 
     @pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
     def test_exit_code(self, capsys, monkeypatch, cls):
